@@ -112,55 +112,22 @@ for replay in "$out/rr_replay_j1.json" "$out/rr_replay_j8.json"; do
 done
 echo "replayed reports byte-identical to the generated run at --jobs 1 and 8"
 
-# Event-engine gate: the discrete-event scheduler and the legacy lockstep
-# loop are contractually bit-identical (DESIGN.md §16). Run the fig13
-# sweep under --engine lockstep and --engine event at --jobs 1 and
-# --jobs 8 and demand all four reports are byte-identical — engine mode
-# is deliberately absent from the report config, so any scheduler
-# divergence shows up as a byte diff. (Runs in --quick too — equivalence
-# is the event engine's core contract.)
-step "event-engine gate (lockstep vs event, --jobs 1/8 byte-diff)"
-ee_args=(--cores 4 --mix homo:mcf --policy lru,mockingjay --org baseline,drishti
-         --accesses 8000 --warmup 2000)
-"$sim" "${ee_args[@]}" --engine lockstep --jobs 1 \
-  --report "$out/engine_lockstep_j1.json" >/dev/null
-"$sim" "${ee_args[@]}" --engine lockstep --jobs 8 \
-  --report "$out/engine_lockstep_j8.json" >/dev/null
-"$sim" "${ee_args[@]}" --engine event --jobs 1 \
-  --report "$out/engine_event_j1.json" >/dev/null
-"$sim" "${ee_args[@]}" --engine event --jobs 8 \
-  --report "$out/engine_event_j8.json" >/dev/null
-for variant in engine_lockstep_j8 engine_event_j1 engine_event_j8; do
-  if ! diff -u "$out/engine_lockstep_j1.json" "$out/$variant.json"; then
-    echo "FAIL: $variant report differs from lockstep --jobs 1" >&2
-    exit 1
-  fi
-done
-echo "lockstep and event reports byte-identical at --jobs 1 and 8"
-
 # Scaling-smoke gate: the multi-chip topology must preserve the sweep
-# harness's core contracts — worker-count determinism and lockstep/event
-# equivalence — with inter-chip link queues in the loop. Run one small
-# 2-chip rung of the scaling study under --jobs 1|8 × --engine
-# lockstep|event and demand all four reports are byte-identical. (Runs in
-# --quick too — the inter-chip links are new event-engine surface.)
-step "scaling-smoke gate (2-chip sweep, jobs x engine byte-diff)"
+# harness's worker-count determinism with inter-chip link queues in the
+# loop. Run one small 2-chip rung of the scaling study at --jobs 1 and
+# --jobs 8 and demand byte-identical reports. (Runs in --quick too.)
+step "scaling-smoke gate (2-chip sweep, --jobs 1/8 byte-diff)"
 cargo build -q --offline "${build_flags[@]}" -p drishti-bench --bin scaling
 scaling="target/$profile_dir/scaling"
 sc_args=(--mixes 1 --cores 16 --accesses 6000)
-for engine in lockstep event; do
-  for jobs in 1 8; do
-    "$scaling" "${sc_args[@]}" --engine "$engine" --jobs "$jobs" \
-      --report "$out/scaling_${engine}_j${jobs}.json" >/dev/null
-  done
+for jobs in 1 8; do
+  "$scaling" "${sc_args[@]}" --jobs "$jobs" --report "$out/scaling_j${jobs}.json" >/dev/null
 done
-for variant in scaling_lockstep_j8 scaling_event_j1 scaling_event_j8; do
-  if ! diff -u "$out/scaling_lockstep_j1.json" "$out/$variant.json"; then
-    echo "FAIL: $variant scaling report differs from lockstep --jobs 1" >&2
-    exit 1
-  fi
-done
-echo "2-chip scaling reports byte-identical across jobs and engine modes"
+if ! diff -u "$out/scaling_j1.json" "$out/scaling_j8.json"; then
+  echo "FAIL: 2-chip scaling report differs between --jobs 1 and --jobs 8" >&2
+  exit 1
+fi
+echo "2-chip scaling reports byte-identical across worker counts"
 
 # Crash-resume gate: SIGKILL a journaled sweep mid-flight, resume it with
 # --resume, and demand the final report is byte-identical to an
@@ -238,34 +205,29 @@ echo "injected violation caught, shrunk, persisted and replayed"
 # Scenario-smoke gate: the scenario families and the coverage table must
 # preserve the harness's byte-determinism contracts, and ChampSim
 # ingestion must be deterministic and end-to-end usable. Part 1 runs the
-# scenarios study (adversarial search + all three families) under
-# --jobs 1|8 × --engine lockstep|event and demands all four reports —
-# scenario_coverage table included — are byte-identical. Part 2
+# scenarios study (adversarial search + all three families) at --jobs 1
+# and --jobs 8 and demands byte-identical reports, scenario_coverage
+# table included. Part 2
 # synthesizes a demo ChampSim trace, ingests it twice (byte-diffing the
 # .drtr outputs), and replays the ingested trace through a sweep, whose
 # report must carry the "ingested" coverage family. (Runs in --quick too
 # — the coverage table is new report surface.)
-step "scenario-smoke gate (families x jobs x engine, ingest round-trip)"
+step "scenario-smoke gate (families x jobs, ingest round-trip)"
 cargo build -q --offline "${build_flags[@]}" -p drishti-bench --bin scenarios
 scenarios="target/$profile_dir/scenarios"
 scn_args=(--mixes 1 --cores 4 --accesses 6000)
-for engine in lockstep event; do
-  for jobs in 1 8; do
-    "$scenarios" "${scn_args[@]}" --engine "$engine" --jobs "$jobs" \
-      --report "$out/scenarios_${engine}_j${jobs}.json" >/dev/null
-  done
+for jobs in 1 8; do
+  "$scenarios" "${scn_args[@]}" --jobs "$jobs" --report "$out/scenarios_j${jobs}.json" >/dev/null
 done
-for variant in scenarios_lockstep_j8 scenarios_event_j1 scenarios_event_j8; do
-  if ! diff -u "$out/scenarios_lockstep_j1.json" "$out/$variant.json"; then
-    echo "FAIL: $variant scenarios report differs from lockstep --jobs 1" >&2
-    exit 1
-  fi
-done
-if ! grep -q '"scenario_coverage"' "$out/scenarios_lockstep_j1.json"; then
+if ! diff -u "$out/scenarios_j1.json" "$out/scenarios_j8.json"; then
+  echo "FAIL: scenarios report differs between --jobs 1 and --jobs 8" >&2
+  exit 1
+fi
+if ! grep -q '"scenario_coverage"' "$out/scenarios_j1.json"; then
   echo "FAIL: scenarios report lacks the scenario_coverage table" >&2
   exit 1
 fi
-echo "scenario reports byte-identical across jobs and engine modes"
+echo "scenario reports byte-identical across worker counts"
 "$sim" --ingest-demo "$out/demo.champsim" >/dev/null
 "$sim" --ingest "$out/demo.champsim" --ingest-out "$out/ingest_a.drtr" >/dev/null
 "$sim" --ingest "$out/demo.champsim" --ingest-out "$out/ingest_b.drtr" >/dev/null
@@ -284,10 +246,15 @@ fi
 echo "ingest round-trip byte-identical; ingested replay covered as 'ingested'"
 
 if [[ $quick -eq 0 ]]; then
-  step "release-mode oracle/golden/telemetry/event-engine/scenario tests"
+  step "release-mode oracle/golden/telemetry/scheduler/scenario tests"
   cargo test -q --offline --release --test oracle --test golden --test telemetry \
-    --test event_engine --test scenarios --test ingest
+    --test scheduler --test scenarios --test ingest
 fi
+
+# The benchmark package declares its own [workspace], so --workspace never
+# builds it; its tests pin the simulator API it drives.
+step "drishti-benchmark tests"
+cargo test -q --offline --manifest-path drishti-benchmark/Cargo.toml
 
 # Perf snapshot: run the pinned drishti-perf matrix in --quick mode and
 # compare against the newest committed BENCH_*.json. Report-only — a >10%

@@ -22,7 +22,6 @@ fn bench_end_to_end(c: &mut Criterion) {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     };
     let mix = Mix::homogeneous(Benchmark::Gcc, cores, 1);
     let mut group = c.benchmark_group("end_to_end_4core_gcc");
@@ -68,7 +67,6 @@ fn bench_scaling(c: &mut Criterion) {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: Default::default(),
         };
         let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), cores, 1);
         group.bench_with_input(BenchmarkId::from_parameter(cores), &cores, |b, _| {

@@ -9,8 +9,7 @@
 //! previous baseline — a >10% regression warns, never fails.
 
 use drishti_bench::perf::{
-    compare_reports, default_bench_path, run_perf, PerfOpts, COMPARE_CORES, MULTICHIP_CHIPS,
-    MULTICHIP_CORES,
+    compare_reports, default_bench_path, run_perf, PerfOpts, MULTICHIP_CHIPS, MULTICHIP_CORES,
 };
 
 fn main() {
@@ -45,13 +44,6 @@ fn main() {
         "trace store: {:.2} bytes/record over {} records",
         report.bytes_per_record(),
         report.trace_store.0
-    );
-    println!(
-        "engine compare (idle-heavy, {COMPARE_CORES} cores / 1 active): \
-         lockstep {:.0} steps/sec, event {:.0} steps/sec ({:.2}x)",
-        report.engine_compare.lockstep.steps_per_sec(),
-        report.engine_compare.event.steps_per_sec(),
-        report.engine_compare.speedup(),
     );
     println!(
         "multichip ({MULTICHIP_CORES} cores / {MULTICHIP_CHIPS} chips, all active): \

@@ -96,7 +96,6 @@ fn main() {
                     record_llc_stream: false,
                     sampling: SamplingSpec::off(),
                     telemetry: TelemetrySpec::off(),
-                    engine: Default::default(),
                 },
                 kind: JobKind::Run {
                     mix: mix.clone(),

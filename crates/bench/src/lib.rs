@@ -32,7 +32,6 @@
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
-use drishti_sim::engine::EngineMode;
 use drishti_sim::metrics::{mean, MixMetrics};
 use drishti_sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig, RunResult};
 use drishti_sim::sampling::SamplingSpec;
@@ -48,7 +47,7 @@ pub mod perf;
 
 const OPTS_USAGE: &str = "usage: [--full] [--mixes N] [--cores a,b,c] [--accesses N] \
 [--jobs N] [--report PATH] [--resume] [--telemetry] [--epoch N] \
-[--sample-interval N] [--sample-warmup N] [--engine lockstep|event]";
+[--sample-interval N] [--sample-warmup N]";
 
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -77,9 +76,6 @@ pub struct ExpOpts {
     pub sample_interval: u64,
     /// Warm records before each detailed window.
     pub sample_warmup: u64,
-    /// Engine scheduling mode (bit-identical results either way; exposed
-    /// for differential gates and throughput comparisons).
-    pub engine: EngineMode,
 }
 
 impl Default for ExpOpts {
@@ -96,7 +92,6 @@ impl Default for ExpOpts {
             epoch: 0,
             sample_interval: 0,
             sample_warmup: 0,
-            engine: EngineMode::default(),
         }
     }
 }
@@ -161,11 +156,6 @@ impl ExpOpts {
                         .map(|c| parse_num("--cores", c))
                         .collect::<Result<_, _>>()?;
                 }
-                "--engine" => {
-                    let v = value(args, i, flag)?;
-                    opts.engine = EngineMode::parse(&v)
-                        .ok_or_else(|| format!("--engine must be lockstep or event, got {v}"))?;
-                }
                 other => return Err(format!("unknown argument {other}")),
             }
             i += 2;
@@ -217,7 +207,6 @@ impl ExpOpts {
             record_llc_stream: false,
             sampling: self.sampling_spec(),
             telemetry: self.telemetry_spec(),
-            engine: self.engine,
         }
     }
 
@@ -659,7 +648,6 @@ mod tests {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: EngineMode::default(),
         };
         let eval = evaluate_mix(
             &mix,

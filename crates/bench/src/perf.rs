@@ -20,7 +20,7 @@ use crate::parse_num;
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
-use drishti_sim::engine::{Engine, EngineMode};
+use drishti_sim::engine::Engine;
 use drishti_sim::runner::{run_mix_cached, RunConfig};
 use drishti_sim::sampling::SamplingSpec;
 use drishti_sim::sweep::json::Json;
@@ -30,7 +30,7 @@ use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 use drishti_trace::replay::TraceCache;
 use drishti_trace::store::write_trace;
-use drishti_trace::WorkloadGen;
+use drishti_trace::{TraceRecord, WorkloadGen};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,7 +48,7 @@ pub const PERF_ACCESSES: u64 = 40_000;
 pub const PERF_QUICK_ACCESSES: u64 = 12_000;
 
 const PERF_USAGE: &str = "usage: drishti-perf [--trials N] [--accesses N] [--jobs N] [--out PATH] \
-[--compare PATH] [--engine lockstep|event] [--quick]";
+[--compare PATH] [--quick]";
 
 /// Command-line options of the `drishti-perf` binary.
 #[derive(Debug, Clone)]
@@ -67,9 +67,6 @@ pub struct PerfOpts {
     pub compare: Option<PathBuf>,
     /// Single fast trial at reduced scale (CI smoke / ci.sh snapshot).
     pub quick: bool,
-    /// Scheduling mode for every timed cell (the `engine_compare` block
-    /// always times both modes regardless).
-    pub engine: EngineMode,
 }
 
 impl Default for PerfOpts {
@@ -81,7 +78,6 @@ impl Default for PerfOpts {
             out: None,
             compare: None,
             quick: false,
-            engine: EngineMode::default(),
         }
     }
 }
@@ -121,11 +117,6 @@ impl PerfOpts {
                 }
                 "--compare" => {
                     opts.compare = Some(PathBuf::from(value(args, i, flag)?));
-                }
-                "--engine" => {
-                    let v = value(args, i, flag)?;
-                    opts.engine = EngineMode::parse(&v)
-                        .ok_or_else(|| format!("--engine must be lockstep or event, got {v}"))?;
                 }
                 other => return Err(format!("unknown argument {other}")),
             }
@@ -175,7 +166,6 @@ impl PerfOpts {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: self.engine,
         }
     }
 }
@@ -241,19 +231,6 @@ impl PassTiming {
     }
 }
 
-/// Cores of the idle-heavy engine-comparison cell: many idle cores make
-/// the lockstep scheduler's per-step O(cores) ready-core scan expensive
-/// while the event heap holds a single entry.
-pub const COMPARE_CORES: usize = 256;
-
-/// LLC slices of the engine-comparison cell. Deliberately decoupled from
-/// [`COMPARE_CORES`]: a per-core LLC at 256 cores would allocate half a
-/// gigabyte of tag planes, and walking them slows *both* modes with
-/// host-cache misses that have nothing to do with scheduling. A small
-/// fixed LLC keeps the per-step simulation work constant as the core
-/// count grows, so the measured ratio isolates the scheduler.
-pub const COMPARE_LLC_SLICES: usize = 8;
-
 /// Cores of the multi-chip throughput cell: the scaling study's 64-slice
 /// shape, every core active.
 pub const MULTICHIP_CORES: usize = 64;
@@ -269,25 +246,6 @@ pub struct MultichipTiming {
     pub timing: PassTiming,
     /// Inter-chip messages delivered during the best trial.
     pub interchip_messages: u64,
-}
-
-/// Lockstep-vs-event scheduler timing on the idle-heavy cell
-/// ([`COMPARE_CORES`] cores, one active low-MPKI Deepsjeng core, a single
-/// DRAM channel). Both modes simulate the identical workload and are
-/// asserted to produce bit-identical results before timing is reported.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineCompare {
-    /// Best lockstep trial.
-    pub lockstep: PassTiming,
-    /// Best event-driven trial.
-    pub event: PassTiming,
-}
-
-impl EngineCompare {
-    /// Event-driven steps/sec over lockstep steps/sec (>1 = faster).
-    pub fn speedup(&self) -> f64 {
-        self.event.steps_per_sec() / self.lockstep.steps_per_sec()
-    }
 }
 
 /// The complete `drishti-perf/v1` measurement.
@@ -313,8 +271,6 @@ pub struct PerfReport {
     pub warm_ckpt: (u64, u64),
     /// `(records, file bytes)` of the trace-store encoding probe.
     pub trace_store: (u64, u64),
-    /// Lockstep-vs-event scheduler timing on the idle-heavy cell.
-    pub engine_compare: EngineCompare,
     /// Multi-chip cell timing ([`MULTICHIP_CORES`] cores over
     /// [`MULTICHIP_CHIPS`] chips, all cores active).
     pub multichip: MultichipTiming,
@@ -383,29 +339,6 @@ impl PerfReport {
         store.push("bytes", Json::UInt(self.trace_store.1));
         store.push("bytes_per_record", Json::Num(self.bytes_per_record()));
 
-        let mut engine = Json::obj();
-        engine.push("cores", Json::UInt(COMPARE_CORES as u64));
-        engine.push("active_cores", Json::UInt(1));
-        engine.push("llc_slices", Json::UInt(COMPARE_LLC_SLICES as u64));
-        engine.push("steps", Json::UInt(self.engine_compare.event.steps));
-        engine.push(
-            "lockstep_wall_sec",
-            Json::Num(self.engine_compare.lockstep.wall_sec),
-        );
-        engine.push(
-            "event_wall_sec",
-            Json::Num(self.engine_compare.event.wall_sec),
-        );
-        engine.push(
-            "lockstep_steps_per_sec",
-            Json::Num(self.engine_compare.lockstep.steps_per_sec()),
-        );
-        engine.push(
-            "event_steps_per_sec",
-            Json::Num(self.engine_compare.event.steps_per_sec()),
-        );
-        engine.push("speedup", Json::Num(self.engine_compare.speedup()));
-
         let mut multichip = Json::obj();
         multichip.push("cores", Json::UInt(MULTICHIP_CORES as u64));
         multichip.push("chips", Json::UInt(MULTICHIP_CHIPS as u64));
@@ -454,7 +387,6 @@ impl PerfReport {
         root.push("single_thread", single);
         root.push("sweep_pool", pool);
         root.push("trace_store", store);
-        root.push("engine_compare", engine);
         root.push("multichip", multichip);
         root.push("host", host);
         root.to_pretty_string()
@@ -509,93 +441,11 @@ fn steps_per_cell(opts: &PerfOpts) -> u64 {
     PERF_CORES as u64 * (opts.warmup() + opts.accesses)
 }
 
-/// Time the idle-heavy cell under both engine modes: [`COMPARE_CORES`]
-/// cores with only core 0 active (Deepsjeng, the matrix's lowest-MPKI
-/// benchmark), a single DRAM channel and a small fixed
-/// [`COMPARE_LLC_SLICES`]-slice LLC. The cell is deliberately
-/// scheduler-bound — 255 idle cores mean the lockstep loop scans the
-/// whole core array every step while the event heap pops its one entry —
-/// so its ratio isolates the scheduler, not the memory hierarchy. The
-/// usual §15 caveats apply on top: wall-clock on a shared host, best-of-N
-/// trials, and a ratio that shrinks as the active-core fraction grows.
-fn measure_engine_compare(opts: &PerfOpts, cache: &Arc<TraceCache>) -> EngineCompare {
-    let bench = Benchmark::Deepsjeng;
-    let seed = 1;
-    let len = opts.warmup() + opts.accesses;
-    // Pre-generate the trace so both modes replay identical records and
-    // neither pays the generator.
-    let _ = cache.replay(bench, seed, len);
-
-    let mut system = SystemConfig::paper_baseline(COMPARE_CORES);
-    system.dram = drishti_mem::dram::DramConfig::with_channels(1);
-    system.llc = drishti_mem::llc::LlcGeometry::per_core_2mb(COMPARE_LLC_SLICES);
-    // Engine construction (allocating the LLC planes and the 256-node
-    // mesh) is mode-independent and would dilute the ratio, so only
-    // `run()` itself is timed.
-    let run_once = |mode: EngineMode| {
-        let mut workloads: Vec<Option<Box<dyn WorkloadGen>>> =
-            (0..COMPARE_CORES).map(|_| None).collect();
-        workloads[0] = Some(Box::new(cache.replay(bench, seed, len)));
-        let pol = PolicyKind::Lru.build(&system.llc, DrishtiConfig::baseline(COMPARE_CORES));
-        let mut engine = Engine::new(
-            system.clone(),
-            workloads,
-            pol,
-            opts.accesses,
-            opts.warmup(),
-            false,
-        );
-        engine.set_mode(mode);
-        let t = Instant::now();
-        let per_core = engine.run();
-        let wall = t.elapsed().as_secs_f64();
-        let fingerprint = format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            per_core,
-            engine.llc().stats(),
-            engine.dram().stats(),
-            engine.mesh().stats()
-        );
-        (wall, fingerprint)
-    };
-
-    let mut lockstep_wall = f64::INFINITY;
-    let mut event_wall = f64::INFINITY;
-    // The cell is short (one active core), so a higher trial floor is
-    // cheap and strips host-scheduler noise from the min-wall estimate.
-    for _ in 0..opts.trials.max(3) {
-        let (wl, rl) = run_once(EngineMode::Lockstep);
-        let (we, re) = run_once(EngineMode::EventDriven);
-        assert_eq!(
-            format!("{rl:?}"),
-            format!("{re:?}"),
-            "engine modes must produce bit-identical results"
-        );
-        lockstep_wall = lockstep_wall.min(wl);
-        event_wall = event_wall.min(we);
-    }
-    // One active core pulls one record per engine step.
-    let steps = len;
-    let accesses = opts.accesses;
-    EngineCompare {
-        lockstep: PassTiming {
-            wall_sec: lockstep_wall,
-            steps,
-            accesses,
-        },
-        event: PassTiming {
-            wall_sec: event_wall,
-            steps,
-            accesses,
-        },
-    }
-}
-
 /// Time the multi-chip cell: the scaling study's 64-slice / 4-chip shape
 /// with every core active on the heterogeneous fig13 workload set, under
-/// D-Mockingjay with the hierarchical predictor fabric. Unlike the
-/// idle-heavy engine-compare cell this one is interconnect-bound — every
-/// demand and predictor message can cross a serialized gateway — so its
+/// D-Mockingjay with the hierarchical predictor fabric. The cell is
+/// interconnect-bound — every demand and predictor message can cross a
+/// serialized gateway — so its
 /// steps/sec tracks the cost of the inter-chip link model itself. The
 /// best trial must have moved inter-chip traffic, or the cell silently
 /// degenerated into a flat mesh.
@@ -624,7 +474,6 @@ fn measure_multichip(opts: &PerfOpts, cache: &Arc<TraceCache>) -> MultichipTimin
             opts.warmup(),
             false,
         );
-        engine.set_mode(opts.engine);
         let t = Instant::now();
         let per_core = engine.run();
         let wall = t.elapsed().as_secs_f64();
@@ -647,6 +496,18 @@ fn measure_multichip(opts: &PerfOpts, cache: &Arc<TraceCache>) -> MultichipTimin
         },
         interchip_messages,
     }
+}
+
+/// Write `records` through the real on-disk trace codec and return
+/// `(records written, file bytes)`.
+fn probe_trace_store(name: &str, seed: u64, records: &[TraceRecord]) -> (u64, u64) {
+    let path = std::env::temp_dir().join(format!("drishti-perf-{}.drtr", std::process::id()));
+    let written = write_trace(&path, name, seed, records).expect("trace-store probe write");
+    let bytes = std::fs::metadata(&path)
+        .expect("trace-store probe stat")
+        .len();
+    let _ = std::fs::remove_file(&path);
+    (written, bytes)
 }
 
 /// Run the pinned matrix and assemble the report. Traces are generated
@@ -733,16 +594,10 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
         accesses: single.accesses,
     };
 
-    // Trace-store encoding density: write the first mix's core-0 stream
-    // through the real on-disk codec and measure bytes per record.
+    // Trace-store encoding density: the first mix's core-0 stream.
     let probe = &cells[0].mix;
     let records = cache.get(probe.benchmarks[0], probe.seeds[0], len);
-    let path = std::env::temp_dir().join(format!("drishti-perf-{}.drtr", std::process::id()));
-    let bytes = write_trace(&path, probe.benchmarks[0].label(), probe.seeds[0], &records)
-        .expect("trace-store probe write");
-    let _ = std::fs::remove_file(&path);
-
-    let engine_compare = measure_engine_compare(opts, &cache);
+    let trace_store = probe_trace_store(probe.benchmarks[0].label(), probe.seeds[0], &records);
     let multichip = measure_multichip(opts, &cache);
 
     PerfReport {
@@ -759,8 +614,7 @@ pub fn run_perf(opts: &PerfOpts) -> PerfReport {
         pool_cells_per_sec,
         trace_cache,
         warm_ckpt,
-        trace_store: (records.len() as u64, bytes),
-        engine_compare,
+        trace_store,
         multichip,
     }
 }
@@ -807,17 +661,9 @@ pub fn compare_reports(report: &PerfReport, baseline_json: &str, tolerance: f64)
         );
         pairs.push(("sweep_pool", "steps_per_sec", report.pool.steps_per_sec()));
     }
-    // The engine-compare cell is shape-independent (steps/sec on the
-    // pinned idle-heavy cell), so the event-engine delta is always
-    // recorded when the baseline has the section.
-    pairs.push((
-        "engine_compare",
-        "event_steps_per_sec",
-        report.engine_compare.event.steps_per_sec(),
-    ));
-    // Likewise shape-independent: steps/sec on the pinned 64-core /
-    // 4-chip cell. Baselines that predate multi-chip support lack the
-    // section and skip cleanly.
+    // Shape-independent: steps/sec on the pinned 64-core / 4-chip cell.
+    // Baselines that predate multi-chip support lack the section and skip
+    // cleanly.
     pairs.push((
         "multichip",
         "steps_per_sec",
@@ -933,10 +779,6 @@ mod tests {
             trace_cache: (0, 0),
             warm_ckpt: (0, 0),
             trace_store: (1, 1),
-            engine_compare: EngineCompare {
-                lockstep: pass,
-                event: pass,
-            },
             multichip: MultichipTiming {
                 timing: pass,
                 interchip_messages: 1,
@@ -970,6 +812,31 @@ mod tests {
         );
         assert!(!lines.iter().any(|l| l.contains("cells_per_sec")));
         assert!(lines.iter().any(|l| l.contains("sweep_pool.steps_per_sec")));
+    }
+
+    #[test]
+    fn trace_store_probe_measures_file_bytes() {
+        let records = TraceCache::new().get(Benchmark::Mcf, 1, 5_000);
+        let (written, bytes) = probe_trace_store(Benchmark::Mcf.label(), 1, &records);
+        assert_eq!(written, records.len() as u64);
+        let per_record = bytes as f64 / written as f64;
+        assert!(
+            per_record > 1.0 && per_record < 24.0,
+            "{per_record} B/record is not an encoded size"
+        );
+    }
+
+    #[test]
+    fn comparison_ignores_retired_sections_of_the_committed_baseline() {
+        let committed = include_str!("../../../BENCH_20260809.json");
+        let lines = compare_reports(&fake_report(PERF_ACCESSES), committed, 0.10);
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("single_thread.steps_per_sec")));
+        assert!(
+            !lines.iter().any(|l| l.contains("engine_compare")),
+            "{lines:?}"
+        );
     }
 
     #[test]

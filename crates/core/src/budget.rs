@@ -15,7 +15,7 @@ const SLICE_WAYS: u64 = 16;
 /// One storage component of a policy's budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetComponent {
-    /// Component name as it appears in Table 3.
+    /// Name of the storage component, as it appears in Table 3.
     pub name: &'static str,
     /// Size in bits.
     pub bits: u64,

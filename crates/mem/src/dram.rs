@@ -15,7 +15,6 @@
 //! write-backs (paper Table 5) cost performance and energy.
 
 use crate::LineAddr;
-use drishti_noc::event::{Component, ComponentId};
 use drishti_noc::faults::{FaultConfig, FaultDomain, FaultSchedule};
 
 /// DRAM timing/geometry parameters (in core cycles at 4 GHz).
@@ -370,22 +369,6 @@ impl Dram {
         &self.stats
     }
 
-    /// Event-scheduler wakeup proxies, one per channel.
-    ///
-    /// Bank and bus occupancy are leaky buckets evaluated lazily when a
-    /// request arrives, so a channel's only scheduled events are injected
-    /// outage-window edges — and those wakeups mutate nothing, because
-    /// channel health is a pure function of the fault configuration
-    /// (DESIGN.md §16). Healthy DRAM is fully demand-driven.
-    pub fn channel_components(&self) -> Vec<DramChannelWakeup> {
-        (0..self.cfg.channels)
-            .map(|channel| DramChannelWakeup {
-                channel: channel as u32,
-                faults: self.faults.clone(),
-            })
-            .collect()
-    }
-
     /// Per-channel telemetry snapshot, indexed by channel.
     pub fn channel_snapshots(&self) -> Vec<DramChannelSnapshot> {
         (0..self.cfg.channels)
@@ -457,29 +440,6 @@ impl Dram {
         }
         self.stats.load(r)?;
         drishti_noc::faults::load_fault_cursor(&mut self.faults, r, "dram fault schedule")
-    }
-}
-
-/// Discrete-event wakeup proxy for one DRAM channel.
-///
-/// Produced by [`Dram::channel_components`]; wakes exactly at injected
-/// channel-outage window edges and performs no work, so scheduling or
-/// skipping these wakeups cannot change simulation results.
-#[derive(Debug, Clone)]
-pub struct DramChannelWakeup {
-    channel: u32,
-    faults: Option<FaultSchedule>,
-}
-
-impl Component for DramChannelWakeup {
-    fn component_id(&self) -> ComponentId {
-        ComponentId::DramChannel(self.channel)
-    }
-
-    fn next_wakeup(&self, now: u64) -> Option<u64> {
-        self.faults
-            .as_ref()
-            .and_then(|f| f.dram_outage_next_transition(self.channel as usize, now))
     }
 }
 
@@ -675,32 +635,6 @@ mod tests {
         let drained: u64 = snaps.iter().map(|s| s.writes).sum();
         let queued: u64 = snaps.iter().map(|s| s.queue_depth).sum();
         assert_eq!(drained + queued, d.stats().writes);
-    }
-
-    #[test]
-    fn channel_components_wake_only_for_outage_windows() {
-        use drishti_noc::faults::OutageWindow;
-        let healthy = Dram::new(DramConfig::with_channels(4));
-        for c in healthy.channel_components() {
-            assert_eq!(c.next_wakeup(0), None, "healthy channel scheduled a wakeup");
-        }
-        let faults = FaultConfig {
-            seed: 1,
-            dram_outages: vec![OutageWindow {
-                channel: 2,
-                start: 500,
-                len: 100,
-            }],
-            ..FaultConfig::none()
-        };
-        let d = Dram::with_faults(DramConfig::with_channels(4), &faults);
-        let comps = d.channel_components();
-        assert_eq!(comps.len(), 4);
-        assert_eq!(comps[2].component_id(), ComponentId::DramChannel(2));
-        assert_eq!(comps[2].next_wakeup(0), Some(500), "window start edge");
-        assert_eq!(comps[2].next_wakeup(500), Some(600), "window end edge");
-        assert_eq!(comps[2].next_wakeup(600), None, "no events after recovery");
-        assert_eq!(comps[0].next_wakeup(0), None, "other channels unaffected");
     }
 
     #[test]

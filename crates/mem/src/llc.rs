@@ -21,7 +21,6 @@ use crate::bits::{bit_assign, bit_get, bit_set, range_mask};
 use crate::policy::{Decision, LlcLineState, LlcLoc, LlcPolicy, SetProbe};
 use crate::shadow::{FillOutcome, LlcObserver};
 use crate::{CoreId, LineAddr};
-use drishti_noc::event::{Component, ComponentId};
 use drishti_noc::slicehash::{SliceHasher, XorFoldHash};
 
 /// Geometry of the sliced LLC.
@@ -406,20 +405,6 @@ impl SlicedLlc {
         &self.geom
     }
 
-    /// Event-scheduler wakeup proxies, one per slice.
-    ///
-    /// An LLC slice holds no clocked state at all — tags, recency and
-    /// policy metadata change only when a request arrives — so slices are
-    /// purely demand-driven under the event engine and never schedule a
-    /// wakeup (DESIGN.md §16).
-    pub fn slice_components(&self) -> Vec<SliceWakeup> {
-        (0..self.geom.slices)
-            .map(|slice| SliceWakeup {
-                slice: slice as u32,
-            })
-            .collect()
-    }
-
     /// The governing policy (shared reference).
     pub fn policy(&self) -> &dyn LlcPolicy {
         self.policy.as_ref()
@@ -762,27 +747,6 @@ impl SlicedLlc {
     }
 }
 
-/// Discrete-event wakeup proxy for one LLC slice.
-///
-/// Produced by [`SlicedLlc::slice_components`]; slices keep no clocked
-/// state, so this component exists only to give each slice a stable
-/// [`ComponentId`] in the scheduler's tie-break order and never requests
-/// a wakeup.
-#[derive(Debug, Clone, Copy)]
-pub struct SliceWakeup {
-    slice: u32,
-}
-
-impl Component for SliceWakeup {
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Slice(self.slice)
-    }
-
-    fn next_wakeup(&self, _now: u64) -> Option<u64> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,21 +795,6 @@ mod tests {
             sets_per_slice: 8,
             ways: 2,
             latency: 20,
-        }
-    }
-
-    #[test]
-    fn slice_components_never_request_wakeups() {
-        let llc = SlicedLlc::with_hasher(
-            small_geom(),
-            Box::new(EvictZero::default()),
-            Box::new(ModuloHash),
-        );
-        let comps = llc.slice_components();
-        assert_eq!(comps.len(), 4);
-        for (i, c) in comps.iter().enumerate() {
-            assert_eq!(c.component_id(), ComponentId::Slice(i as u32));
-            assert_eq!(c.next_wakeup(123), None);
         }
     }
 

@@ -268,34 +268,6 @@ impl FaultSchedule {
         }
     }
 
-    /// The next cycle strictly after `now` at which `link`'s outage state
-    /// changes (a down-window opens or closes), or `None` when link
-    /// outages are not configured. Pure — usable as an event-engine wakeup
-    /// without touching the decision counter.
-    pub fn link_outage_next_transition(&self, link: usize, now: u64) -> Option<u64> {
-        let period = self.cfg.link_outage_period;
-        let len = self.cfg.link_outage_len;
-        if period == 0 || len == 0 {
-            return None;
-        }
-        let phase =
-            splitmix64(self.salt ^ (link as u64).wrapping_mul(0xff51_afd7_ed55_8ccd)) % period;
-        let pos = now.wrapping_add(phase) % period;
-        // Boundaries sit where pos wraps to 0 (window opens) or reaches
-        // `len` (window closes); take whichever comes first, strictly
-        // after `now`.
-        [0, len]
-            .into_iter()
-            .map(|target| {
-                let mut delta = (target + period - pos) % period;
-                if delta == 0 {
-                    delta = period;
-                }
-                now.saturating_add(delta)
-            })
-            .min()
-    }
-
     /// Whether DRAM `channel` is inside an outage window at `cycle`.
     pub fn dram_channel_down(&self, channel: usize, cycle: u64) -> bool {
         self.cfg
@@ -315,20 +287,6 @@ impl FaultSchedule {
             .map(|w| w.start.saturating_add(w.len))
             .max()
             .unwrap_or(cycle)
-    }
-
-    /// The next cycle strictly after `now` at which `channel`'s outage
-    /// state changes (a window starts or ends), or `None` when every
-    /// configured boundary is already in the past. Pure — usable as an
-    /// event-engine wakeup.
-    pub fn dram_outage_next_transition(&self, channel: usize, now: u64) -> Option<u64> {
-        self.cfg
-            .dram_outages
-            .iter()
-            .filter(|w| w.channel == channel)
-            .flat_map(|w| [w.start, w.start.saturating_add(w.len)])
-            .filter(|&t| t > now)
-            .min()
     }
 }
 
@@ -490,70 +448,6 @@ mod tests {
         assert!(!s.dram_channel_down(1, 150));
         assert!(!s.dram_channel_down(0, 120), "other channels stay up");
         assert_eq!(s.dram_channel_up_at(1, 120), 150);
-    }
-
-    #[test]
-    fn link_outage_transitions_bracket_every_state_flip() {
-        let c = FaultConfig {
-            seed: 9,
-            link_outage_period: 100,
-            link_outage_len: 10,
-            ..FaultConfig::none()
-        };
-        let s = FaultSchedule::for_domain(&c, FaultDomain::Mesh).unwrap();
-        for link in 0..8 {
-            for now in 0..250u64 {
-                let next = s.link_outage_next_transition(link, now).unwrap();
-                assert!(next > now, "transition must be strictly after now");
-                // The down/up state is constant on (now, next) and flips
-                // at `next`.
-                let state_after_now = s.link_outage_wait(link, now + 1).is_some();
-                for t in now + 1..next {
-                    assert_eq!(s.link_outage_wait(link, t).is_some(), state_after_now);
-                }
-                assert_ne!(
-                    s.link_outage_wait(link, next).is_some(),
-                    s.link_outage_wait(link, next - 1).is_some(),
-                    "link {link}: no flip at reported transition {next} (now {now})"
-                );
-            }
-        }
-        // No outage configuration → no wakeups.
-        let quiet = FaultSchedule::for_domain(&cfg(10.0, 0), FaultDomain::Mesh).unwrap();
-        assert_eq!(quiet.link_outage_next_transition(0, 0), None);
-    }
-
-    #[test]
-    fn dram_outage_transitions_match_window_edges() {
-        let c = FaultConfig {
-            seed: 1,
-            dram_outages: vec![
-                OutageWindow {
-                    channel: 1,
-                    start: 100,
-                    len: 50,
-                },
-                OutageWindow {
-                    channel: 1,
-                    start: 400,
-                    len: 10,
-                },
-                OutageWindow {
-                    channel: 0,
-                    start: 5,
-                    len: 5,
-                },
-            ],
-            ..FaultConfig::none()
-        };
-        let s = FaultSchedule::for_domain(&c, FaultDomain::Dram).unwrap();
-        assert_eq!(s.dram_outage_next_transition(1, 0), Some(100));
-        assert_eq!(s.dram_outage_next_transition(1, 100), Some(150));
-        assert_eq!(s.dram_outage_next_transition(1, 150), Some(400));
-        assert_eq!(s.dram_outage_next_transition(1, 405), Some(410));
-        assert_eq!(s.dram_outage_next_transition(1, 410), None);
-        assert_eq!(s.dram_outage_next_transition(0, 9), Some(10));
-        assert_eq!(s.dram_outage_next_transition(2, 0), None);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 //! assert!(latency >= mesh.hops(0, 15) as u64);
 //! ```
 
-pub mod event;
 pub mod faults;
 pub mod link;
 pub mod linmap;

@@ -13,7 +13,6 @@
 //! 32 cores, Fig 11) and growing contention with core count — at a cost that
 //! lets us simulate billions of events.
 
-use crate::event::{Component, ComponentId};
 use crate::faults::{FaultConfig, FaultDomain, FaultSchedule};
 use crate::snap::SnapError;
 use crate::{NocStats, NodeId};
@@ -279,34 +278,6 @@ impl Mesh {
         &self.stats
     }
 
-    /// Event-scheduler wakeup proxies for every outgoing link, flattened
-    /// as `node * 4 + direction` to match [`Mesh::link_flits`].
-    ///
-    /// Link occupancy is a leaky bucket evaluated lazily at access time,
-    /// so a link's timed state needs no per-cycle maintenance; the only
-    /// scheduled events are injected-outage boundaries, and even those
-    /// wakeups mutate nothing (the outage itself is a pure function of
-    /// the fault configuration — see DESIGN.md §16). A mesh without an
-    /// active fault schedule is fully demand-driven.
-    pub fn link_components(&self) -> Vec<LinkWakeup> {
-        self.link_components_offset(0)
-    }
-
-    /// [`Mesh::link_components`] with every link id offset by `base` — used
-    /// by the multi-chip topology layer, where chip `c`'s links occupy the
-    /// global id range `[c · nodes · 4, (c + 1) · nodes · 4)` so scheduler
-    /// identities stay unique across chips. The offset only renames the
-    /// wakeup; outage decisions still key on the id the wakeup carries, so
-    /// a 1-chip topology (base 0) is identical to the flat mesh.
-    pub fn link_components_offset(&self, base: u32) -> Vec<LinkWakeup> {
-        (0..self.cfg.nodes() * 4)
-            .map(|link| LinkWakeup {
-                link: base + link as u32,
-                faults: self.faults.clone(),
-            })
-            .collect()
-    }
-
     /// Cumulative flit counts per outgoing link, flattened as
     /// `node * 4 + direction` (E, W, N, S) — the telemetry layer diffs
     /// these across epochs to derive per-link utilisation.
@@ -349,30 +320,6 @@ impl Mesh {
         }
         self.stats.load(r)?;
         crate::faults::load_fault_cursor(&mut self.faults, r, "mesh fault schedule")
-    }
-}
-
-/// Discrete-event wakeup proxy for one outgoing mesh link.
-///
-/// Produced by [`Mesh::link_components`]; wakes exactly at injected
-/// link-outage boundaries and performs no work (all link timed state is
-/// demand-evaluated), so scheduling or skipping these wakeups cannot
-/// change simulation results.
-#[derive(Debug, Clone)]
-pub struct LinkWakeup {
-    link: u32,
-    faults: Option<FaultSchedule>,
-}
-
-impl Component for LinkWakeup {
-    fn component_id(&self) -> ComponentId {
-        ComponentId::MeshLink(self.link)
-    }
-
-    fn next_wakeup(&self, now: u64) -> Option<u64> {
-        self.faults
-            .as_ref()
-            .and_then(|f| f.link_outage_next_transition(self.link as usize, now))
     }
 }
 
@@ -547,37 +494,6 @@ mod tests {
         // Self-messages never touch a link.
         mesh.traverse(5, 5, 10, 8);
         assert_eq!(mesh.link_flits().iter().sum::<u64>(), 3 * 8);
-    }
-
-    #[test]
-    fn healthy_link_components_are_demand_driven() {
-        let mesh = Mesh::new(MeshConfig::for_nodes(16));
-        let comps = mesh.link_components();
-        assert_eq!(comps.len(), 16 * 4);
-        for (i, c) in comps.iter().enumerate() {
-            assert_eq!(c.component_id(), ComponentId::MeshLink(i as u32));
-            assert_eq!(
-                c.next_wakeup(0),
-                None,
-                "healthy link {i} scheduled a wakeup"
-            );
-        }
-    }
-
-    #[test]
-    fn faulty_link_components_wake_at_outage_boundaries() {
-        let cfg = FaultConfig {
-            seed: 9,
-            link_outage_period: 120,
-            link_outage_len: 30,
-            ..FaultConfig::none()
-        };
-        let mesh = Mesh::with_faults(MeshConfig::for_nodes(4), &cfg);
-        for c in mesh.link_components() {
-            let next = c.next_wakeup(50).expect("outage schedule must tick");
-            assert!(next > 50, "wakeup must be strictly after now");
-            assert!(next <= 50 + 120, "wakeup beyond one outage period");
-        }
     }
 
     #[test]

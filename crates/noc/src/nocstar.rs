@@ -19,7 +19,6 @@
 //! * 50 pJ of dynamic energy per communication (20 pJ link + 10 pJ switch +
 //!   20 pJ control wires, paper §4.1.4).
 
-use crate::event::{Component, ComponentId};
 use crate::faults::{FaultConfig, FaultDomain, FaultSchedule};
 use crate::snap::SnapError;
 use crate::{Delivery, NocStats, NodeId};
@@ -252,22 +251,6 @@ impl Nocstar {
     }
 }
 
-/// NOCSTAR is a latch-less circuit-switched fabric: it has no clocked
-/// buffering, so its entire timed state (arbiter horizons) is evaluated
-/// lazily when a message arrives. It therefore never schedules a wakeup —
-/// it is purely demand-driven under the event engine (DESIGN.md §16).
-/// Its NOCSTAR-domain fault stream is also sampled at send time, so even
-/// injected outages need no maintenance events.
-impl Component for Nocstar {
-    fn component_id(&self) -> ComponentId {
-        ComponentId::Nocstar(0)
-    }
-
-    fn next_wakeup(&self, _now: u64) -> Option<u64> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,23 +367,6 @@ mod tests {
                 bucket(cycle),
                 "diverged at cycle {cycle}"
             );
-        }
-    }
-
-    #[test]
-    fn nocstar_component_is_purely_demand_driven() {
-        let cfg = FaultConfig {
-            seed: 4,
-            link_outage_period: 100,
-            link_outage_len: 10,
-            ..FaultConfig::none()
-        };
-        let n = Nocstar::with_faults(8, NocstarConfig::default(), &cfg);
-        assert_eq!(n.component_id(), ComponentId::Nocstar(0));
-        // Even with an active fault schedule the fabric samples faults at
-        // send time, so it never asks the scheduler for a wakeup.
-        for now in [0u64, 57, 1_000_000] {
-            assert_eq!(n.next_wakeup(now), None);
         }
     }
 

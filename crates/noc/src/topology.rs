@@ -20,14 +20,13 @@
 //!
 //! **Degenerate contract.** With `chips == 1` every method delegates to the
 //! single inner [`Mesh`] — traversal latencies, statistics, per-link flit
-//! vectors, event components and persisted bytes are *bit-identical* to
+//! vectors and persisted bytes are *bit-identical* to
 //! the flat mesh the engine used before this layer existed. The
 //! multi-chip extensions (inter-chip link state, separate stats block,
 //! fault cursor) are only serialized when `chips > 1`.
 
-use crate::event::{Component, ComponentId};
 use crate::faults::{FaultConfig, FaultDomain, FaultSchedule};
-use crate::mesh::{LinkWakeup, Mesh, MeshConfig};
+use crate::mesh::{Mesh, MeshConfig};
 use crate::snap::SnapError;
 use crate::{NocStats, NodeId};
 
@@ -388,31 +387,6 @@ impl ChipTopology {
         flits
     }
 
-    /// Event-scheduler wakeup proxies for every mesh link, ids globalized
-    /// chip-major to match [`ChipTopology::link_flits`].
-    pub fn link_components(&self) -> Vec<LinkWakeup> {
-        self.meshes
-            .iter()
-            .enumerate()
-            .flat_map(|(c, m)| m.link_components_offset((c * self.nodes_per_chip * 4) as u32))
-            .collect()
-    }
-
-    /// Wakeup proxies for the inter-chip links (empty on a flat
-    /// topology). Like mesh links, these are maintenance-only: occupancy
-    /// is demand-evaluated and only injected-outage boundaries schedule.
-    pub fn interchip_components(&self) -> Vec<InterChipLinkWakeup> {
-        if self.cfg.is_flat() {
-            return Vec::new();
-        }
-        (0..self.cfg.chips * 4)
-            .map(|link| InterChipLinkWakeup {
-                link: link as u32,
-                faults: self.faults.clone(),
-            })
-            .collect()
-    }
-
     /// Reset statistics on every mesh and the inter-chip block (link
     /// occupancy is kept, like [`Mesh::reset_stats`]).
     pub fn reset_stats(&mut self) {
@@ -464,27 +438,6 @@ impl ChipTopology {
     }
 }
 
-/// Discrete-event wakeup proxy for one directed inter-chip link
-/// (`chip * 4 + direction`). Wakes only at injected-outage boundaries of
-/// the [`FaultDomain::InterChip`] stream and performs no work.
-#[derive(Debug, Clone)]
-pub struct InterChipLinkWakeup {
-    link: u32,
-    faults: Option<FaultSchedule>,
-}
-
-impl Component for InterChipLinkWakeup {
-    fn component_id(&self) -> ComponentId {
-        ComponentId::InterChipLink(self.link)
-    }
-
-    fn next_wakeup(&self, now: u64) -> Option<u64> {
-        self.faults
-            .as_ref()
-            .and_then(|f| f.link_outage_next_transition(self.link as usize, now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,24 +464,6 @@ mod tests {
         let mut wm = StateWriter::new();
         mesh.save_state(&mut wm);
         assert_eq!(wt.bytes(), wm.bytes());
-    }
-
-    #[test]
-    fn flat_topology_components_match_the_mesh() {
-        let topo = ChipTopology::new(TopologyConfig::flat(), 16);
-        let mesh = Mesh::new(MeshConfig::for_nodes(16));
-        let t: Vec<_> = topo
-            .link_components()
-            .iter()
-            .map(|c| c.component_id())
-            .collect();
-        let m: Vec<_> = mesh
-            .link_components()
-            .iter()
-            .map(|c| c.component_id())
-            .collect();
-        assert_eq!(t, m);
-        assert!(topo.interchip_components().is_empty());
     }
 
     #[test]
@@ -600,42 +535,6 @@ mod tests {
         assert_eq!(flits.len(), 2 * 4 * 4 + 2 * 4);
         let interchip: u64 = flits[32..].iter().sum();
         assert_eq!(interchip, 8, "one 8-flit crossing over one hop");
-    }
-
-    #[test]
-    fn components_are_globally_unique_and_typed() {
-        let topo = ChipTopology::new(TopologyConfig::multi(4), 32);
-        let mesh_ids: Vec<_> = topo
-            .link_components()
-            .iter()
-            .map(|c| c.component_id())
-            .collect();
-        assert_eq!(mesh_ids.len(), 32 * 4);
-        let mut uniq = mesh_ids.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), mesh_ids.len(), "duplicate link ids");
-        let inter = topo.interchip_components();
-        assert_eq!(inter.len(), 4 * 4);
-        for (i, c) in inter.iter().enumerate() {
-            assert_eq!(c.component_id(), ComponentId::InterChipLink(i as u32));
-            assert_eq!(c.next_wakeup(0), None, "healthy link scheduled a wakeup");
-        }
-    }
-
-    #[test]
-    fn faulty_interchip_links_wake_at_outage_boundaries() {
-        let faults = FaultConfig {
-            seed: 9,
-            link_outage_period: 200,
-            link_outage_len: 40,
-            ..FaultConfig::none()
-        };
-        let topo = ChipTopology::with_faults(TopologyConfig::multi(2), 8, &faults);
-        for c in topo.interchip_components() {
-            let next = c.next_wakeup(70).expect("outage schedule must tick");
-            assert!(next > 70 && next <= 70 + 200);
-        }
     }
 
     #[test]

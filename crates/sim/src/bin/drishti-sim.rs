@@ -30,7 +30,6 @@ use drishti_noc::faults::{FaultConfig, OutageWindow};
 use drishti_noc::topology::{ChipLinkConfig, TopologyConfig};
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
-use drishti_sim::engine::EngineMode;
 use drishti_sim::runner::{run_with_workloads_checkpointed, RunCkpt, RunConfig};
 use drishti_sim::sampling::SamplingSpec;
 use drishti_sim::sweep::report::{SweepReport, SweepTiming};
@@ -51,7 +50,7 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
        [--save PATH] [--restore PATH] [--checkpoint-every N]
        [--record PREFIX | --trace-file PREFIX] [--trace-cache-mib N]
        [--sample-interval N] [--sample-warmup N]
-       [--telemetry] [--epoch N] [--check-invariants] [--engine lockstep|event]
+       [--telemetry] [--epoch N] [--check-invariants]
        [--fault-seed S] [--drop-pct F] [--jitter J]
        [--link-outage PERIOD:LEN] [--dram-outage CH:START:LEN]...
        [--chips N] [--chip-link-latency C] [--chip-link-serialization C]
@@ -96,9 +95,6 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
   drishti-telemetry/v1 timeline — printed as a per-epoch table for single
   runs, written as <report>.cellNNN.timeline.json files for sweeps;
   --check-invariants runs the counter invariant checkers in release too.
-  engine: --engine picks the scheduling mode (default event) — the
-  event-driven min-heap scheduler and the legacy lockstep loop produce
-  bit-identical results; lockstep is kept for differential gates.
   faults: --drop-pct is a percentage (0..=100) of uncore messages lost,
   --jitter a max per-message latency jitter in cycles, --link-outage a
   recurring link blackout, --dram-outage a one-shot channel blackout
@@ -135,7 +131,6 @@ struct CliArgs {
     telemetry: bool,
     epoch: u64,
     check_invariants: bool,
-    engine: EngineMode,
     faults: FaultConfig,
     chips: usize,
     chip_link: ChipLinkConfig,
@@ -207,7 +202,6 @@ impl Default for CliArgs {
             telemetry: false,
             epoch: 0,
             check_invariants: false,
-            engine: EngineMode::default(),
             faults: FaultConfig::none(),
             chips: 1,
             chip_link: ChipLinkConfig::default(),
@@ -316,10 +310,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--trace-cache-mib" => cli.trace_cache_mib = parse_num(flag, val)?,
             "--sample-interval" => cli.sample_interval = parse_num(flag, val)?,
             "--sample-warmup" => cli.sample_warmup = parse_num(flag, val)?,
-            "--engine" => {
-                cli.engine = EngineMode::parse(val)
-                    .ok_or_else(|| format!("--engine must be lockstep or event, got {val}"))?;
-            }
             "--epoch" => {
                 cli.epoch = parse_num(flag, val)?;
                 cli.telemetry = true; // an explicit epoch implies telemetry
@@ -472,7 +462,6 @@ fn run_config(cli: &CliArgs) -> RunConfig {
         record_llc_stream: false,
         sampling: cli.sampling_spec(),
         telemetry: cli.telemetry_spec(),
-        engine: cli.engine,
     }
 }
 

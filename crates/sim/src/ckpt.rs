@@ -48,17 +48,9 @@ pub const VERSION: u32 = 1;
 /// File extension used by convention (`<run>.drck`).
 pub const EXTENSION: &str = "drck";
 
-/// Required section names in the order they are written and restored.
+/// Section names in the order they are written and restored. Restore
+/// looks sections up by name, so a section it does not know is skipped.
 pub const SECTIONS: [&str; 5] = ["cores", "llc", "dram", "mesh", "sim"];
-
-/// Optional sections written after the required five. A reader that does
-/// not know an optional section skips it (restore looks sections up by
-/// name), and a file that lacks one restores fine — which is how the
-/// `events` section (PR 8) extends `drishti-ckpt/v1` without a version
-/// bump: old snapshots restore into new readers (the event heap is
-/// rebuilt lazily from component state) and new snapshots restore into
-/// old readers (the extra section is simply never looked up).
-pub const OPTIONAL_SECTIONS: [&str; 1] = ["events"];
 
 /// FNV-1a 64-bit hash — the same flavour that guards trace frames, good
 /// enough to catch corruption (not an integrity MAC).
@@ -183,8 +175,8 @@ pub fn save_engine_bytes(engine: &Engine) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&config_hash(engine).to_le_bytes());
-    out.extend_from_slice(&((SECTIONS.len() + OPTIONAL_SECTIONS.len()) as u32).to_le_bytes());
-    for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
+    out.extend_from_slice(&(SECTIONS.len() as u32).to_le_bytes());
+    for name in SECTIONS {
         let mut w = StateWriter::new();
         match name {
             "cores" => engine.save_cores(&mut w),
@@ -192,7 +184,6 @@ pub fn save_engine_bytes(engine: &Engine) -> Vec<u8> {
             "dram" => engine.save_dram(&mut w),
             "mesh" => engine.save_mesh(&mut w),
             "sim" => engine.save_sim_state(&mut w),
-            "events" => engine.save_events(&mut w),
             _ => unreachable!("unknown section in SECTIONS"),
         }
         let payload = w.into_bytes();
@@ -349,23 +340,6 @@ pub fn restore_engine_bytes(engine: &mut Engine, bytes: &[u8]) -> Result<(), Ckp
             });
         }
     }
-    // Optional sections: absent in pre-event snapshots, in which case the
-    // engine rebuilds the event heap lazily from the state restored above.
-    if let Some((_, payload)) = sections.iter().find(|(n, _)| n == "events") {
-        let mut r = drishti_noc::snap::StateReader::new(payload);
-        engine
-            .load_events(&mut r)
-            .map_err(|e| CkptError::SectionDecode {
-                section: "events",
-                detail: e.to_string(),
-            })?;
-        if r.remaining() != 0 {
-            return Err(CkptError::SectionDecode {
-                section: "events",
-                detail: format!("{} trailing bytes after state", r.remaining()),
-            });
-        }
-    }
     Ok(())
 }
 
@@ -504,7 +478,7 @@ mod tests {
         // Walk the container to find each section's payload extent, flip
         // one byte in the middle, and demand the error names that section.
         let mut pos = 8 + 4 + 8 + 4;
-        for &expected_name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()) {
+        for expected_name in SECTIONS {
             let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
             let name = std::str::from_utf8(&bytes[pos + 2..pos + 2 + name_len])
                 .unwrap()
@@ -530,40 +504,14 @@ mod tests {
         assert_eq!(pos, bytes.len(), "walk must consume the whole file");
     }
 
-    #[test]
-    fn missing_section_is_reported() {
-        let (mut e, bytes) = mid_run_checkpoint(PolicyKind::Lru);
-        // Rebuild the container with the "dram" section dropped. The
-        // header is magic (8) + version (4) + config hash (8) = 20 bytes,
-        // then the section count.
-        let mut out = bytes[..20].to_vec();
-        let kept = (SECTIONS.len() + OPTIONAL_SECTIONS.len() - 1) as u32;
-        out.extend_from_slice(&kept.to_le_bytes());
-        let mut pos = 20 + 4;
-        for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
-            let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
-            let len_at = pos + 2 + name_len;
-            let payload_len =
-                u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
-            let end = len_at + 8 + 8 + payload_len;
-            if name != "dram" {
-                out.extend_from_slice(&bytes[pos..end]);
-            }
-            pos = end;
-        }
-        assert!(matches!(
-            restore_engine_bytes(&mut e, &out),
-            Err(CkptError::MissingSection("dram"))
-        ));
-    }
-
     /// Rebuild the container with the section named `drop` removed.
     fn without_section(bytes: &[u8], drop: &str) -> Vec<u8> {
+        // The header is magic (8) + version (4) + config hash (8) = 20
+        // bytes, then the section count.
         let mut out = bytes[..20].to_vec();
-        let kept = (SECTIONS.len() + OPTIONAL_SECTIONS.len() - 1) as u32;
-        out.extend_from_slice(&kept.to_le_bytes());
+        out.extend_from_slice(&(SECTIONS.len() as u32 - 1).to_le_bytes());
         let mut pos = 20 + 4;
-        for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
+        for name in SECTIONS {
             let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
             let len_at = pos + 2 + name_len;
             let payload_len =
@@ -577,51 +525,53 @@ mod tests {
         out
     }
 
-    /// Rebuild the container with the "events" payload replaced.
-    fn with_events_payload(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
-        let mut out = bytes[..20 + 4].to_vec();
-        let mut pos = 20 + 4;
-        for name in SECTIONS.iter().chain(OPTIONAL_SECTIONS.iter()).copied() {
-            let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
-            let len_at = pos + 2 + name_len;
-            let payload_len =
-                u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
-            let end = len_at + 8 + 8 + payload_len;
-            if name == "events" {
-                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-                out.extend_from_slice(name.as_bytes());
-                out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-                out.extend_from_slice(payload);
-            } else {
-                out.extend_from_slice(&bytes[pos..end]);
-            }
-            pos = end;
-        }
-        out
+    #[test]
+    fn missing_section_is_reported() {
+        let (mut e, bytes) = mid_run_checkpoint(PolicyKind::Lru);
+        assert!(matches!(
+            restore_engine_bytes(&mut e, &without_section(&bytes, "dram")),
+            Err(CkptError::MissingSection("dram"))
+        ));
     }
 
     #[test]
-    fn pre_event_snapshot_without_events_section_restores() {
-        // A snapshot written before the events section existed (the five
-        // required sections only) must keep restoring: the event heap is
-        // rebuilt lazily, and a rebuilt heap pops identically.
+    fn file_with_a_legacy_events_section_restores_bit_identically() {
+        // Older writers appended a sixth section, `events`, holding the
+        // scheduler's mode tag and its `(tick, component)` heap. Restore
+        // looks sections up by name, so such a file must still resume.
         let (mut orig, bytes) = mid_run_checkpoint(PolicyKind::Mockingjay);
-        let old_format = without_section(&bytes, "events");
+        let mut w = drishti_noc::snap::StateWriter::new();
+        w.put_u8(1); // mode tag: event-driven
+        w.put_u8(1); // a heap follows
+        let keys: Vec<(u64, u64)> = (0..4)
+            .filter_map(|c| Some((orig.sched_key(c)?, c as u64)))
+            .collect();
+        w.put_u64(keys.len() as u64);
+        for (key, core) in keys {
+            w.put_u64(key);
+            w.put_u64(core); // component tag 0 (a core) in the high bits
+        }
+        let payload = w.into_bytes();
+        let mut legacy = bytes[..20].to_vec();
+        legacy.extend_from_slice(&(SECTIONS.len() as u32 + 1).to_le_bytes());
+        legacy.extend_from_slice(&bytes[24..]);
+        legacy.extend_from_slice(&6u16.to_le_bytes());
+        legacy.extend_from_slice(b"events");
+        legacy.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        legacy.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        legacy.extend_from_slice(&payload);
+
         let expect = orig.run();
         let mut resumed = engine_for(PolicyKind::Mockingjay, 7);
-        restore_engine_bytes(&mut resumed, &old_format).unwrap();
+        restore_engine_bytes(&mut resumed, &legacy).unwrap();
+        assert_eq!(save_engine_bytes(&resumed), bytes, "legacy section leaked");
         assert_eq!(resumed.run(), expect);
         assert_eq!(resumed.llc().stats(), orig.llc().stats());
+        assert_eq!(resumed.dram().stats(), orig.dram().stats());
     }
 
     #[test]
-    fn event_heap_restore_is_byte_stable() {
-        // Mid-run the (default, event-driven) engine holds a live wakeup
-        // heap; restore must install it such that an immediate re-save
-        // reproduces the exact container bytes (the canonical heap
-        // encoding makes this well-defined), and the resumed run must be
-        // bit-identical.
+    fn restore_then_save_reproduces_the_container_bytes() {
         let (mut orig, bytes) = mid_run_checkpoint(PolicyKind::Srrip);
         let expect = orig.run();
         let mut resumed = engine_for(PolicyKind::Srrip, 7);
@@ -632,29 +582,6 @@ mod tests {
             "restore → save must round-trip byte-identically"
         );
         assert_eq!(resumed.run(), expect);
-    }
-
-    #[test]
-    fn contradictory_event_heap_is_refused_with_a_typed_error() {
-        // A checksum-valid events section whose heap names a core this
-        // system does not have must fail as a typed section-decode error,
-        // never a panic or a silent repair.
-        let (_, bytes) = mid_run_checkpoint(PolicyKind::Lru);
-        let mut w = drishti_noc::snap::StateWriter::new();
-        w.put_u8(1); // mode tag: event-driven
-        w.put_u8(1); // has_heap = true
-        w.put_u64(1); // one heap entry
-        w.put_u64(0); // tick
-        w.put_u64(99); // ComponentId::Core(99) — no such core
-        let crafted = with_events_payload(&bytes, w.bytes());
-        let mut e = engine_for(PolicyKind::Lru, 7);
-        match restore_engine_bytes(&mut e, &crafted) {
-            Err(CkptError::SectionDecode {
-                section: "events",
-                detail,
-            }) => assert!(detail.contains("core"), "unhelpful detail: {detail}"),
-            other => panic!("expected events decode error, got {other:?}"),
-        }
     }
 
     #[test]

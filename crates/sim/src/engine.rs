@@ -1,8 +1,9 @@
 //! The trace-driven simulation engine.
 //!
 //! Cores are actors with local clocks; the engine always advances the core
-//! with the smallest clock, so contention on shared resources (DRAM banks,
-//! NoC links, the LLC) is resolved in a consistent global order. Each core
+//! with the smallest `(cycle, core)` key, so contention on shared resources
+//! (DRAM banks, NoC links, the LLC) is resolved in a consistent global
+//! order (DESIGN.md §16). Each core
 //! follows a simple out-of-order model: instructions retire at
 //! `issue_width` per cycle until a load's latency must be absorbed; loads
 //! enter a bounded outstanding-load window (completing out of order,
@@ -23,64 +24,12 @@ use drishti_mem::llc::SlicedLlc;
 use drishti_mem::policy::LlcPolicy;
 use drishti_mem::prefetch::{PrefetchRequest, Prefetcher};
 use drishti_mem::LineAddr;
-use drishti_noc::event::{Component, ComponentId, EventHeap};
 use drishti_noc::mesh::{ADDRESS_PACKET_FLITS, DATA_PACKET_FLITS};
 use drishti_noc::topology::ChipTopology;
 use drishti_trace::{TraceRecord, WorkloadGen};
-use std::collections::VecDeque;
-
-/// How the engine picks the next component to advance (DESIGN.md §16).
-///
-/// Both modes implement the same scheduling rule — advance the unfinished
-/// core with the minimum scheduling key, lowest core index on ties — so
-/// they produce bit-identical results (`tests/event_engine.rs` pins this
-/// for every policy × organization). They differ only in cost: lockstep
-/// rescans every core per step (`O(cores)`), the event engine pops a
-/// min-heap (`O(log cores)`), which is what makes idle-heavy many-core
-/// runs cheap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Scan all cores each step and advance the minimum-key one.
-    Lockstep,
-    /// Discrete-event scheduling over a deterministic wakeup heap.
-    #[default]
-    EventDriven,
-}
-
-impl EngineMode {
-    /// Parse a CLI spelling (`lockstep` or `event`).
-    pub fn parse(s: &str) -> Option<EngineMode> {
-        match s {
-            "lockstep" => Some(EngineMode::Lockstep),
-            "event" | "event-driven" => Some(EngineMode::EventDriven),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineMode::Lockstep => "lockstep",
-            EngineMode::EventDriven => "event",
-        }
-    }
-}
-
-/// Event-mode scheduler state, built lazily on the first event-driven
-/// step and discarded whenever core clocks change out from under it
-/// (mode/divider changes, checkpoint restore).
-struct EventState {
-    /// Pending wakeups: unfinished cores at their scheduling keys, plus
-    /// passive components (slices, links, DRAM channels) at their next
-    /// maintenance tick.
-    heap: EventHeap,
-    /// Passive components, sorted by [`ComponentId`] for lookup by id.
-    /// Their wakeups are maintenance-only (no result-affecting state),
-    /// which is what keeps event mode bit-identical to lockstep.
-    passive: Vec<Box<dyn Component>>,
-    /// Unfinished cores still in the heap.
-    active: usize,
-}
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Per-core measured results.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -265,15 +214,6 @@ pub struct Engine {
     /// reuse; never persisted.
     pf_scratch_l1: Vec<PrefetchRequest>,
     pf_scratch_l2: Vec<PrefetchRequest>,
-    /// Scheduling mode ([`EngineMode::EventDriven`] by default).
-    mode: EngineMode,
-    /// Per-core clock dividers for heterogeneous frequencies: core `c`
-    /// schedules at key `cycle × dividers[c]`, so a divider-2 core
-    /// advances half as often in global order. All-ones (homogeneous)
-    /// by default, which keeps the key equal to the raw cycle.
-    dividers: Vec<u64>,
-    /// Event-mode scheduler state (lazily built; `None` in lockstep).
-    events: Option<EventState>,
 }
 
 /// The measured-so-far result of one core.
@@ -379,53 +319,17 @@ impl Engine {
             final_epoch_flushed: false,
             pf_scratch_l1: Vec::with_capacity(8),
             pf_scratch_l2: Vec::with_capacity(8),
-            mode: EngineMode::default(),
-            dividers: vec![1; cfg.cores],
-            events: None,
             cfg,
         }
     }
 
-    /// Select the scheduling mode. Callable at any point between runs;
-    /// switching discards any built event-scheduler state (it is rebuilt
-    /// lazily, and a rebuilt heap pops identically to the discarded one).
-    pub fn set_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
-        self.events = None;
-    }
-
-    /// The active scheduling mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Install per-core clock dividers (heterogeneous frequencies): core
-    /// `c` schedules at key `cycle × dividers[c]`. Dividers are part of
-    /// the scheduling semantics — both engine modes honour them
-    /// identically — and non-default dividers are folded into
-    /// [`Engine::config_descriptor`] so checkpoints cannot silently cross
-    /// a frequency-configuration change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length does not match the core count or any divider
-    /// is zero.
-    pub fn set_clock_dividers(&mut self, dividers: Vec<u64>) {
-        assert_eq!(dividers.len(), self.cores.len(), "one divider per core");
-        assert!(dividers.iter().all(|&d| d > 0), "dividers must be nonzero");
-        self.dividers = dividers;
-        self.events = None;
-    }
-
-    /// The per-core clock dividers (all ones unless configured).
-    pub fn clock_dividers(&self) -> &[u64] {
-        &self.dividers
-    }
-
-    /// Core `c`'s position in the global scheduling order.
-    #[inline]
-    fn sched_key(&self, c: usize) -> u64 {
-        self.cores[c].cycle.saturating_mul(self.dividers[c])
+    /// Core `c`'s scheduling key — its cycle — or `None` once it has
+    /// finished. Exposed so tests can drive the engine with an
+    /// independent scheduler through [`Engine::step_core`].
+    #[doc(hidden)]
+    pub fn sched_key(&self, c: usize) -> Option<u64> {
+        let core = &self.cores[c];
+        (!core.finished).then_some(core.cycle)
     }
 
     /// Install an LLC shadow observer (conformance checking). Observation
@@ -465,7 +369,6 @@ impl Engine {
     pub fn set_sampling(&mut self, spec: SamplingSpec) {
         debug_assert!(spec.validate().is_ok(), "invalid sampling spec");
         self.sampling = spec;
-        self.events = None;
         if spec.enabled() {
             // Measurement windows are opened by the schedule, not by the
             // run-level warmup (`Engine::new` pre-arms `measuring` when
@@ -523,16 +426,36 @@ impl Engine {
     /// `run_steps(u64::MAX)` is bit-identical to a single uninterrupted
     /// [`Engine::run`] — the warmup-split composability relation the
     /// conformance harness asserts.
+    ///
+    /// The schedule is a min-heap of `(cycle, core)` keys over the
+    /// unfinished cores, built afresh on every call: only the stepped
+    /// core's key changes per step, and the keys are unique, so the pop
+    /// order is fully determined by the cores' state — nothing about the
+    /// heap needs persisting across calls or checkpoints.
     pub fn run_steps(&mut self, max_steps: u64) -> bool {
-        let epoch_len = self.telemetry.epoch_steps(); // 0 = telemetry off
-        match self.mode {
-            EngineMode::Lockstep => self.run_steps_lockstep(max_steps, epoch_len),
-            EngineMode::EventDriven => self.run_steps_event(max_steps, epoch_len),
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = (0..self.cores.len())
+            .filter_map(|c| Some(Reverse((self.sched_key(c)?, c as u32))))
+            .collect();
+        let mut taken = 0u64;
+        while taken < max_steps {
+            let Some(mut top) = heap.peek_mut() else {
+                break;
+            };
+            let c = top.0 .1 as usize;
+            self.step_core(c);
+            taken += 1;
+            match self.sched_key(c) {
+                Some(key) => top.0 .0 = key,
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
         }
-        let done = self.cores.iter().all(|c| c.finished);
+        let done = heap.is_empty();
         // Flush the final partial epoch so epoch sums equal the aggregate
         // counters (conservation) — exactly once, even if the engine is
         // driven past completion again.
+        let epoch_len = self.telemetry.epoch_steps(); // 0 = telemetry off
         if done
             && epoch_len != 0
             && !self.steps.is_multiple_of(epoch_len)
@@ -544,141 +467,20 @@ impl Engine {
         done
     }
 
-    /// Telemetry-epoch accounting for one engine step (core advance).
-    /// Passive maintenance wakeups in event mode never reach this —
-    /// epochs count *engine steps*, which both modes define identically.
+    /// One scheduling step of core `c` — one record through the core and
+    /// the memory hierarchy, plus telemetry-epoch accounting. This is the
+    /// body of [`Engine::run_steps`]'s loop, exposed so tests can drive
+    /// the engine with an independent scheduler.
+    #[doc(hidden)]
     #[inline]
-    fn count_step(&mut self, epoch_len: u64) {
+    pub fn step_core(&mut self, c: usize) {
+        self.step(c);
+        let epoch_len = self.telemetry.epoch_steps();
         if epoch_len != 0 {
             self.steps += 1;
             if self.steps.is_multiple_of(epoch_len) {
                 self.sample_epoch();
             }
-        }
-    }
-
-    /// Lockstep scheduling: rescan every core each step and advance the
-    /// one with the minimum key (`min_by_key` keeps the first minimum, so
-    /// ties go to the lowest core index — the same total order the event
-    /// heap's `(tick, ComponentId)` comparison yields).
-    fn run_steps_lockstep(&mut self, max_steps: u64, epoch_len: u64) {
-        let mut taken = 0u64;
-        while taken < max_steps {
-            let Some(c) = (0..self.cores.len())
-                .filter(|&c| !self.cores[c].finished)
-                .min_by_key(|&c| self.sched_key(c))
-            else {
-                break;
-            };
-            self.step(c);
-            taken += 1;
-            self.count_step(epoch_len);
-        }
-    }
-
-    /// Discrete-event scheduling: pop the earliest `(tick, ComponentId)`
-    /// wakeup. Core wakeups advance that core and re-arm it at its new
-    /// key; passive wakeups (slices, links, DRAM channels) are
-    /// maintenance-only — they mutate nothing result-affecting and do not
-    /// count as engine steps.
-    fn run_steps_event(&mut self, max_steps: u64, epoch_len: u64) {
-        if self.events.is_none() {
-            self.events = Some(self.build_event_state());
-        }
-        let mut taken = 0u64;
-        while taken < max_steps {
-            let (tick, id) = {
-                let ev = self.events.as_ref().expect("built above");
-                if ev.active == 0 {
-                    break;
-                }
-                let Some(top) = ev.heap.peek() else { break };
-                top
-            };
-            match id {
-                ComponentId::Core(core_idx) => {
-                    let c = core_idx as usize;
-                    debug_assert_eq!(tick, self.sched_key(c), "stale heap key for core {c}");
-                    self.events.as_mut().expect("present").heap.pop();
-                    self.step(c);
-                    taken += 1;
-                    // Only core `c`'s state changed, so every other heap
-                    // key is still current: re-arm `c` (or retire it) and
-                    // the heap's total order matches a full lockstep
-                    // rescan.
-                    let key = self.sched_key(c);
-                    let finished = self.cores[c].finished;
-                    let ev = self.events.as_mut().expect("present");
-                    if finished {
-                        ev.active -= 1;
-                    } else {
-                        ev.heap.push((key, id));
-                    }
-                    self.count_step(epoch_len);
-                }
-                _ => {
-                    let ev = self.events.as_mut().expect("present");
-                    ev.heap.pop();
-                    let idx = ev
-                        .passive
-                        .binary_search_by_key(&id, |p| p.component_id())
-                        .expect("scheduled component exists");
-                    ev.passive[idx].on_wakeup(tick);
-                    if let Some(next) = ev.passive[idx].next_wakeup(tick) {
-                        // The protocol demands strictly-future wakeups;
-                        // clamp defensively so a misbehaving component
-                        // cannot livelock the loop.
-                        ev.heap.push((next.max(tick + 1), id));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Assemble event-scheduler state from current component state: every
-    /// unfinished core at its scheduling key, plus each passive component
-    /// that requests a maintenance wakeup. Because the heap's pop order
-    /// depends only on the *set* of entries, a rebuilt heap is
-    /// behaviorally identical to one restored from a checkpoint.
-    fn build_event_state(&self) -> EventState {
-        let mut passive: Vec<Box<dyn Component>> = Vec::new();
-        for s in self.llc.slice_components() {
-            passive.push(Box::new(s));
-        }
-        for l in self.mesh.link_components() {
-            passive.push(Box::new(l));
-        }
-        for l in self.mesh.interchip_components() {
-            passive.push(Box::new(l));
-        }
-        for d in self.dram.channel_components() {
-            passive.push(Box::new(d));
-        }
-        passive.sort_by_key(|p| p.component_id());
-
-        let mut heap = EventHeap::new();
-        let mut active = 0usize;
-        let mut now = u64::MAX;
-        for (c, core) in self.cores.iter().enumerate() {
-            if !core.finished {
-                let key = self.sched_key(c);
-                heap.push((key, ComponentId::Core(c as u32)));
-                now = now.min(key);
-                active += 1;
-            }
-        }
-        if now == u64::MAX {
-            now = 0;
-        }
-        for p in &passive {
-            if let Some(t) = p.next_wakeup(now) {
-                heap.push((t.max(now + 1), p.component_id()));
-            }
-        }
-        EventState {
-            heap,
-            passive,
-            active,
         }
     }
 
@@ -734,7 +536,7 @@ impl Engine {
     /// container hashes this string and refuses restores whose hash
     /// differs (state arrays would silently misalign otherwise).
     pub fn config_descriptor(&self) -> String {
-        let mut desc = format!(
+        format!(
             "{:?}|policy={}|accesses={}|warmup={}|stream={}|sampling={:?}|epoch={}",
             self.cfg,
             self.llc.policy().name(),
@@ -743,17 +545,7 @@ impl Engine {
             self.record_llc_stream,
             self.sampling,
             self.telemetry.epoch_steps(),
-        );
-        // The engine *mode* is deliberately absent: both modes implement
-        // identical semantics, so snapshots are cross-mode portable (and
-        // warm-state caches are shared). Non-default clock dividers do
-        // change scheduling semantics, so they join the descriptor —
-        // appended conditionally to keep every pre-divider hash stable.
-        if self.dividers.iter().any(|&d| d != 1) {
-            use std::fmt::Write;
-            let _ = write!(desc, "|dividers={:?}", self.dividers);
-        }
-        desc
+        )
     }
 
     // Per-subsystem snapshot hooks, one per checkpoint section. The
@@ -779,7 +571,6 @@ impl Engine {
         r: &mut drishti_noc::snap::StateReader<'_>,
     ) -> Result<(), drishti_noc::snap::SnapError> {
         use drishti_noc::snap::{Persist, SnapError};
-        self.events = None; // core clocks are about to change
         let mut n = 0usize;
         n.load(r)?;
         if n != self.cores.len() {
@@ -820,7 +611,6 @@ impl Engine {
         &mut self,
         r: &mut drishti_noc::snap::StateReader<'_>,
     ) -> Result<(), drishti_noc::snap::SnapError> {
-        self.events = None; // passive components clone the fault schedule
         self.dram.load_state(r)
     }
 
@@ -834,7 +624,6 @@ impl Engine {
         &mut self,
         r: &mut drishti_noc::snap::StateReader<'_>,
     ) -> Result<(), drishti_noc::snap::SnapError> {
-        self.events = None; // passive components clone the fault schedule
         self.mesh.load_state(r)
     }
 
@@ -861,111 +650,6 @@ impl Engine {
         self.final_epoch_flushed.load(r)?;
         self.llc_stream.load(r)?;
         self.telemetry.load_state(r)
-    }
-
-    /// Serialize the event-scheduler state: the writing engine's mode and
-    /// (when one was built) the wakeup heap. Pre-event snapshots simply
-    /// lack this section, and readers treat an absent heap the same way —
-    /// it is rebuilt lazily from component state, which pops identically.
-    pub fn save_events(&self, w: &mut drishti_noc::snap::StateWriter) {
-        use drishti_noc::snap::Persist;
-        let mode_tag: u8 = match self.mode {
-            EngineMode::Lockstep => 0,
-            EngineMode::EventDriven => 1,
-        };
-        mode_tag.save(w);
-        match &self.events {
-            None => false.save(w),
-            Some(ev) => {
-                true.save(w);
-                ev.heap.save(w);
-            }
-        }
-    }
-
-    /// Restore state written by [`Engine::save_events`].
-    ///
-    /// The stored mode is informational only — restore targets whatever
-    /// mode *this* engine is configured for, which is what makes
-    /// cross-mode restore work (both modes share identical semantics, so
-    /// the snapshot is mode-portable). A stored heap is validated against
-    /// the already-restored core state — every entry decodable, every
-    /// unfinished core present exactly once at its current scheduling
-    /// key, every passive entry naming a real component — and installed
-    /// only when this engine runs event-driven; a lockstep restore
-    /// discards it (lockstep keeps no heap).
-    pub fn load_events(
-        &mut self,
-        r: &mut drishti_noc::snap::StateReader<'_>,
-    ) -> Result<(), drishti_noc::snap::SnapError> {
-        use drishti_noc::snap::{Persist, SnapError};
-        let mut mode_tag = 0u8;
-        mode_tag.load(r)?;
-        if mode_tag > 1 {
-            return Err(SnapError::Invalid {
-                what: "engine mode",
-                detail: format!("unknown engine mode tag {mode_tag}"),
-            });
-        }
-        let mut has_heap = false;
-        has_heap.load(r)?;
-        self.events = None;
-        if !has_heap {
-            return Ok(());
-        }
-        let mut heap = EventHeap::new();
-        heap.load(r)?;
-        if self.mode != EngineMode::EventDriven {
-            return Ok(()); // lockstep engines keep no heap
-        }
-        let mut rebuilt = self.build_event_state();
-        let mut seen_cores = vec![false; self.cores.len()];
-        for &(tick, id) in heap.as_slice() {
-            match id {
-                ComponentId::Core(ci) => {
-                    let c = ci as usize;
-                    let bad = c >= self.cores.len()
-                        || self.cores[c].finished
-                        || seen_cores[c]
-                        || tick != self.sched_key(c);
-                    if bad {
-                        return Err(SnapError::Invalid {
-                            what: "event heap",
-                            detail: format!(
-                                "core {c} entry at tick {tick} contradicts restored core state"
-                            ),
-                        });
-                    }
-                    seen_cores[c] = true;
-                }
-                _ => {
-                    if rebuilt
-                        .passive
-                        .binary_search_by_key(&id, |p| p.component_id())
-                        .is_err()
-                    {
-                        return Err(SnapError::Invalid {
-                            what: "event heap",
-                            detail: format!("unknown passive component {id:?}"),
-                        });
-                    }
-                }
-            }
-        }
-        let missing = self
-            .cores
-            .iter()
-            .enumerate()
-            .any(|(c, core)| !core.finished && !seen_cores[c]);
-        if missing {
-            return Err(SnapError::Invalid {
-                what: "event heap",
-                detail: "an unfinished core is missing from the stored heap".into(),
-            });
-        }
-        rebuilt.heap = heap;
-        self.events = Some(rebuilt);
-        Ok(())
     }
 
     fn step(&mut self, c: usize) {
@@ -1447,61 +1131,6 @@ mod tests {
             rel < 0.25,
             "sampled IPC {samp_ipc} vs full {full_ipc} (rel err {rel:.3})"
         );
-    }
-
-    #[test]
-    fn event_mode_matches_lockstep_bit_for_bit() {
-        let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), 4, 11);
-        let mut a = engine_for(&mix, PolicyKind::Lru, 3_000, 300);
-        a.set_mode(EngineMode::Lockstep);
-        let mut b = engine_for(&mix, PolicyKind::Lru, 3_000, 300);
-        b.set_mode(EngineMode::EventDriven);
-        assert_eq!(a.run(), b.run());
-        assert_eq!(a.llc().stats(), b.llc().stats());
-        assert_eq!(a.dram().stats(), b.dram().stats());
-        assert_eq!(a.mesh().stats(), b.mesh().stats());
-    }
-
-    #[test]
-    fn clock_dividers_are_honoured_identically_in_both_modes() {
-        let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), 4, 3);
-        let dividers = vec![1u64, 3, 2, 1];
-        let mut a = engine_for(&mix, PolicyKind::Srrip, 2_000, 200);
-        a.set_mode(EngineMode::Lockstep);
-        a.set_clock_dividers(dividers.clone());
-        let mut b = engine_for(&mix, PolicyKind::Srrip, 2_000, 200);
-        b.set_mode(EngineMode::EventDriven);
-        b.set_clock_dividers(dividers.clone());
-        assert_eq!(a.run(), b.run());
-        assert_eq!(a.llc().stats(), b.llc().stats());
-        // Non-default dividers join the config descriptor (checkpoint
-        // hash); the default stays off it so historical hashes hold.
-        assert!(a.config_descriptor().contains("dividers="));
-        let plain = engine_for(&mix, PolicyKind::Srrip, 2_000, 200);
-        assert!(!plain.config_descriptor().contains("dividers="));
-    }
-
-    #[test]
-    fn mid_run_mode_switch_is_seamless() {
-        // Because both modes implement one scheduling rule, an engine can
-        // change modes between run_steps calls without perturbing results.
-        let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), 4, 7);
-        let mut whole = engine_for(&mix, PolicyKind::Lru, 3_000, 300);
-        let expect = whole.run();
-        let mut switched = engine_for(&mix, PolicyKind::Lru, 3_000, 300);
-        switched.set_mode(EngineMode::Lockstep);
-        let mut flip = 0u32;
-        while !switched.run_steps(701) {
-            flip += 1;
-            switched.set_mode(if flip.is_multiple_of(2) {
-                EngineMode::Lockstep
-            } else {
-                EngineMode::EventDriven
-            });
-        }
-        assert!(flip > 1, "run too short to exercise switching");
-        assert_eq!(expect, switched.results());
-        assert_eq!(whole.llc().stats(), switched.llc().stats());
     }
 
     #[test]

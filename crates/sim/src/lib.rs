@@ -52,7 +52,6 @@
 //!     record_llc_stream: false,
 //!     sampling: drishti_sim::sampling::SamplingSpec::off(),
 //!     telemetry: drishti_sim::telemetry::TelemetrySpec::off(),
-//!     engine: Default::default(),
 //! };
 //! let r = run_mix(&mix, PolicyKind::Lru, DrishtiConfig::baseline(4), &rc);
 //! assert!(r.total_ipc() > 0.0);

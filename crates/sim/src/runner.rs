@@ -8,7 +8,7 @@
 
 use crate::config::SystemConfig;
 use crate::energy::EnergyBreakdown;
-use crate::engine::{CoreResult, Engine, EngineMode};
+use crate::engine::{CoreResult, Engine};
 use crate::metrics::{FaultSummary, MixMetrics};
 use crate::sampling::SamplingSpec;
 use crate::telemetry::{TelemetrySpec, TelemetryTimeline};
@@ -41,9 +41,6 @@ pub struct RunConfig {
     pub sampling: SamplingSpec,
     /// Epoch-sampled telemetry (off by default; see [`crate::telemetry`]).
     pub telemetry: TelemetrySpec,
-    /// Scheduling mode (event-driven by default; lockstep kept for
-    /// differential testing — both produce bit-identical results).
-    pub engine: EngineMode,
 }
 
 impl RunConfig {
@@ -56,7 +53,6 @@ impl RunConfig {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: EngineMode::default(),
         }
     }
 
@@ -69,7 +65,6 @@ impl RunConfig {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: EngineMode::default(),
         }
     }
 }
@@ -190,6 +185,33 @@ impl RunResult {
         let predict = self.diag("predictor_predict");
         (train + predict) as f64 * 1000.0 / instr as f64
     }
+
+    /// Fold a finished engine's state into a run result: its per-core
+    /// results, subsystem statistics, captured LLC stream and telemetry
+    /// timeline (the last two are moved out of the engine).
+    pub fn from_engine(engine: &mut Engine) -> RunResult {
+        let llc = *engine.llc().stats();
+        let set_counters = (0..engine.config().llc.slices)
+            .map(|s| engine.llc().set_counters(s).to_vec())
+            .collect();
+        let dram = *engine.dram().stats();
+        let mesh = engine.mesh().stats();
+        let fabric = engine.llc().policy().fabric_stats();
+        let energy = EnergyBreakdown::from_stats(&llc, &mesh, &dram, &fabric);
+        RunResult {
+            policy: engine.llc().policy().name(),
+            per_core: engine.results(),
+            llc,
+            set_counters,
+            dram,
+            mesh,
+            fabric,
+            energy,
+            diagnostics: engine.llc().policy().diagnostics(),
+            llc_stream: std::mem::take(&mut engine.llc_stream),
+            telemetry: engine.take_timeline(),
+        }
+    }
 }
 
 /// Shared post-warm-up engine checkpoints, keyed like the trace cache:
@@ -261,7 +283,6 @@ fn run_engine(
         rc.warmup_accesses,
         rc.record_llc_stream,
     );
-    engine.set_mode(rc.engine);
     engine.set_sampling(rc.sampling);
     engine.set_telemetry(rc.telemetry);
     // Warm-state reuse. Skipped under interval sampling, where warm-up is
@@ -286,37 +307,8 @@ fn run_engine(
             }
         }
     }
-    let per_core = engine.run();
-    harvest(&mut engine, rc, per_core)
-}
-
-/// Fold a finished engine's state into a [`RunResult`].
-fn harvest(engine: &mut Engine, rc: &RunConfig, per_core: Vec<CoreResult>) -> RunResult {
-    let llc = *engine.llc().stats();
-    let set_counters = (0..rc.system.llc.slices)
-        .map(|s| engine.llc().set_counters(s).to_vec())
-        .collect();
-    let dram = *engine.dram().stats();
-    let mesh = engine.mesh().stats();
-    let fabric = engine.llc().policy().fabric_stats();
-    let energy = EnergyBreakdown::from_stats(&llc, &mesh, &dram, &fabric);
-    let diagnostics = engine.llc().policy().diagnostics();
-    let policy_name = engine.llc().policy().name();
-    let llc_stream = std::mem::take(&mut engine.llc_stream);
-    let telemetry = engine.take_timeline();
-    RunResult {
-        policy: policy_name,
-        per_core,
-        llc,
-        set_counters,
-        dram,
-        mesh,
-        fabric,
-        energy,
-        diagnostics,
-        llc_stream,
-        telemetry,
-    }
+    engine.run();
+    RunResult::from_engine(&mut engine)
 }
 
 /// Checkpoint behaviour of one [`run_with_workloads_checkpointed`] run.
@@ -363,7 +355,6 @@ pub fn run_with_workloads_checkpointed(
         rc.warmup_accesses,
         rc.record_llc_stream,
     );
-    engine.set_mode(rc.engine);
     engine.set_sampling(rc.sampling);
     engine.set_telemetry(rc.telemetry);
     if let Some(path) = ckpt.restore {
@@ -384,8 +375,7 @@ pub fn run_with_workloads_checkpointed(
             engine.run_steps(u64::MAX);
         }
     }
-    let per_core = engine.results();
-    Ok(harvest(&mut engine, rc, per_core))
+    Ok(RunResult::from_engine(&mut engine))
 }
 
 /// Run explicitly supplied workloads (`None` = idle core) under `policy`
@@ -570,7 +560,6 @@ mod tests {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: EngineMode::default(),
         }
     }
 

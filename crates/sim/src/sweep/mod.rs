@@ -437,7 +437,6 @@ mod tests {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: Default::default(),
         }
     }
 

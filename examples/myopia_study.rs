@@ -32,7 +32,6 @@ fn main() {
             record_llc_stream: false,
             sampling: SamplingSpec::off(),
             telemetry: TelemetrySpec::off(),
-            engine: Default::default(),
         };
         let mut ideal = DrishtiConfig::global_view_only(cores);
         ideal.fabric = FabricKind::Fixed(0);

@@ -28,7 +28,6 @@ fn main() {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     };
 
     println!("measuring alone-IPC baselines ...");

@@ -44,7 +44,6 @@
 //!     record_llc_stream: false,
 //!     sampling: drishti::sim::sampling::SamplingSpec::off(),
 //!     telemetry: drishti::sim::telemetry::TelemetrySpec::off(),
-//!     engine: Default::default(),
 //! };
 //! let baseline = run_mix(&mix, PolicyKind::Mockingjay, DrishtiConfig::baseline(cores), &rc);
 //! let drishti = run_mix(&mix, PolicyKind::Mockingjay, DrishtiConfig::drishti(cores), &rc);

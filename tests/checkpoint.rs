@@ -198,7 +198,6 @@ fn sweep_jobs() -> Vec<SweepJob> {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     };
     [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Mockingjay]
         .into_iter()

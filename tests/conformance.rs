@@ -28,7 +28,6 @@ fn small_rc() -> RunConfig {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     }
 }
 

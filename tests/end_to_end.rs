@@ -18,7 +18,6 @@ fn rc(cores: usize, accesses: u64) -> RunConfig {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     }
 }
 

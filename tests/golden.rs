@@ -43,7 +43,6 @@ fn rc() -> RunConfig {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     }
 }
 

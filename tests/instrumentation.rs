@@ -23,7 +23,6 @@ fn rc(cores: usize, accesses: u64, record: bool) -> RunConfig {
         record_llc_stream: record,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     }
 }
 

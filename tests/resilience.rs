@@ -38,7 +38,6 @@ fn faulty_run(faults: FaultConfig, policy: PolicyKind) -> RunResult {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     };
     run_mix(&mix(), policy, drishti, &rc)
 }
@@ -124,7 +123,6 @@ fn dram_outage_resteers_and_recovers() {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     };
     let drishti = DrishtiConfig::drishti(CORES).with_faults(faults);
     let r = run_mix(&mix(), PolicyKind::Mockingjay, drishti, &rc);

@@ -121,7 +121,6 @@ fn tiny_jobs(cores: usize) -> Vec<SweepJob> {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     };
     let mix = Mix::homogeneous(Benchmark::Mcf, cores, 1);
     let cells = [

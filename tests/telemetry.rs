@@ -26,7 +26,6 @@ fn rc(cores: usize, accesses: u64, telemetry: TelemetrySpec) -> RunConfig {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry,
-        engine: Default::default(),
     }
 }
 

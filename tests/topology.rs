@@ -264,7 +264,6 @@ fn conformance_relations_hold_at_64_slices_over_4_chips() {
         record_llc_stream: false,
         sampling: SamplingSpec::off(),
         telemetry: TelemetrySpec::off(),
-        engine: Default::default(),
     };
     let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), BIG, 11);
     for policy in [PolicyKind::Lru, PolicyKind::Mockingjay] {
