@@ -2,12 +2,14 @@
 # Local CI gate: everything a pull request must pass, fully offline.
 #
 #   ./ci.sh          # build + test + fmt + clippy + rustdoc + determinism gate
-#   ./ci.sh --quick  # skip the release build and rustdoc (debug test run,
-#                    # fmt, clippy and the determinism gate still run)
+#                    # + one benchmark trial against the pinned fingerprints
+#   ./ci.sh --quick  # skip the release build, rustdoc and the benchmark trial
+#                    # (debug test run, fmt, clippy and the determinism gate
+#                    # still run)
 #
-# The workspace vendors its only external dev-dependencies (proptest and
-# criterion API shims under shims/), so --offline always works and no
-# network access is ever required.
+# The workspace vendors its only external dev-dependency (a proptest API
+# shim under shims/), so --offline always works and no network access is
+# ever required.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -256,22 +258,13 @@ fi
 step "drishti-benchmark tests"
 cargo test -q --offline --manifest-path drishti-benchmark/Cargo.toml
 
-# Perf snapshot: run the pinned drishti-perf matrix in --quick mode and
-# compare against the newest committed BENCH_*.json. Report-only — a >10%
-# regression prints a warning but never fails CI (shared runners are too
-# noisy for a hard throughput gate; the committed baselines track the
-# trajectory instead). Skipped under ci.sh --quick.
+# Benchmark fingerprint gate: one trial of every drishti-benchmark
+# workload at the default seed and sizes checks each op against the
+# fingerprints pinned in drishti-benchmark/expected.txt and exits 1 on any
+# failure. Results land in target/benchmark/. Skipped under ci.sh --quick.
 if [[ $quick -eq 0 ]]; then
-  step "perf snapshot (drishti-perf --quick, report-only)"
-  cargo build -q --offline --release -p drishti-bench --bin drishti-perf
-  perf_args=(--quick --out "$out/perf_snapshot.json")
-  newest_bench=$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -n 1 || true)
-  if [[ -n "$newest_bench" ]]; then
-    perf_args+=(--compare "$newest_bench")
-  else
-    echo "note: no committed BENCH_*.json baseline; reporting without comparison"
-  fi
-  target/release/drishti-perf "${perf_args[@]}"
+  step "drishti-benchmark --trials 1 (pinned fingerprints)"
+  cargo run -q --release --offline --manifest-path drishti-benchmark/Cargo.toml -- --trials 1
 fi
 
 rm -rf "$out"

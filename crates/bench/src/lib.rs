@@ -43,8 +43,6 @@ use drishti_trace::replay::TraceCache;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-pub mod perf;
-
 const OPTS_USAGE: &str = "usage: [--full] [--mixes N] [--cores a,b,c] [--accesses N] \
 [--jobs N] [--report PATH] [--resume] [--telemetry] [--epoch N] \
 [--sample-interval N] [--sample-warmup N]";
@@ -217,7 +215,7 @@ impl ExpOpts {
     }
 }
 
-pub(crate) fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
+fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
     s.parse()
         .map_err(|_| format!("{flag} needs a number, got `{s}`"))
 }
@@ -356,12 +354,12 @@ const JOBS_PER_MIX_FIXED: usize = 2;
 ///
 /// Flattens all groups into one dense job batch (per mix: one alone-IPC
 /// job, one LRU job, one job per policy), executes it on
-/// [`drishti_sim::sweep::run_sweep`] with `opts.jobs` workers and a shared
-/// [`TraceCache`], and aggregates deterministically by job id — output is
-/// bit-identical for any worker count. Returns the per-group evaluations
-/// plus the enriched [`SweepReport`] (per-cell `ws`/`ws_improvement_pct`,
-/// per-group mean-improvement summaries) and the host-side
-/// [`SweepTiming`].
+/// [`drishti_sim::sweep::run_sweep_resumable`] with `opts.jobs` workers
+/// and a shared [`TraceCache`], and aggregates deterministically by job
+/// id — output is bit-identical for any worker count. Returns the
+/// per-group evaluations plus the enriched [`SweepReport`] (per-cell
+/// `ws`/`ws_improvement_pct`, per-group mean-improvement summaries) and
+/// the host-side [`SweepTiming`].
 pub fn sweep_groups(
     name: &str,
     groups: &[MixGroup],

@@ -356,8 +356,12 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             cli.warmup, cli.accesses
         ));
     }
-    if cli.l2_kib == 0 || cli.llc_mib == 0 {
-        return Err("--l2-kib and --llc-mib must be at least 1".to_string());
+    // Set counts are KiB × 2 (L2) and MiB × 1024 (LLC slice) and must be
+    // powers of two, so the sizes must be too.
+    for (flag, size) in [("--l2-kib", cli.l2_kib), ("--llc-mib", cli.llc_mib)] {
+        if !size.is_power_of_two() {
+            return Err(format!("{flag} must be a power of two, got {size}"));
+        }
     }
     if cli.record.is_some() && cli.trace_file.is_some() {
         return Err("--record and --trace-file are mutually exclusive".to_string());
@@ -975,5 +979,23 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CliArgs, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn cache_sizes_must_be_powers_of_two() {
+        for args in [["--llc-mib", "3"], ["--l2-kib", "3"], ["--l2-kib", "100"]] {
+            let err = parse(&args).err().expect("non-power-of-two size accepted");
+            assert!(err.contains(args[0]) && err.contains(args[1]), "{err}");
+        }
+        assert!(parse(&["--llc-mib", "4", "--l2-kib", "1024"]).is_ok());
     }
 }

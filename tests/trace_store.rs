@@ -390,3 +390,20 @@ fn default_frame_len_round_trips() {
     assert_eq!(meta.frame_len, DEFAULT_FRAME_LEN);
     assert_eq!(back, records);
 }
+
+/// `write_trace` returns the record count, and the frame codec actually
+/// compresses: a 5,000-record mcf trace encodes to between 1 and 24 bytes
+/// per record on disk (24 is the in-memory `TraceRecord` size).
+#[test]
+fn write_trace_counts_records_and_encodes_densely() {
+    let file = TempTrace::new("density");
+    let records = sample_records(5_000);
+    let written = write_trace(&file.0, "mcf", 3, &records).unwrap();
+    assert_eq!(written, records.len() as u64);
+    let bytes = std::fs::metadata(&file.0).unwrap().len();
+    let per_record = bytes as f64 / written as f64;
+    assert!(
+        per_record > 1.0 && per_record < 24.0,
+        "{per_record} B/record is not an encoded size"
+    );
+}
