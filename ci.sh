@@ -2,7 +2,8 @@
 # Local CI gate: everything a pull request must pass, fully offline.
 #
 #   ./ci.sh          # build + test + fmt + clippy + rustdoc + determinism gate
-#                    # + one benchmark trial against the pinned fingerprints
+#                    # + one traced benchmark trial against the pinned
+#                    # fingerprints
 #   ./ci.sh --quick  # skip the release build, rustdoc and the benchmark trial
 #                    # (debug test run, fmt, clippy and the determinism gate
 #                    # still run)
@@ -260,11 +261,17 @@ cargo test -q --offline --manifest-path drishti-benchmark/Cargo.toml
 
 # Benchmark fingerprint gate: one trial of every drishti-benchmark
 # workload at the default seed and sizes checks each op against the
-# fingerprints pinned in drishti-benchmark/expected.txt and exits 1 on any
-# failure. Results land in target/benchmark/. Skipped under ci.sh --quick.
+# fingerprints pinned in drishti-benchmark/expected.txt. The traced pass
+# (--trace 1) then checks, on all four workloads at the same sizes, that a
+# saved and restored checkpoint resumes to the uninterrupted result and
+# that run_sweep_resumable's outputs equal the same jobs run serially.
+# Any failure exits 1. Results, layers.json and the Perfetto trace.json
+# land in target/benchmark/. About 135 s on 2 CPUs (70 s untraced).
+# Skipped under ci.sh --quick.
 if [[ $quick -eq 0 ]]; then
-  step "drishti-benchmark --trials 1 (pinned fingerprints)"
-  cargo run -q --release --offline --manifest-path drishti-benchmark/Cargo.toml -- --trials 1
+  step "drishti-benchmark --trials 1 --trace 1 (pinned fingerprints, traced probes)"
+  cargo run -q --release --offline --manifest-path drishti-benchmark/Cargo.toml -- \
+    --trials 1 --trace 1
 fi
 
 rm -rf "$out"

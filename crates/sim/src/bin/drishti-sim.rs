@@ -357,10 +357,24 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         ));
     }
     // Set counts are KiB × 2 (L2) and MiB × 1024 (LLC slice) and must be
-    // powers of two, so the sizes must be too.
-    for (flag, size) in [("--l2-kib", cli.l2_kib), ("--llc-mib", cli.llc_mib)] {
+    // powers of two, so the sizes must be too, and the byte counts
+    // (KiB × 2^10 per L2, MiB × 2^20 per core across the LLC) must fit.
+    let llc_bytes = cli
+        .llc_mib
+        .checked_mul(1 << 20)
+        .and_then(|b| b.checked_mul(cli.cores));
+    let l2_bytes = cli.l2_kib.checked_mul(1 << 10);
+    for (flag, size, bytes) in [
+        ("--l2-kib", cli.l2_kib, l2_bytes),
+        ("--llc-mib", cli.llc_mib, llc_bytes),
+    ] {
         if !size.is_power_of_two() {
             return Err(format!("{flag} must be a power of two, got {size}"));
+        }
+        if bytes.is_none() {
+            return Err(format!(
+                "{flag} {size} is too large: its byte count overflows"
+            ));
         }
     }
     if cli.record.is_some() && cli.trace_file.is_some() {
@@ -997,5 +1011,16 @@ mod tests {
             assert!(err.contains(args[0]) && err.contains(args[1]), "{err}");
         }
         assert!(parse(&["--llc-mib", "4", "--l2-kib", "1024"]).is_ok());
+    }
+
+    #[test]
+    fn cache_sizes_whose_byte_count_overflows_are_rejected() {
+        for args in [
+            ["--llc-mib", "17592186044416"],
+            ["--l2-kib", "9223372036854775808"],
+        ] {
+            let err = parse(&args).err().expect("overflowing size accepted");
+            assert!(err.contains(args[0]) && err.contains(args[1]), "{err}");
+        }
     }
 }

@@ -60,9 +60,9 @@ pub struct SystemConfig {
 /// Hand-written to reproduce the derived output exactly for flat
 /// topologies, appending the `topology` field only when it deviates from
 /// the single-chip default. The engine hashes this string into checkpoint
-/// config hashes and warm-cache keys, so flat configurations must keep
-/// the exact descriptor (and therefore checkpoint compatibility) they had
-/// before multi-chip support existed.
+/// config hashes, so flat configurations must keep the exact descriptor
+/// (and therefore checkpoint compatibility) they had before multi-chip
+/// support existed.
 impl std::fmt::Debug for SystemConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("SystemConfig");

@@ -485,8 +485,8 @@ impl Engine {
     }
 
     /// Whether every active core has pulled at least the warm-up record
-    /// budget — the earliest point at which a warm-state checkpoint is
-    /// shareable between cells of the same configuration.
+    /// budget (or finished) — the point where the whole engine is past
+    /// warm-up and [`Engine::run_to_warm`] stops.
     pub fn warmed(&self) -> bool {
         self.cores
             .iter()
@@ -494,9 +494,9 @@ impl Engine {
     }
 
     /// Advance in fixed-size chunks until [`Engine::warmed`] (or the run
-    /// completes). The chunk size is a constant, so every engine of the
-    /// same configuration stops at the exact same scheduling step — the
-    /// property that makes the resulting checkpoint shareable.
+    /// completes), e.g. to save a checkpoint of a warmed engine. The chunk
+    /// size is a constant, so every engine of the same configuration stops
+    /// at the same scheduling step and saves the same bytes.
     pub fn run_to_warm(&mut self) {
         while !self.warmed() && !self.run_steps(1024) {}
     }

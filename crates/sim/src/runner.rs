@@ -214,66 +214,10 @@ impl RunResult {
     }
 }
 
-/// Shared post-warm-up engine checkpoints, keyed like the trace cache:
-/// cells whose warm phase is identical restore the serialized warm state
-/// instead of re-simulating it. Because the warm phase trains the policy's
-/// predictor tables, the key deliberately includes the *policy and
-/// organisation* on top of the issue-level `(mix, org, geometry)` triple —
-/// sharing across policies would smuggle one policy's training into
-/// another's run. The warm bytes are full `drishti-ckpt/v1` checkpoints,
-/// so restore is the same bit-identical path a crash resume uses.
-#[derive(Debug, Default)]
-pub struct WarmCache {
-    map: std::sync::Mutex<std::collections::HashMap<u64, std::sync::Arc<Vec<u8>>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl WarmCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        WarmCache::default()
-    }
-
-    /// `(hits, misses)` so far. Like the trace cache, two cells racing on
-    /// the same key may both count a miss (the first insert wins).
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(std::sync::atomic::Ordering::Relaxed),
-            self.misses.load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    fn get(&self, key: u64) -> Option<std::sync::Arc<Vec<u8>>> {
-        let found = self
-            .map
-            .lock()
-            .expect("warm cache poisoned")
-            .get(&key)
-            .cloned();
-        let ctr = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        ctr.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        found
-    }
-
-    fn put(&self, key: u64, bytes: Vec<u8>) {
-        self.map
-            .lock()
-            .expect("warm cache poisoned")
-            .entry(key)
-            .or_insert_with(|| std::sync::Arc::new(bytes));
-    }
-}
-
 fn run_engine(
     mix_workloads: Vec<Option<Box<dyn WorkloadGen>>>,
     policy: Box<dyn LlcPolicy>,
     rc: &RunConfig,
-    warm: Option<(&WarmCache, &str)>,
 ) -> RunResult {
     let mut engine = Engine::new(
         rc.system.clone(),
@@ -285,28 +229,6 @@ fn run_engine(
     );
     engine.set_sampling(rc.sampling);
     engine.set_telemetry(rc.telemetry);
-    // Warm-state reuse. Skipped under interval sampling, where warm-up is
-    // scheduled per period instead of as one up-front phase.
-    if let Some((warm, workload_key)) = warm {
-        if rc.warmup_accesses > 0 && !rc.sampling.enabled() {
-            let key = crate::ckpt::fnv1a64(
-                format!("{}|{}", engine.config_descriptor(), workload_key).as_bytes(),
-            );
-            match warm.get(key) {
-                Some(bytes) => {
-                    // The bytes came from an identically-keyed engine in
-                    // this process; a decode failure here is a bug, not an
-                    // input problem.
-                    crate::ckpt::restore_engine_bytes(&mut engine, &bytes)
-                        .expect("in-memory warm checkpoint must restore");
-                }
-                None => {
-                    engine.run_to_warm();
-                    warm.put(key, crate::ckpt::save_engine_bytes(&engine));
-                }
-            }
-        }
-    }
     engine.run();
     RunResult::from_engine(&mut engine)
 }
@@ -398,7 +320,7 @@ pub fn run_with_workloads(
         "one workload slot per core"
     );
     let pol = policy.build(&rc.system.llc, drishti);
-    run_engine(workloads, pol, rc, None)
+    run_engine(workloads, pol, rc)
 }
 
 /// Run `mix` under `policy` with organisation `drishti`.
@@ -414,7 +336,7 @@ pub fn run_mix(mix: &Mix, policy: PolicyKind, drishti: DrishtiConfig, rc: &RunCo
         .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
         .collect();
     let pol = policy.build(&rc.system.llc, drishti);
-    run_engine(workloads, pol, rc, None)
+    run_engine(workloads, pol, rc)
 }
 
 /// Like [`run_mix`], but replaying materialised traces from `cache`
@@ -439,39 +361,7 @@ pub fn run_mix_cached(
         .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
         .collect();
     let pol = policy.build(&rc.system.llc, drishti);
-    run_engine(workloads, pol, rc, None)
-}
-
-/// Like [`run_mix_cached`], additionally sharing post-warm-up engine state
-/// through `warm` — the journaled sweep's per-cell entry point. The first
-/// cell of a given `(mix, policy, org, geometry, budgets)` key simulates
-/// the warm phase and deposits a checkpoint; identically keyed cells
-/// restore it. Results are bit-identical either way (pinned by the sweep
-/// tests), so a warm hit is purely a time saving.
-///
-/// # Panics
-///
-/// Panics if the mix's core count differs from the system's.
-pub fn run_mix_cached_warm(
-    mix: &Mix,
-    policy: PolicyKind,
-    drishti: DrishtiConfig,
-    rc: &RunConfig,
-    cache: &TraceCache,
-    warm: &WarmCache,
-) -> RunResult {
-    assert_eq!(mix.cores(), rc.system.cores, "mix/system core mismatch");
-    let len = rc.warmup_accesses + rc.accesses_per_core;
-    let workloads = cache
-        .workloads_for(mix, len)
-        .into_iter()
-        .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
-        .collect();
-    // The workload side of the warm key; the engine side (geometry,
-    // policy, budgets) comes from `Engine::config_descriptor`.
-    let workload_key = format!("mix:{mix:?}|org:{drishti:?}");
-    let pol = policy.build(&rc.system.llc, drishti);
-    run_engine(workloads, pol, rc, Some((warm, &workload_key)))
+    run_engine(workloads, pol, rc)
 }
 
 /// Like [`alone_ipcs`], but replaying materialised traces from `cache`.
@@ -483,7 +373,7 @@ pub fn alone_ipcs_cached(mix: &Mix, rc: &RunConfig, cache: &TraceCache) -> Vec<f
                 (0..mix.cores()).map(|_| None).collect();
             workloads[c] = Some(Box::new(cache.replay(mix.benchmarks[c], mix.seeds[c], len)));
             let pol = PolicyKind::Lru.build(&rc.system.llc, DrishtiConfig::baseline(mix.cores()));
-            let r = run_engine(workloads, pol, rc, None);
+            let r = run_engine(workloads, pol, rc);
             r.per_core[c].ipc()
         })
         .collect()
@@ -498,7 +388,7 @@ pub fn run_mix_with_policy(mix: &Mix, policy: Box<dyn LlcPolicy>, rc: &RunConfig
         .into_iter()
         .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
         .collect();
-    run_engine(workloads, policy, rc, None)
+    run_engine(workloads, policy, rc)
 }
 
 /// `IPC_alone` per core: each core's workload run by itself on the same
@@ -510,7 +400,7 @@ pub fn alone_ipcs(mix: &Mix, rc: &RunConfig) -> Vec<f64> {
                 (0..mix.cores()).map(|_| None).collect();
             workloads[c] = Some(Box::new(mix.build_core(c)));
             let pol = PolicyKind::Lru.build(&rc.system.llc, DrishtiConfig::baseline(mix.cores()));
-            let r = run_engine(workloads, pol, rc, None);
+            let r = run_engine(workloads, pol, rc);
             r.per_core[c].ipc()
         })
         .collect()

@@ -26,9 +26,7 @@ pub mod json;
 pub mod pool;
 pub mod report;
 
-use crate::runner::{
-    alone_ipcs_cached, run_mix_cached, run_mix_cached_warm, RunConfig, RunResult, WarmCache,
-};
+use crate::runner::{alone_ipcs_cached, run_mix_cached, RunConfig, RunResult};
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_trace::mix::Mix;
@@ -97,23 +95,6 @@ impl SweepJob {
             JobKind::Run {
                 mix, policy, org, ..
             } => JobOutput::Run(Box::new(run_mix_cached(&mix, policy, org, &self.rc, cache))),
-            JobKind::AloneIpcs { mix } => {
-                JobOutput::AloneIpcs(alone_ipcs_cached(&mix, &self.rc, cache))
-            }
-        }
-    }
-
-    /// Like [`SweepJob::execute`], but full-run cells route through the
-    /// sweep's shared [`WarmCache`] so cells with identical warm phases
-    /// restore one post-warmup checkpoint instead of re-warming. Alone
-    /// cells are many tiny single-core runs and are not worth warming.
-    fn execute_warm(self, cache: &TraceCache, warm: &WarmCache) -> JobOutput {
-        match self.kind {
-            JobKind::Run {
-                mix, policy, org, ..
-            } => JobOutput::Run(Box::new(run_mix_cached_warm(
-                &mix, policy, org, &self.rc, cache, warm,
-            ))),
             JobKind::AloneIpcs { mix } => {
                 JobOutput::AloneIpcs(alone_ipcs_cached(&mix, &self.rc, cache))
             }
@@ -199,9 +180,10 @@ pub struct SweepOutcome {
     /// plain execution partway through: results are still complete and
     /// correct, but a crash after the failure would re-run more cells.
     pub ckpt_write_failures: u64,
-    /// Warm-checkpoint cache `(hits, misses)` — cells that restored a
-    /// shared post-warmup snapshot vs. cells that ran their own warm
-    /// phase. Always `(0, 0)` for a plain sweep.
+    /// Always `(0, 0)`: every cell simulates its own warm-up, and no
+    /// checkpoint is shared between cells. The field stays only because
+    /// `drishti-benchmark` reads it as `sweep.warm_ckpt_misses`; remove
+    /// the two together.
     pub warm_stats: (u64, u64),
 }
 
@@ -240,54 +222,7 @@ pub fn auto_workers() -> usize {
 /// Panics if job ids are not dense `0..jobs.len()` — deterministic
 /// aggregation keys on them.
 pub fn run_sweep(jobs: &[SweepJob], workers: usize, cache: &Arc<TraceCache>) -> SweepOutcome {
-    for (i, j) in jobs.iter().enumerate() {
-        assert_eq!(i, j.id, "job ids must be dense and ordered");
-    }
-    let workers = if workers == 0 {
-        auto_workers()
-    } else {
-        workers
-    };
-    let cache_before = cache.stats();
-    let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-
-    let start = Instant::now();
-    let tasks: Vec<pool::Task<JobOutput>> = jobs
-        .iter()
-        .map(|job| {
-            let job = job.clone();
-            let cache = Arc::clone(cache);
-            Box::new(move || job.execute(&cache)) as pool::Task<JobOutput>
-        })
-        .collect();
-    let raw = pool::run_tasks(tasks, workers);
-    let wall = start.elapsed();
-
-    let cache_after = cache.stats();
-    let outputs = raw
-        .into_iter()
-        .enumerate()
-        .map(|(id, r)| {
-            r.map_err(|message| JobFailure {
-                id,
-                label: labels[id].clone(),
-                seed: jobs[id].seed,
-                message,
-            })
-        })
-        .collect();
-    SweepOutcome {
-        outputs,
-        workers,
-        wall,
-        cache_stats: (
-            cache_after.0 - cache_before.0,
-            cache_after.1 - cache_before.1,
-        ),
-        resumed_cells: 0,
-        ckpt_write_failures: 0,
-        warm_stats: (0, 0),
-    }
+    run_pending(jobs, workers, cache, Vec::new(), None, 0)
 }
 
 /// [`run_sweep`] with crash resumability: completed cells are appended to
@@ -295,10 +230,7 @@ pub fn run_sweep(jobs: &[SweepJob], workers: usize, cache: &Arc<TraceCache>) -> 
 /// and the journal exists, its cells are loaded instead of re-simulated.
 /// The merged outcome is bit-identical to an uninterrupted run — resumed
 /// or fresh, a cell's output depends only on its own job description.
-///
-/// Full-run cells additionally share a [`WarmCache`], restoring one
-/// post-warmup engine checkpoint per identical warm phase (see
-/// DESIGN.md §14).
+/// Cells run exactly as under [`run_sweep`]; only the journal differs.
 ///
 /// Journal I/O failures never fail the sweep: a journal that cannot be
 /// created or appended to degrades to plain execution, counted in
@@ -317,6 +249,32 @@ pub fn run_sweep_resumable(
     journal_file: &Path,
     resume: bool,
 ) -> Result<SweepOutcome, journal::JournalError> {
+    let hash = journal::jobs_hash(jobs);
+    let count = jobs.len() as u64;
+    let (done, writer) = if resume && journal_file.exists() {
+        let done = journal::read_journal(journal_file, hash, count)?;
+        let writer = journal::JournalWriter::open_append(journal_file, hash, count);
+        (done, writer)
+    } else {
+        let writer = journal::JournalWriter::create(journal_file, hash, count);
+        (Vec::new(), writer)
+    };
+    let failed = u64::from(writer.is_err());
+    Ok(run_pending(jobs, workers, cache, done, writer.ok(), failed))
+}
+
+/// The executor behind both sweeps: take the `resumed` outputs as done,
+/// run every other job, append each completed one to `journal` (when
+/// there is one), and merge all outputs in job-id order. `write_failures`
+/// counts journal failures that happened before execution.
+fn run_pending(
+    jobs: &[SweepJob],
+    workers: usize,
+    cache: &Arc<TraceCache>,
+    resumed: Vec<(usize, JobOutput)>,
+    journal: Option<journal::JournalWriter>,
+    write_failures: u64,
+) -> SweepOutcome {
     for (i, j) in jobs.iter().enumerate() {
         assert_eq!(i, j.id, "job ids must be dense and ordered");
     }
@@ -325,39 +283,14 @@ pub fn run_sweep_resumable(
     } else {
         workers
     };
-    let hash = journal::jobs_hash(jobs);
-    let count = jobs.len() as u64;
-
-    let mut early_write_failures = 0u64;
-    let (entries, writer) = if resume && journal_file.exists() {
-        let entries = journal::read_journal(journal_file, hash, count)?;
-        match journal::JournalWriter::open_append(journal_file, hash, count) {
-            Ok(w) => (entries, Some(w)),
-            Err(_) => {
-                early_write_failures += 1;
-                (entries, None)
-            }
-        }
-    } else {
-        match journal::JournalWriter::create(journal_file, hash, count) {
-            Ok(w) => (Vec::new(), Some(w)),
-            Err(_) => {
-                early_write_failures += 1;
-                (Vec::new(), None)
-            }
-        }
-    };
-
     let mut done: Vec<Option<JobOutput>> = (0..jobs.len()).map(|_| None).collect();
-    for (id, output) in entries {
+    for (id, output) in resumed {
         done[id] = Some(output); // duplicates keep the latest entry
     }
     let resumed_cells = done.iter().filter(|d| d.is_some()).count();
     let pending: Vec<usize> = (0..jobs.len()).filter(|&id| done[id].is_none()).collect();
-
-    let warm = Arc::new(WarmCache::new());
-    let writer = Arc::new(Mutex::new(writer));
-    let write_failures = Arc::new(AtomicU64::new(early_write_failures));
+    let journal = Arc::new(Mutex::new(journal));
+    let write_failures = Arc::new(AtomicU64::new(write_failures));
     let cache_before = cache.stats();
 
     let start = Instant::now();
@@ -366,14 +299,13 @@ pub fn run_sweep_resumable(
         .map(|&id| {
             let job = jobs[id].clone();
             let cache = Arc::clone(cache);
-            let warm = Arc::clone(&warm);
-            let writer = Arc::clone(&writer);
+            let journal = Arc::clone(&journal);
             let write_failures = Arc::clone(&write_failures);
             Box::new(move || {
-                let output = job.execute_warm(&cache, &warm);
+                let output = job.execute(&cache);
                 // Journal only *completed* cells: a panicking cell never
                 // reaches this append, so resume re-runs it.
-                let mut guard = writer.lock().unwrap_or_else(|p| p.into_inner());
+                let mut guard = journal.lock().unwrap_or_else(|p| p.into_inner());
                 if let Some(w) = guard.as_mut() {
                     if w.append(id, &output).is_err() {
                         // Degrade to journal-less execution: the sweep's
@@ -393,8 +325,7 @@ pub fn run_sweep_resumable(
 
     let mut outputs: Vec<Option<Result<JobOutput, JobFailure>>> =
         done.into_iter().map(|d| d.map(Ok)).collect();
-    for (slot, result) in pending.iter().zip(raw) {
-        let id = *slot;
+    for (&id, result) in pending.iter().zip(raw) {
         outputs[id] = Some(result.map_err(|message| JobFailure {
             id,
             label: jobs[id].label.clone(),
@@ -407,7 +338,7 @@ pub fn run_sweep_resumable(
         .map(|o| o.expect("every cell is either resumed or scheduled"))
         .collect();
 
-    Ok(SweepOutcome {
+    SweepOutcome {
         outputs,
         workers,
         wall,
@@ -417,8 +348,8 @@ pub fn run_sweep_resumable(
         ),
         resumed_cells,
         ckpt_write_failures: write_failures.load(Ordering::Relaxed),
-        warm_stats: warm.stats(),
-    })
+        warm_stats: (0, 0),
+    }
 }
 
 #[cfg(test)]
@@ -541,8 +472,9 @@ mod tests {
         let plain = run_sweep(&jobs, 2, &Arc::new(TraceCache::new()));
         let resumable =
             run_sweep_resumable(&jobs, 2, &Arc::new(TraceCache::new()), &path, false).unwrap();
-        assert_eq!(resumable.resumed_cells, 0);
-        assert_eq!(resumable.ckpt_write_failures, 0);
+        for out in [&plain, &resumable] {
+            assert_eq!((out.resumed_cells, out.ckpt_write_failures), (0, 0));
+        }
         assert_eq!(output_fingerprints(&plain), output_fingerprints(&resumable));
         std::fs::remove_file(&path).unwrap();
     }
@@ -580,11 +512,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_shares_identical_warm_phases_bit_identically() {
-        let path = tmp_journal("warm_share.journal");
+    fn identical_cells_give_identical_outputs() {
+        let path = tmp_journal("identical_cells.journal");
         let mix = Mix::homogeneous(Benchmark::Gcc, 4, 1);
-        // Two cells with identical (mix, policy, org, rc): the second must
-        // restore the first's post-warmup checkpoint, not re-warm.
+        // Two cells with identical (mix, policy, org, rc): each simulates
+        // its own warm-up, and nothing is shared between them.
         let jobs: Vec<SweepJob> = (0..2)
             .map(|id| SweepJob {
                 id,
@@ -601,16 +533,9 @@ mod tests {
             .collect();
         let out =
             run_sweep_resumable(&jobs, 1, &Arc::new(TraceCache::new()), &path, false).unwrap();
-        assert_eq!(
-            out.warm_stats,
-            (1, 1),
-            "second cell must hit the warm cache"
-        );
+        assert_eq!(out.warm_stats, (0, 0));
         let fp = output_fingerprints(&out);
-        assert_eq!(
-            fp[0], fp[1],
-            "warm restore must be bit-identical to warming"
-        );
+        assert_eq!(fp[0], fp[1], "identical cells must give identical outputs");
         std::fs::remove_file(&path).unwrap();
     }
 

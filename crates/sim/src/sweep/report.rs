@@ -357,9 +357,6 @@ pub struct SweepTiming {
     pub resumed_cells: usize,
     /// Journal append failures (journaling degraded to plain execution).
     pub ckpt_write_failures: u64,
-    /// Warm-checkpoint cache hits: cells that restored a shared
-    /// post-warmup snapshot instead of re-warming.
-    pub warm_hits: u64,
 }
 
 impl SweepTiming {
@@ -377,7 +374,6 @@ impl SweepTiming {
             timeline_files: Vec::new(),
             resumed_cells: outcome.resumed_cells,
             ckpt_write_failures: outcome.ckpt_write_failures,
-            warm_hits: outcome.warm_stats.0,
         }
     }
 
@@ -415,9 +411,6 @@ impl SweepTiming {
         }
         if self.ckpt_write_failures > 0 {
             root.push("ckpt_write_failures", Json::UInt(self.ckpt_write_failures));
-        }
-        if self.warm_hits > 0 {
-            root.push("warm_ckpt_hits", Json::UInt(self.warm_hits));
         }
         if !self.timeline_files.is_empty() {
             root.push(
@@ -671,7 +664,6 @@ mod tests {
             timeline_files: Vec::new(),
             resumed_cells: 0,
             ckpt_write_failures: 0,
-            warm_hits: 0,
         };
         assert!(!t.to_json_string().contains("timelines"));
         t.attach_timelines(&r, &default_report_path("unit"));
@@ -695,7 +687,6 @@ mod tests {
             timeline_files: Vec::new(),
             resumed_cells: 0,
             ckpt_write_failures: 0,
-            warm_hits: 0,
         };
         let line = t.line();
         assert!(line.contains("8 worker(s)"));
@@ -705,16 +696,13 @@ mod tests {
         let json = t.to_json_string();
         assert!(!json.contains("resumed_cells"));
         assert!(!json.contains("ckpt_write_failures"));
-        assert!(!json.contains("warm_ckpt_hits"));
 
         t.resumed_cells = 5;
         t.ckpt_write_failures = 1;
-        t.warm_hits = 3;
         assert!(t.line().contains("5 resumed from journal"));
         assert!(t.line().contains("1 write failure(s)"));
         let json = t.to_json_string();
         assert!(json.contains("\"resumed_cells\": 5"));
         assert!(json.contains("\"ckpt_write_failures\": 1"));
-        assert!(json.contains("\"warm_ckpt_hits\": 3"));
     }
 }
