@@ -176,7 +176,11 @@ impl DynamicSampledCache {
         };
         let random = dsc.random_sets();
         dsc.install(random);
-        dsc.reselections = 0; // the initial install is not a reselection
+        // The initial install is not a reselection: no counted event and
+        // no changed slots. An empty `changed_slots` also keeps it
+        // growable run-state under the snapshot codec's shape rule.
+        dsc.reselections = 0;
+        dsc.changed_slots.clear();
         dsc
     }
 
@@ -372,6 +376,32 @@ mod tests {
         let mut sel = dsc.sampled_sets().to_vec();
         sel.sort_unstable();
         assert_eq!(sel, vec![0, 1, 2, 3], "hottest sets must be selected");
+    }
+
+    #[test]
+    fn state_after_a_reselection_restores_into_a_fresh_selector() {
+        use drishti_noc::snap::{Persist, StateReader, StateWriter};
+        // Restore targets a freshly built selector, and the snapshot codec
+        // holds every non-empty vector to its live length. A reselection
+        // that keeps some sets changes fewer slots than the initial
+        // install, so `changed_slots` must start empty to restore.
+        let cfg = tiny_cfg(4, 400, 1000);
+        let mut dsc = DynamicSampledCache::new(cfg, 16);
+        assert!(dsc.changed_slots().is_empty());
+        let kept = dsc.sampled_sets()[0];
+        for i in 0..400u64 {
+            let set = (i % 16) as usize;
+            dsc.observe(set, set != kept && set >= 3);
+        }
+        assert_eq!(dsc.diagnostics().0, 1, "one reselection");
+        assert!(dsc.changed_slots().len() < 4, "{:?}", dsc.changed_slots());
+
+        let mut w = StateWriter::new();
+        dsc.save(&mut w);
+        let mut fresh = DynamicSampledCache::new(cfg, 16);
+        fresh.load(&mut StateReader::new(w.bytes())).unwrap();
+        assert_eq!(fresh.sampled_sets(), dsc.sampled_sets());
+        assert_eq!(fresh.changed_slots(), dsc.changed_slots());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use crate::bits::{bit_assign, bit_get, bit_set, range_mask};
 use crate::LineAddr;
-use drishti_noc::snap::{Persist, SnapError, StateReader, StateWriter};
 
 /// Replacement policy for a private cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,22 +80,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp or RRPV, depending on the policy.
-    meta: u64,
-}
-
-drishti_noc::impl_persist_fields!(Line {
-    tag,
-    valid,
-    dirty,
-    meta
-});
-
 /// Hit/miss and write-back statistics for one private cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -150,9 +133,7 @@ pub struct Evicted {
 ///
 /// Line metadata lives in a struct-of-arrays layout (DESIGN.md §15): the
 /// probe scan walks a packed tag array guided by a valid bitset, and the
-/// dirty/meta planes are touched only on hit or victim selection. Snapshots
-/// still use the historical per-line `Line` encoding — see the manual
-/// `Persist` impl below.
+/// dirty/meta planes are touched only on hit or victim selection.
 #[derive(Debug, Clone)]
 pub struct PrivateCache {
     cfg: CacheConfig,
@@ -367,63 +348,18 @@ impl PrivateCache {
     pub fn resident_lines(&self) -> usize {
         self.valid.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// The [`Line`] view of slot `g`, materialised from the SoA planes for
-    /// the snapshot encoding.
-    fn line_at(&self, g: usize) -> Line {
-        Line {
-            tag: self.tags[g],
-            valid: bit_get(&self.valid, g),
-            dirty: bit_get(&self.dirty, g),
-            meta: self.meta[g],
-        }
-    }
 }
 
-// The cache's mutable run-state: line array, replacement clock, stats.
-// Geometry comes from config on restore, not from the snapshot. The line
-// array is written in the historical `Vec<Vec<Line>>` per-line encoding so
-// `drishti-ckpt/v1` snapshots stay byte-identical across the SoA rework
-// (DESIGN.md §15).
-impl Persist for PrivateCache {
-    fn save(&self, w: &mut StateWriter) {
-        w.put_u64(self.cfg.sets as u64);
-        for set in 0..self.cfg.sets {
-            w.put_u64(self.cfg.ways as u64);
-            for way in 0..self.cfg.ways {
-                self.line_at(set * self.cfg.ways + way).save(w);
-            }
-        }
-        self.clock.save(w);
-        self.stats.save(w);
-    }
-
-    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        let mut sets: Vec<Vec<Line>> = Vec::new();
-        sets.load(r)?;
-        if sets.len() != self.cfg.sets || sets.iter().any(|s| s.len() != self.cfg.ways) {
-            return Err(SnapError::Invalid {
-                what: "private cache lines",
-                detail: format!(
-                    "snapshot line array does not match geometry \
-                     ({} sets x {} ways expected)",
-                    self.cfg.sets, self.cfg.ways
-                ),
-            });
-        }
-        for (set, lines) in sets.iter().enumerate() {
-            for (way, l) in lines.iter().enumerate() {
-                let g = set * self.cfg.ways + way;
-                self.tags[g] = l.tag;
-                bit_assign(&mut self.valid, g, l.valid);
-                bit_assign(&mut self.dirty, g, l.dirty);
-                self.meta[g] = l.meta;
-            }
-        }
-        self.clock.load(r)?;
-        self.stats.load(r)
-    }
-}
+// The cache's mutable run-state: line planes, replacement clock, stats.
+// Geometry comes from config on restore, not from the snapshot.
+drishti_noc::impl_persist_fields!(PrivateCache {
+    tags,
+    valid,
+    dirty,
+    meta,
+    clock,
+    stats
+});
 
 #[cfg(test)]
 mod tests {

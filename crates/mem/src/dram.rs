@@ -408,36 +408,12 @@ impl Dram {
         &mut self,
         r: &mut drishti_noc::snap::StateReader<'_>,
     ) -> Result<(), drishti_noc::snap::SnapError> {
-        use drishti_noc::snap::{Persist, SnapError};
+        use drishti_noc::snap::Persist;
         self.banks.load(r)?;
-        if self.banks.len() != self.cfg.channels
-            || self
-                .banks
-                .iter()
-                .any(|c| c.len() != self.cfg.banks_per_channel)
-        {
-            return Err(SnapError::Invalid {
-                what: "dram banks",
-                detail: format!(
-                    "{} channels x {} banks expected",
-                    self.cfg.channels, self.cfg.banks_per_channel
-                ),
-            });
-        }
         self.bus.load(r)?;
         self.write_queues.load(r)?;
         self.chan_reads.load(r)?;
         self.chan_writes.load(r)?;
-        if self.bus.len() != self.cfg.channels
-            || self.write_queues.len() != self.cfg.channels
-            || self.chan_reads.len() != self.cfg.channels
-            || self.chan_writes.len() != self.cfg.channels
-        {
-            return Err(SnapError::Invalid {
-                what: "dram channels",
-                detail: format!("{} channels expected", self.cfg.channels),
-            });
-        }
         self.stats.load(r)?;
         drishti_noc::faults::load_fault_cursor(&mut self.faults, r, "dram fault schedule")
     }

@@ -207,10 +207,9 @@ pub struct FillResult {
 /// plane for the probe scan, `u64` bitsets for valid/dirty, and separate
 /// core/signature planes that are only touched on hits, victims and
 /// fills. The global line index is `slice * lines_per_slice + set *
-/// ways + way`. Policies, observers and checkpoints still see
-/// [`LlcLineState`]: the container materialises per-set views (and, for
-/// `Persist`, the historical `Vec<Vec<LlcLineState>>` byte stream) at the
-/// boundary.
+/// ways + way`. Policies and observers still see [`LlcLineState`]: the
+/// container materialises per-set views at the boundary. Checkpoints save
+/// the planes themselves.
 pub struct SlicedLlc {
     geom: LlcGeometry,
     /// Cached `geom.lines_per_slice()`.
@@ -636,26 +635,18 @@ impl SlicedLlc {
         &self.slice_counters
     }
 
-    /// Serialize the LLC's mutable state: line arrays, per-set and per-slice
-    /// counters, aggregate stats, and the policy's predictor state. The
-    /// geometry, slice hasher, observer, and injected-corruption knobs are
-    /// configuration — the loader reconstructs those before restoring.
-    ///
-    /// The SoA planes are materialised back into the historical
-    /// `Vec<Vec<LlcLineState>>` encoding, so `drishti-ckpt/v1` snapshots
-    /// are byte-identical to the per-line layout's (the §15 `Persist`
-    /// compatibility rule; pinned by `tests/checkpoint.rs`).
+    /// Serialize the LLC's mutable state: the line planes, per-set and
+    /// per-slice counters, aggregate stats, and the policy's predictor
+    /// state. The geometry, slice hasher, observer, and injected-corruption
+    /// knobs are configuration — the loader reconstructs those before
+    /// restoring.
     pub fn save_state(&self, w: &mut drishti_noc::snap::StateWriter) {
         use drishti_noc::snap::Persist;
-        let lines: Vec<Vec<LlcLineState>> = (0..self.geom.slices)
-            .map(|s| {
-                let start = s * self.lps;
-                (start..start + self.lps)
-                    .map(|g| self.line_state_at(g))
-                    .collect()
-            })
-            .collect();
-        lines.save(w);
+        self.tags.save(w);
+        self.valid.save(w);
+        self.dirty.save(w);
+        self.cores.save(w);
+        self.sigs.save(w);
         self.set_counters.save(w);
         self.slice_counters.save(w);
         self.stats.save(w);
@@ -668,57 +659,14 @@ impl SlicedLlc {
         &mut self,
         r: &mut drishti_noc::snap::StateReader<'_>,
     ) -> Result<(), drishti_noc::snap::SnapError> {
-        use drishti_noc::snap::{Persist, SnapError};
-        let mut lines: Vec<Vec<LlcLineState>> = Vec::new();
-        lines.load(r)?;
-        if lines.len() != self.geom.slices
-            || lines
-                .iter()
-                .any(|s| s.len() != self.geom.sets_per_slice * self.geom.ways)
-        {
-            return Err(SnapError::Invalid {
-                what: "llc lines",
-                detail: format!(
-                    "snapshot line array does not match geometry \
-                     ({} slices x {} lines expected)",
-                    self.geom.slices,
-                    self.geom.sets_per_slice * self.geom.ways
-                ),
-            });
-        }
-        for (s, slice_lines) in lines.iter().enumerate() {
-            for (i, l) in slice_lines.iter().enumerate() {
-                let g = s * self.lps + i;
-                self.tags[g] = l.line;
-                bit_assign(&mut self.valid, g, l.valid);
-                bit_assign(&mut self.dirty, g, l.dirty);
-                self.cores[g] = l.core;
-                self.sigs[g] = l.signature;
-            }
-        }
+        use drishti_noc::snap::Persist;
+        self.tags.load(r)?;
+        self.valid.load(r)?;
+        self.dirty.load(r)?;
+        self.cores.load(r)?;
+        self.sigs.load(r)?;
         self.set_counters.load(r)?;
-        if self.set_counters.len() != self.geom.slices
-            || self
-                .set_counters
-                .iter()
-                .any(|s| s.len() != self.geom.sets_per_slice)
-        {
-            return Err(SnapError::Invalid {
-                what: "llc set counters",
-                detail: format!(
-                    "snapshot set counters do not match geometry \
-                     ({} slices x {} sets expected)",
-                    self.geom.slices, self.geom.sets_per_slice
-                ),
-            });
-        }
         self.slice_counters.load(r)?;
-        if self.slice_counters.len() != self.geom.slices {
-            return Err(SnapError::Invalid {
-                what: "llc slice counters",
-                detail: format!("{} slices expected", self.geom.slices),
-            });
-        }
         self.stats.load(r)?;
         self.policy.load_state(r)
     }

@@ -41,14 +41,6 @@ pub struct LlcLineState {
     pub signature: u64,
 }
 
-drishti_noc::impl_persist_fields!(LlcLineState {
-    line,
-    valid,
-    dirty,
-    core,
-    signature
-});
-
 /// A victim decision for a fill into a full set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {

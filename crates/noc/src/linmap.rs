@@ -7,10 +7,10 @@
 //! than sweeping 48 packed keys that stay resident in L1. Keys and values
 //! live in *separate* vectors so the probe loop touches only key bytes.
 //!
-//! [`SmallU64Map`] persists byte-identically to
+//! [`SmallU64Map`] persists in the same canonical layout as
 //! `HashMap<u64, u64>` under [`crate::snap::Persist`] (length-prefixed,
-//! entries sorted by key), so swapping the engine's container did not
-//! change the `drishti-ckpt/v1` snapshot format.
+//! entries sorted by key), so its `drishti-ckpt/v2` bytes never depend on
+//! insertion order.
 
 use crate::snap::{Persist, SnapError, StateReader, StateWriter};
 

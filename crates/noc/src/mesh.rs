@@ -308,16 +308,6 @@ impl Mesh {
     pub fn load_state(&mut self, r: &mut crate::snap::StateReader<'_>) -> Result<(), SnapError> {
         use crate::snap::Persist;
         self.links.load(r)?;
-        if self.links.len() != self.cfg.nodes() {
-            return Err(SnapError::Invalid {
-                what: "mesh links",
-                detail: format!(
-                    "snapshot holds {} nodes, configuration has {}",
-                    self.links.len(),
-                    self.cfg.nodes()
-                ),
-            });
-        }
         self.stats.load(r)?;
         crate::faults::load_fault_cursor(&mut self.faults, r, "mesh fault schedule")
     }

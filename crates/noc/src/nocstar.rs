@@ -234,18 +234,7 @@ impl Nocstar {
     /// identically-configured fabric.
     pub fn load_state(&mut self, r: &mut crate::snap::StateReader<'_>) -> Result<(), SnapError> {
         use crate::snap::Persist;
-        let nodes = self.arbiters[0].len();
         self.arbiters.load(r)?;
-        if self.arbiters[0].len() != nodes || self.arbiters[1].len() != nodes {
-            return Err(SnapError::Invalid {
-                what: "nocstar arbiters",
-                detail: format!(
-                    "snapshot holds {}/{} arbiters, configuration has {nodes}",
-                    self.arbiters[0].len(),
-                    self.arbiters[1].len()
-                ),
-            });
-        }
         self.stats.load(r)?;
         crate::faults::load_fault_cursor(&mut self.faults, r, "nocstar fault schedule")
     }

@@ -6,12 +6,13 @@
 //! as little-endian bytes, `load` reads it back from a [`StateReader`]
 //! into an *already-shaped* value. Shapes (vector lengths, table sizes)
 //! come from configuration, not from the snapshot: restore first rebuilds
-//! the component from its config, then loads the bytes into it. The
-//! container layer (`drishti-ckpt/v1` in `crates/sim`) guards every
-//! section with an fnv1a64 checksum and a config hash, so `load` mostly
-//! defends against truncation — a checksummed-but-short section, the one
-//! corruption the container cannot rule out — via typed [`SnapError`]s,
-//! never panics.
+//! the component from its config, then loads the bytes into it, and the
+//! codec refuses a snapshot whose shape differs (see `Vec<T>`'s
+//! [`Persist`] impl). The container layer (`drishti-ckpt/v2` in
+//! `crates/sim`) guards every section with an fnv1a64 checksum and a
+//! config hash; `load` defends against what the container cannot rule
+//! out — a checksummed section that is short or mis-shaped — via typed
+//! [`SnapError`]s, never panics.
 //!
 //! The encoding is deliberately boring: fixed-width little-endian
 //! integers, `f64` as IEEE-754 bits, `u64` length prefixes, hash maps
@@ -297,18 +298,24 @@ impl<T: Persist + Default> Persist for Vec<T> {
             v.save(w);
         }
     }
+    /// The shape rule: restore always targets a freshly built value, so a
+    /// non-empty vector's length comes from configuration and a snapshot
+    /// of any other length is refused. An empty vector is growable
+    /// run-state (a captured stream, collected epochs) and takes the
+    /// snapshot's length. Elements load in place, so configuration-built
+    /// state their own `load` preserves (a selector's variant) survives.
     fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         let n = r.take_len("vec length")?;
-        // Load into the existing elements when the count matches: elements
-        // may carry configuration-built state their own `load` deliberately
-        // preserves (e.g. a selector's construction-time variant), which
-        // replacing them with `T::default()` would destroy. Only a count
-        // mismatch — a snapshot from a different configuration, left for
-        // the element loads or the caller to refuse — falls back to
-        // default-constructed slots.
-        if n != self.len() {
-            self.clear();
+        if self.is_empty() {
             self.resize_with(n, T::default);
+        } else if n != self.len() {
+            return Err(SnapError::Invalid {
+                what: "vec length",
+                detail: format!(
+                    "snapshot holds {n} elements, configuration has {}",
+                    self.len()
+                ),
+            });
         }
         for v in self.iter_mut() {
             v.load(r)?;
@@ -567,6 +574,24 @@ mod tests {
             .load(&mut StateReader::new(&bytes[..bytes.len() - 1]))
             .unwrap_err();
         assert!(matches!(err, SnapError::Truncated { .. }), "{err}");
+    }
+
+    #[test]
+    fn length_mismatch_against_a_configured_vec_is_refused() {
+        let mut w = StateWriter::new();
+        vec![1u64, 2, 3].save(&mut w);
+        let mut live = vec![0u64; 2];
+        let err = live.load(&mut StateReader::new(w.bytes())).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapError::Invalid {
+                    what: "vec length",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

