@@ -39,7 +39,7 @@ use drishti_trace::ingest;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 use drishti_trace::replay::TraceCache;
-use drishti_trace::store::{read_trace, write_trace, StreamingTrace};
+use drishti_trace::store::{write_trace, StreamingTrace};
 use drishti_trace::WorkloadGen;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -79,8 +79,8 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
   no built-in benchmark, e.g. ingested ChampSim files — skip the
   name/seed checks, wrap around when shorter than the run, and label the
   report's scenario_coverage table `ingested`. --trace-cache-mib caps
-  the sweep trace cache's RAM tier, spilling evicted traces to disk
-  (0 = unlimited).
+  the encoded bytes the sweep trace cache keeps in RAM (about 6 per
+  record), spilling evicted traces to disk (0 = unlimited).
   ingest: --ingest INPUT converts a ChampSim-format trace losslessly to
   drishti-trace/v1 (--ingest-out PATH, default INPUT with a .drtr
   extension) and exits; replay it with --trace-file. --ingest-demo PATH
@@ -597,27 +597,28 @@ fn open_streaming_workloads(
 
 /// `--trace-file`, sweep mode: validate and preload every core's records
 /// into the shared cache, sized to exactly the span so cache lookups hit.
-/// External traces shorter than the span are wrap-extended by cycling
-/// their records — the same wraparound [`StreamingTrace`] performs, so
-/// sweep cells and single-run streaming replay see identical streams.
-/// Returns whether any preloaded trace was external (the report's
-/// coverage table is then relabelled `ingested`).
+/// Each file is read through a [`StreamingTrace`], whose open validates
+/// it (refusing a zero-record file) and whose wraparound extends an
+/// external trace shorter than the span, so sweep cells and single-run
+/// streaming replay see identical streams. Returns whether any preloaded
+/// trace was external (the report's coverage table is then relabelled
+/// `ingested`).
 fn preload_trace_files(cli: &CliArgs, mix: &Mix, cache: &TraceCache) -> Result<bool, String> {
     let prefix = cli.trace_file.as_ref().expect("caller checked");
-    let span = cli.span() as usize;
+    let span = cli.span();
     let mut any_external = false;
     for c in 0..mix.cores() {
         let path = core_trace_path(prefix, c);
-        let (meta, mut records) =
-            read_trace(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let external = check_trace_meta(&path, &meta, mix.benchmarks[c], mix.seeds[c], cli.span())?;
+        let mut stream =
+            StreamingTrace::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let external =
+            check_trace_meta(&path, stream.meta(), mix.benchmarks[c], mix.seeds[c], span)?;
         any_external |= external;
-        while records.len() < span {
-            let take = (span - records.len()).min(meta.records as usize);
-            records.extend_from_within(..take);
-        }
-        records.truncate(span);
-        cache.insert(mix.benchmarks[c], mix.seeds[c], records);
+        cache.insert(
+            mix.benchmarks[c],
+            mix.seeds[c],
+            (0..span).map(|_| stream.next_record()),
+        );
     }
     Ok(any_external)
 }
@@ -1022,5 +1023,38 @@ mod tests {
             let err = parse(&args).err().expect("overflowing size accepted");
             assert!(err.contains(args[0]) && err.contains(args[1]), "{err}");
         }
+    }
+
+    /// A zero-record external trace (an ingested empty ChampSim file) is
+    /// refused by the sweep preload as it is by the single-run open,
+    /// instead of wrap-extending nothing forever.
+    #[test]
+    fn sweep_preload_refuses_an_empty_external_trace() {
+        let prefix = std::env::temp_dir().join(format!("drishti-sim-empty-{}", std::process::id()));
+        let path = core_trace_path(&prefix, 0);
+        write_trace(&path, "champsim-empty", 0, &[]).expect("write the empty trace");
+        let prefix = prefix.to_str().expect("temp path is UTF-8");
+        let cli = parse(&[
+            "--cores",
+            "1",
+            "--mix",
+            "homo:mcf",
+            "--policy",
+            "lru",
+            "--org",
+            "baseline",
+            "--accesses",
+            "2000",
+            "--warmup",
+            "500",
+            "--trace-file",
+            prefix,
+        ])
+        .expect("valid arguments");
+        let mix = build_mix(&cli).expect("valid mix");
+        let outcome = preload_trace_files(&cli, &mix, &TraceCache::new());
+        let _ = std::fs::remove_file(&path);
+        let err = outcome.expect_err("an empty trace was preloaded");
+        assert!(err.contains("trace holds zero records"), "{err}");
     }
 }

@@ -12,9 +12,9 @@
 //!    sweep is therefore bit-identical to a `--jobs 16` sweep, and CI
 //!    enforces this with a byte-wise `diff` of the two reports.
 //! 2. **Shared trace cache.** Each synthetic workload is materialised
-//!    once behind an `Arc` ([`drishti_trace::replay::TraceCache`]) and
-//!    replayed by every cell that uses it, instead of being regenerated
-//!    per cell.
+//!    once, encoded, behind an `Arc`
+//!    ([`drishti_trace::replay::TraceCache`]) and replayed by every cell
+//!    that uses it, instead of being regenerated per cell.
 //! 3. **Structured results.** [`report::SweepReport`] serialises per-cell
 //!    metrics to `target/sweep/*.json` for CI artifacts and trajectory
 //!    tracking; the host-dependent timing line
@@ -411,7 +411,7 @@ mod tests {
         );
         // 3 cells × 4 cores touch the same 4 (bench, seed) traces. Two
         // cells racing on the same key may both count a miss (the first
-        // insert wins, see TraceCache::get), so `misses` is a lower bound
+        // insert wins, see TraceCache::encoded), so `misses` is a lower bound
         // of 4, not an exact count — only the total is exact.
         let (hits, misses) = out.cache_stats;
         assert_eq!(hits + misses, 12);

@@ -19,9 +19,9 @@
 //! composes them into weighted multi-PC workloads, [`presets`] names ~25
 //! benchmark-like configurations, [`mix`] builds the paper's
 //! homogeneous/heterogeneous multi-core mixes, [`replay`] materialises
-//! traces once and shares them across concurrent sweep cells, and
-//! [`store`] persists traces to disk (`drishti-trace/v1`) for streaming,
-//! bounded-memory replay. [`shrink`] and [`transform`] serve the
+//! traces once, encoded, and shares them across concurrent sweep cells,
+//! and [`store`] persists traces to disk (`drishti-trace/v1`) for
+//! streaming, bounded-memory replay. [`shrink`] and [`transform`] serve the
 //! conformance fuzzer: greedy minimization of failing traces and
 //! behaviour-preserving transforms for metamorphic relations.
 //!

@@ -4,19 +4,32 @@
 //! policies and organisations. Generating the synthetic stream is cheap
 //! but not free — and, more importantly, regenerating it per cell makes
 //! every cell pay the cost again. [`TraceCache`] materialises each
-//! workload's record stream exactly once, behind an [`Arc`], and
-//! [`ReplayWorkload`] replays the shared records as a normal
-//! [`WorkloadGen`].
+//! workload's record stream exactly once, as an [`EncodedTrace`] behind
+//! an [`Arc`], and [`ReplayWorkload`] replays the shared trace as a
+//! normal [`WorkloadGen`], decoding one record per call.
 //!
 //! Replay is bit-exact: [`crate::synthetic::SyntheticWorkload`] is a
 //! deterministic function of `(benchmark, seed)`, so a replayed run equals
 //! a freshly generated one record for record (see the workspace-level
 //! `tests/sweep.rs` proof).
 //!
+//! # Encoded traces
+//!
+//! A cached trace stays in the `drishti-trace/v1` record encoding
+//! ([`store`](crate::store)): `varint(instr_gap << 1 | is_store)`,
+//! zig-zag Δpc, zig-zag Δline, 4–6 bytes per record against the 24 of a
+//! decoded [`TraceRecord`]. The whole trace is one delta chain with no
+//! frames or checksums, since these bytes never leave the process. A
+//! replay's state is a byte offset plus the previous pc and line; at the
+//! end of the chain it wraps to offset 0 with zeroed deltas. The cache
+//! keeps no decoded copy of a trace and builds none on the way in:
+//! generation, [`TraceCache::insert`] and spill reloads all stream
+//! records straight into the encoder.
+//!
 //! # Two tiers
 //!
 //! The cache has an in-RAM tier and an optional on-disk tier. The RAM
-//! tier holds strong `Arc`s up to a configurable byte budget
+//! tier holds strong `Arc`s up to a configurable budget of encoded bytes
 //! ([`TraceCache::with_budget`]); beyond it, the least-recently-used
 //! trace is evicted — spilled to a [`store`](crate::store) file first when
 //! a spill directory is configured ([`TraceCache::with_spill`]), so the
@@ -25,27 +38,83 @@
 //! without touching disk. Every tier transition is lossless (the codec
 //! round-trips bit-exactly), so **results are byte-identical at any
 //! budget** — the budget only moves where the bytes live. The pointer
-//! -equality contract survives capping: concurrent `get`s for the same
-//! key always resolve to one `Arc` while any copy of it is alive.
+//! -equality contract survives capping: concurrent
+//! [`encoded`](TraceCache::encoded) calls for the same key always resolve
+//! to one `Arc` while any copy of it is alive.
 
 use crate::presets::Benchmark;
-use crate::store::{read_trace, write_trace};
+use crate::store::codec::DeltaChain;
+use crate::store::{StoreError, StreamingTrace, TraceWriter};
 use crate::{TraceRecord, WorkloadGen};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-/// A [`WorkloadGen`] that replays a shared, pre-materialised record
-/// stream.
+/// Why decoding a cached trace cannot fail: its bytes were written by
+/// [`DeltaChain::encode`] in this process and never change.
+const IN_PROCESS: &str = "an encoded trace decodes: its bytes come from this process's encoder";
+
+/// One trace in the `drishti-trace/v1` record encoding, as a single
+/// delta chain from its first record to its last (see the module docs).
+#[derive(Debug)]
+pub struct EncodedTrace {
+    bytes: Box<[u8]>,
+    len: u64,
+}
+
+impl EncodedTrace {
+    /// Encodes `records` in order.
+    pub(crate) fn encode(records: impl IntoIterator<Item = TraceRecord>) -> Self {
+        let mut bytes = Vec::new();
+        let mut chain = DeltaChain::default();
+        let mut len = 0;
+        for r in records {
+            chain.encode(&r, &mut bytes);
+            len += 1;
+        }
+        EncodedTrace {
+            bytes: bytes.into_boxed_slice(),
+            len,
+        }
+    }
+
+    /// Number of records.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the trace holds no records.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Size of the encoding in bytes: what the cache's budget counts.
+    pub fn encoded_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The records, decoded in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        let mut pos = 0;
+        let mut chain = DeltaChain::default();
+        (0..self.len).map(move |_| chain.decode(&self.bytes, &mut pos).expect(IN_PROCESS))
+    }
+}
+
+/// A [`WorkloadGen`] that replays a shared [`EncodedTrace`], decoding one
+/// record per call.
 ///
 /// Engines pull exactly as many records as their configured access count;
 /// should a caller pull past the end anyway, the stream wraps around (the
 /// `WorkloadGen` contract is an infinite generator).
 pub struct ReplayWorkload {
     name: String,
-    records: Arc<Vec<TraceRecord>>,
+    records: Arc<EncodedTrace>,
+    /// Byte offset of the next record.
     pos: usize,
+    /// Delta state before the next record.
+    chain: DeltaChain,
 }
 
 impl ReplayWorkload {
@@ -55,17 +124,18 @@ impl ReplayWorkload {
     ///
     /// Panics if `records` is empty — an empty stream cannot satisfy the
     /// infinite-generator contract.
-    pub fn new(name: impl Into<String>, records: Arc<Vec<TraceRecord>>) -> Self {
+    pub fn new(name: impl Into<String>, records: Arc<EncodedTrace>) -> Self {
         assert!(!records.is_empty(), "cannot replay an empty trace");
         ReplayWorkload {
             name: name.into(),
             records,
             pos: 0,
+            chain: DeltaChain::default(),
         }
     }
 
-    /// The shared record stream (for pointer-equality checks in tests).
-    pub fn records(&self) -> &Arc<Vec<TraceRecord>> {
+    /// The shared encoded trace (for pointer-equality checks in tests).
+    pub fn records(&self) -> &Arc<EncodedTrace> {
         &self.records
     }
 }
@@ -86,14 +156,21 @@ impl WorkloadGen for ReplayWorkload {
     }
 
     fn next_record(&mut self) -> TraceRecord {
-        // Wrap eagerly instead of indexing `pos % len`: the division would
-        // otherwise run once per record on the hottest trace-replay path.
-        if self.pos >= self.records.len() {
+        if self.pos == self.records.bytes.len() {
             self.pos = 0;
+            self.chain = DeltaChain::default();
         }
-        let r = self.records[self.pos];
-        self.pos += 1;
-        r
+        self.chain
+            .decode(&self.records.bytes, &mut self.pos)
+            .expect(IN_PROCESS)
+    }
+
+    /// The stream repeats every `len` records, so only `n % len` of them
+    /// are decoded.
+    fn skip_records(&mut self, n: u64) {
+        for _ in 0..n % self.records.len() {
+            self.next_record();
+        }
     }
 }
 
@@ -104,11 +181,11 @@ type TraceKey = (Benchmark, u64, u64);
 #[derive(Debug)]
 struct Entry {
     /// RAM tier: present while the entry is under budget.
-    strong: Option<Arc<Vec<TraceRecord>>>,
+    strong: Option<Arc<EncodedTrace>>,
     /// Outstanding-Arc tier: lets racing cells re-share an evicted trace
     /// that some cell still replays, preserving pointer equality.
-    weak: Weak<Vec<TraceRecord>>,
-    /// Decoded size, counted against the budget while `strong` is held.
+    weak: Weak<EncodedTrace>,
+    /// Encoded size, counted against the budget while `strong` is held.
     bytes: usize,
     /// LRU stamp (cache-wide monotonic tick of the last `get`).
     last_use: u64,
@@ -125,21 +202,20 @@ struct Inner {
     tick: u64,
 }
 
-/// A concurrent, seed-keyed, two-tier cache of materialised workload
-/// traces.
+/// A concurrent, seed-keyed, two-tier cache of encoded workload traces.
 ///
-/// Keys are `(benchmark, seed, length)`; values are `Arc<Vec<TraceRecord>>`
+/// Keys are `(benchmark, seed, length)`; values are `Arc<EncodedTrace>`s
 /// shared by every cell that replays the same workload. Generation happens
 /// outside the map lock so concurrent misses on *different* keys never
 /// serialise; two racing misses on the *same* key both generate, but the
 /// first insertion wins and both callers receive the same `Arc` (pointer
 /// equality is part of the contract — it is what makes the cache a cache).
 ///
-/// The byte budget is a soft cap on the RAM tier: the trace being
-/// requested is never evicted on its own behalf, so a single trace larger
-/// than the whole budget still works (resident peaks at budget + one
-/// trace). Spill-file I/O failures degrade gracefully — the entry is
-/// evicted without a disk copy and the next miss regenerates it.
+/// The byte budget is a soft cap on the RAM tier's encoded bytes: the
+/// trace being requested is never evicted on its own behalf, so a single
+/// trace larger than the whole budget still works (resident peaks at
+/// budget + one trace). Spill-file I/O failures degrade gracefully — the
+/// entry is evicted without a disk copy and the next miss regenerates it.
 #[derive(Debug)]
 pub struct TraceCache {
     inner: Mutex<Inner>,
@@ -159,6 +235,31 @@ impl Default for TraceCache {
     }
 }
 
+/// Writes `trace` to `path` as a `drishti-trace/v1` file, streaming its
+/// records through the writer one at a time.
+fn spill_trace(
+    path: &Path,
+    name: &str,
+    seed: u64,
+    trace: &EncodedTrace,
+) -> Result<u64, StoreError> {
+    let mut w = TraceWriter::create(path, name, seed)?;
+    for r in trace.iter() {
+        w.push(r)?;
+    }
+    w.finish()
+}
+
+/// Re-encodes the spill file at `path`, or `None` when it fails
+/// [`StreamingTrace::open`]'s validation or does not hold `len` records
+/// (the caller then regenerates). A file that changes after that
+/// validation panics mid-read, as any `StreamingTrace` does.
+fn reload_trace(path: &Path, len: u64) -> Option<EncodedTrace> {
+    let mut stream = StreamingTrace::open(path).ok()?;
+    (stream.meta().records == len)
+        .then(|| EncodedTrace::encode((0..len).map(|_| stream.next_record())))
+}
+
 impl TraceCache {
     /// An empty, unbounded cache (RAM tier only — the behaviour every
     /// existing call site expects).
@@ -167,7 +268,7 @@ impl TraceCache {
     }
 
     /// An empty cache whose RAM tier is capped at `budget_bytes` of
-    /// decoded trace data, evicting LRU entries past it (no disk tier:
+    /// encoded trace data, evicting LRU entries past it (no disk tier:
     /// evicted traces are regenerated on the next miss).
     pub fn with_budget(budget_bytes: usize) -> Self {
         TraceCache {
@@ -213,12 +314,12 @@ impl TraceCache {
             let Some(vkey) = victim else { break };
             let path = self.spill_path(&vkey);
             let entry = inner.entries.get_mut(&vkey).expect("victim exists");
-            let records = entry.strong.take().expect("victim is strong");
+            let trace = entry.strong.take().expect("victim is strong");
             inner.resident -= entry.bytes;
             if entry.spill.is_none() {
                 if let Some(path) = path {
                     let (bench, seed, _) = vkey;
-                    if write_trace(&path, bench.label(), seed, &records).is_ok() {
+                    if spill_trace(&path, bench.label(), seed, &trace).is_ok() {
                         entry.spill = Some(path);
                         self.spills.fetch_add(1, Ordering::Relaxed);
                     }
@@ -227,11 +328,25 @@ impl TraceCache {
         }
     }
 
-    /// Promotes `records` to the RAM tier for `key` and trims to budget.
-    fn admit(&self, inner: &mut Inner, key: TraceKey, records: &Arc<Vec<TraceRecord>>) {
+    /// The live copy of `key`, if any: its RAM-tier `Arc`, or an evicted
+    /// one that some cell still replays, which is re-admitted.
+    fn live(&self, inner: &mut Inner, key: &TraceKey) -> Option<Arc<EncodedTrace>> {
+        let entry = inner.entries.get_mut(key)?;
+        if let Some(strong) = &entry.strong {
+            return Some(Arc::clone(strong));
+        }
+        let alive = entry.weak.upgrade()?;
+        entry.strong = Some(Arc::clone(&alive));
+        inner.resident += entry.bytes;
+        self.enforce_budget(inner, key);
+        Some(alive)
+    }
+
+    /// Promotes `trace` to the RAM tier for `key` and trims to budget.
+    fn admit(&self, inner: &mut Inner, key: TraceKey, trace: &Arc<EncodedTrace>) {
         inner.tick += 1;
         let tick = inner.tick;
-        let bytes = records.len() * std::mem::size_of::<TraceRecord>();
+        let bytes = trace.encoded_bytes();
         let entry = inner.entries.entry(key).or_insert_with(|| Entry {
             strong: None,
             weak: Weak::new(),
@@ -241,17 +356,17 @@ impl TraceCache {
         });
         entry.last_use = tick;
         if entry.strong.is_none() {
-            entry.strong = Some(Arc::clone(records));
-            entry.weak = Arc::downgrade(records);
+            entry.strong = Some(Arc::clone(trace));
+            entry.weak = Arc::downgrade(trace);
             inner.resident += entry.bytes;
         }
         self.enforce_budget(inner, &key);
     }
 
-    /// The materialised trace of `bench` at `seed`, `len` records long.
+    /// The shared encoded trace of `bench` at `seed`, `len` records long.
     /// Generated on first request, shared thereafter; possibly reloaded
     /// from the disk tier if it was spilled in between.
-    pub fn get(&self, bench: Benchmark, seed: u64, len: u64) -> Arc<Vec<TraceRecord>> {
+    pub fn encoded(&self, bench: Benchmark, seed: u64, len: u64) -> Arc<EncodedTrace> {
         let key = (bench, seed, len);
         // Fast path under the lock: RAM tier, or an outstanding Arc.
         let spill = {
@@ -260,61 +375,47 @@ impl TraceCache {
             let tick = inner.tick;
             if let Some(entry) = inner.entries.get_mut(&key) {
                 entry.last_use = tick;
-                if let Some(strong) = &entry.strong {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(strong);
-                }
-                if let Some(alive) = entry.weak.upgrade() {
-                    // Evicted but still replaying somewhere: re-admit.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    entry.strong = Some(Arc::clone(&alive));
-                    let bytes = entry.bytes;
-                    inner.resident += bytes;
-                    self.enforce_budget(&mut inner, &key);
-                    return alive;
-                }
-                entry.spill.clone()
-            } else {
-                None
             }
+            if let Some(trace) = self.live(&mut inner, &key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return trace;
+            }
+            inner.entries.get(&key).and_then(|e| e.spill.clone())
         };
         // Slow path without the lock: disk tier, else generate.
-        let records = spill
-            .as_ref()
-            .and_then(|path| match read_trace(path) {
-                Ok((_, recs)) if recs.len() as u64 == len => {
-                    self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::new(recs))
-                }
-                // Unreadable or stale spill: regenerate below.
-                _ => None,
-            })
-            .unwrap_or_else(|| {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Arc::new(bench.build(seed).collect(len as usize))
-            });
-        // First insertion wins: if a racer beat us back, take its copy so
-        // every caller shares one Arc.
-        let mut inner = self.inner.lock().expect("trace cache poisoned");
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            if let Some(strong) = &entry.strong {
-                return Arc::clone(strong);
-            }
-            if let Some(alive) = entry.weak.upgrade() {
-                entry.strong = Some(Arc::clone(&alive));
-                let bytes = entry.bytes;
-                inner.resident += bytes;
-                self.enforce_budget(&mut inner, &key);
-                return alive;
-            }
+        let reloaded = spill.and_then(|path| reload_trace(&path, len));
+        if reloaded.is_some() {
+            self.disk_loads.fetch_add(1, Ordering::Relaxed);
         }
-        self.admit(&mut inner, key, &records);
-        records
+        let trace = reloaded.unwrap_or_else(|| {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let mut g = bench.build(seed);
+            EncodedTrace::encode((0..len).map(|_| g.next_record()))
+        });
+        self.share(key, Arc::new(trace))
     }
 
-    /// Preloads a trace (e.g. read from a `--trace-file`) so later `get`s
-    /// for its key share it without generating. First insertion wins: if
-    /// the key is already live, the existing `Arc` is returned instead.
+    /// Admits `trace` under `key` unless a racer got there first, in
+    /// which case every caller shares the racer's `Arc`.
+    fn share(&self, key: TraceKey, trace: Arc<EncodedTrace>) -> Arc<EncodedTrace> {
+        let mut inner = self.inner.lock().expect("trace cache poisoned");
+        if let Some(live) = self.live(&mut inner, &key) {
+            return live;
+        }
+        self.admit(&mut inner, key, &trace);
+        trace
+    }
+
+    /// A decoded copy of the trace of `bench` at `seed`, `len` records
+    /// long (see [`encoded`](TraceCache::encoded)).
+    pub fn get(&self, bench: Benchmark, seed: u64, len: u64) -> Vec<TraceRecord> {
+        self.encoded(bench, seed, len).iter().collect()
+    }
+
+    /// Preloads a trace (e.g. read from a `--trace-file`) so later
+    /// requests for its key share it without generating. The records are
+    /// encoded as they arrive. First insertion wins: if the key is
+    /// already live, the existing `Arc` is returned instead.
     ///
     /// # Panics
     ///
@@ -323,32 +424,17 @@ impl TraceCache {
         &self,
         bench: Benchmark,
         seed: u64,
-        records: Vec<TraceRecord>,
-    ) -> Arc<Vec<TraceRecord>> {
-        assert!(!records.is_empty(), "cannot cache an empty trace");
-        let key = (bench, seed, records.len() as u64);
-        let records = Arc::new(records);
-        let mut inner = self.inner.lock().expect("trace cache poisoned");
-        if let Some(entry) = inner.entries.get_mut(&key) {
-            if let Some(strong) = &entry.strong {
-                return Arc::clone(strong);
-            }
-            if let Some(alive) = entry.weak.upgrade() {
-                entry.strong = Some(Arc::clone(&alive));
-                let bytes = entry.bytes;
-                inner.resident += bytes;
-                self.enforce_budget(&mut inner, &key);
-                return alive;
-            }
-        }
-        self.admit(&mut inner, key, &records);
-        records
+        records: impl IntoIterator<Item = TraceRecord>,
+    ) -> Arc<EncodedTrace> {
+        let trace = EncodedTrace::encode(records);
+        assert!(!trace.is_empty(), "cannot cache an empty trace");
+        self.share((bench, seed, trace.len()), Arc::new(trace))
     }
 
     /// A replaying [`WorkloadGen`] for `bench` at `seed`, backed by the
     /// shared trace.
     pub fn replay(&self, bench: Benchmark, seed: u64, len: u64) -> ReplayWorkload {
-        ReplayWorkload::new(bench.label(), self.get(bench, seed, len))
+        ReplayWorkload::new(bench.label(), self.encoded(bench, seed, len))
     }
 
     /// One replaying workload per core of `mix`, each `len` records long.
@@ -379,8 +465,8 @@ impl TraceCache {
         )
     }
 
-    /// Bytes currently held by the RAM tier. At most `budget` + the size
-    /// of the largest single trace (the soft-cap guarantee).
+    /// Encoded bytes currently held by the RAM tier. At most `budget` +
+    /// the size of the largest single trace (the soft-cap guarantee).
     pub fn resident_bytes(&self) -> usize {
         self.inner.lock().expect("trace cache poisoned").resident
     }
@@ -404,6 +490,11 @@ impl Drop for TraceCache {
 mod tests {
     use super::*;
 
+    /// Encoded size of the `len`-record trace of `bench` at seed 1.
+    fn encoded_size(bench: Benchmark, len: u64) -> usize {
+        TraceCache::new().encoded(bench, 1, len).encoded_bytes()
+    }
+
     #[test]
     fn replay_equals_generation() {
         let cache = TraceCache::new();
@@ -417,10 +508,10 @@ mod tests {
     #[test]
     fn cache_shares_one_arc_per_key() {
         let cache = TraceCache::new();
-        let a = cache.get(Benchmark::Gcc, 3, 100);
-        let b = cache.get(Benchmark::Gcc, 3, 100);
+        let a = cache.encoded(Benchmark::Gcc, 3, 100);
+        let b = cache.encoded(Benchmark::Gcc, 3, 100);
         assert!(Arc::ptr_eq(&a, &b));
-        let c = cache.get(Benchmark::Gcc, 4, 100);
+        let c = cache.encoded(Benchmark::Gcc, 4, 100);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats(), (1, 2));
     }
@@ -450,51 +541,55 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_replay_rejected() {
-        let _ = ReplayWorkload::new("x", Arc::new(Vec::new()));
+        let _ = ReplayWorkload::new("x", Arc::new(EncodedTrace::encode([])));
     }
 
     #[test]
     fn budget_evicts_lru_and_regenerates_identically() {
-        let rec = std::mem::size_of::<TraceRecord>();
-        // Room for two 100-record traces, not three.
-        let cache = TraceCache::with_budget(2 * 100 * rec);
-        let a = cache.get(Benchmark::Mcf, 1, 100);
-        let a_snapshot: Vec<_> = a.to_vec();
-        let _b = cache.get(Benchmark::Gcc, 1, 100);
+        let (mcf, gcc, lbm) = (
+            encoded_size(Benchmark::Mcf, 100),
+            encoded_size(Benchmark::Gcc, 100),
+            encoded_size(Benchmark::Lbm, 100),
+        );
+        // Room for any two of the three traces, not all three.
+        let budget = (mcf + gcc).max(gcc + lbm);
+        let cache = TraceCache::with_budget(budget);
+        let a = cache.encoded(Benchmark::Mcf, 1, 100);
+        let a_snapshot: Vec<_> = a.iter().collect();
+        let _b = cache.encoded(Benchmark::Gcc, 1, 100);
         drop(a); // no outstanding Arc → eviction really frees it
-        let _c = cache.get(Benchmark::Lbm, 1, 100);
-        assert!(cache.resident_bytes() <= 2 * 100 * rec);
+        let _c = cache.encoded(Benchmark::Lbm, 1, 100);
+        assert!(cache.resident_bytes() <= budget);
         // Mcf (LRU) was evicted; regeneration is bit-identical.
-        let a2 = cache.get(Benchmark::Mcf, 1, 100);
-        assert_eq!(*a2, a_snapshot);
+        assert_eq!(cache.get(Benchmark::Mcf, 1, 100), a_snapshot);
         assert_eq!(cache.stats().1, 4, "mcf regenerated after eviction");
     }
 
     #[test]
     fn outstanding_arc_survives_eviction_pointer_equal() {
-        let rec = std::mem::size_of::<TraceRecord>();
-        let cache = TraceCache::with_budget(100 * rec);
-        let a = cache.get(Benchmark::Mcf, 1, 100);
-        let _b = cache.get(Benchmark::Gcc, 1, 100); // evicts mcf from RAM tier
-                                                    // The held Arc keeps the trace alive: a re-get re-shares it.
-        let a2 = cache.get(Benchmark::Mcf, 1, 100);
+        let cache = TraceCache::with_budget(encoded_size(Benchmark::Mcf, 100));
+        let a = cache.encoded(Benchmark::Mcf, 1, 100);
+        let _b = cache.encoded(Benchmark::Gcc, 1, 100); // evicts mcf from RAM tier
+                                                        // The held Arc keeps the trace alive: a re-request re-shares it.
+        let a2 = cache.encoded(Benchmark::Mcf, 1, 100);
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!(cache.stats().1, 2, "no regeneration while an Arc lives");
     }
 
     #[test]
     fn spill_tier_round_trips() {
-        let rec = std::mem::size_of::<TraceRecord>();
         let dir = std::env::temp_dir().join(format!("drishti-spill-test-{}", std::process::id()));
-        let cache = TraceCache::with_spill(100 * rec, &dir).unwrap();
-        let a_snapshot = cache.get(Benchmark::Mcf, 1, 100).to_vec();
-        drop(cache.get(Benchmark::Gcc, 1, 100)); // spills mcf…
-        drop(cache.get(Benchmark::Mcf, 1, 100)); // …gcc spills, mcf reloads
+        let budget = encoded_size(Benchmark::Mcf, 100);
+        let cache = TraceCache::with_spill(budget, &dir).unwrap();
+        let a_snapshot = cache.get(Benchmark::Mcf, 1, 100);
+        drop(cache.encoded(Benchmark::Gcc, 1, 100)); // spills mcf…
+        drop(cache.encoded(Benchmark::Mcf, 1, 100)); // …gcc spills, mcf reloads
         let a2 = cache.get(Benchmark::Mcf, 1, 100);
-        assert_eq!(*a2, a_snapshot, "disk round-trip is bit-identical");
+        assert_eq!(a2, a_snapshot, "disk round-trip is bit-identical");
         let (spills, disk_loads) = cache.tier_stats();
         assert!(spills >= 1, "eviction spilled to {}", dir.display());
         assert!(disk_loads >= 1, "reload came from the disk tier");
+        assert_eq!(cache.stats().1, 2, "the reload regenerated nothing");
         drop(cache);
         let _ = std::fs::remove_dir(&dir); // cache Drop removed the files
     }
@@ -504,10 +599,11 @@ mod tests {
         let cache = TraceCache::new();
         let records: Vec<_> = Benchmark::Mcf.build(5).collect(50);
         let a = cache.insert(Benchmark::Mcf, 5, records.clone());
-        // get() for the same key shares the preloaded copy, no generation.
-        let b = cache.get(Benchmark::Mcf, 5, 50);
+        // A request for the same key shares the preloaded copy, no generation.
+        let b = cache.encoded(Benchmark::Mcf, 5, 50);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().1, 0, "preload avoided generation");
+        assert_eq!(cache.get(Benchmark::Mcf, 5, 50), records);
         // A second insert yields the existing Arc, not the new one.
         let c = cache.insert(Benchmark::Mcf, 5, records);
         assert!(Arc::ptr_eq(&a, &c));

@@ -1,5 +1,5 @@
-//! Frame codec: delta + varint encoding of [`TraceRecord`]s and the
-//! FNV-1a 64 checksum that guards each frame.
+//! Record codec: delta + varint encoding of [`TraceRecord`]s and the
+//! FNV-1a 64 checksum that guards each file frame.
 //!
 //! Per record, in order:
 //!
@@ -8,10 +8,12 @@
 //!    so deltas are tiny;
 //! 3. `varint(zigzag(line - prev_line))` — cache lines cluster spatially.
 //!
-//! `prev_pc`/`prev_line` start at 0 **per frame**, never carried across a
+//! `prev_pc`/`prev_line` ([`DeltaChain`]) start at 0 at the head of each
+//! chain. In a file every frame is its own chain, never carried across a
 //! frame boundary: each frame decodes with no context, which is what lets
 //! [`StreamingTrace`](super::StreamingTrace) rewind by seeking to the
-//! first frame.
+//! first frame. The trace cache's RAM tier keeps a whole trace as one
+//! chain.
 
 use crate::TraceRecord;
 
@@ -42,6 +44,9 @@ pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// Reads one varint from `buf` starting at `*pos`, advancing `*pos`.
 ///
 /// Returns `None` on truncation or an overlong (> 10 byte) encoding.
+/// Always inlined: as a call, each of a record's three reads passes
+/// `pos` through memory, and a replayed record cost about 20% more.
+#[inline(always)]
 pub(crate) fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -73,17 +78,50 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encodes `records` into `out` (cleared first) as one frame payload.
-pub(crate) fn encode_frame(records: &[TraceRecord], out: &mut Vec<u8>) {
-    out.clear();
-    let mut prev_pc: u64 = 0;
-    let mut prev_line: u64 = 0;
-    for r in records {
+/// The delta state of one record chain: the previous record's `pc` and
+/// `line`, both zero before the chain's first record.
+///
+/// [`encode`](DeltaChain::encode) and [`decode`](DeltaChain::decode) are
+/// the one per-record step of the encoding. File frames run one chain per
+/// frame; the trace cache's RAM tier
+/// ([`EncodedTrace`](crate::replay::EncodedTrace)) runs one per trace.
+#[derive(Debug, Default)]
+pub(crate) struct DeltaChain {
+    prev_pc: u64,
+    prev_line: u64,
+}
+
+impl DeltaChain {
+    /// Appends `r` to `out`, delta-encoded against the previous record.
+    #[inline]
+    pub(crate) fn encode(&mut self, r: &TraceRecord, out: &mut Vec<u8>) {
         put_varint(out, (u64::from(r.instr_gap) << 1) | u64::from(r.is_store));
-        put_varint(out, zigzag(r.pc.wrapping_sub(prev_pc) as i64));
-        put_varint(out, zigzag(r.line.wrapping_sub(prev_line) as i64));
-        prev_pc = r.pc;
-        prev_line = r.line;
+        put_varint(out, zigzag(r.pc.wrapping_sub(self.prev_pc) as i64));
+        put_varint(out, zigzag(r.line.wrapping_sub(self.prev_line) as i64));
+        self.prev_pc = r.pc;
+        self.prev_line = r.line;
+    }
+
+    /// Decodes the record at `buf[*pos..]`, advancing `*pos`. The error
+    /// names the field that failed to decode.
+    #[inline]
+    pub(crate) fn decode(
+        &mut self,
+        buf: &[u8],
+        pos: &mut usize,
+    ) -> Result<TraceRecord, &'static str> {
+        let gap_store = get_varint(buf, pos).ok_or("bad gap varint")?;
+        let instr_gap = u32::try_from(gap_store >> 1).map_err(|_| "instr_gap overflow")?;
+        let dpc = get_varint(buf, pos).ok_or("bad pc varint")?;
+        let dline = get_varint(buf, pos).ok_or("bad line varint")?;
+        self.prev_pc = self.prev_pc.wrapping_add(unzigzag(dpc) as u64);
+        self.prev_line = self.prev_line.wrapping_add(unzigzag(dline) as u64);
+        Ok(TraceRecord {
+            instr_gap,
+            pc: self.prev_pc,
+            line: self.prev_line,
+            is_store: gap_store & 1 == 1,
+        })
     }
 }
 
@@ -100,29 +138,12 @@ pub(crate) fn decode_frame(
 ) -> Result<(), String> {
     out.clear();
     let mut pos = 0usize;
-    let mut prev_pc: u64 = 0;
-    let mut prev_line: u64 = 0;
+    let mut chain = DeltaChain::default();
     for i in 0..count {
-        let gap_store =
-            get_varint(payload, &mut pos).ok_or_else(|| format!("bad gap varint at record {i}"))?;
-        let gap = gap_store >> 1;
-        if gap > u64::from(u32::MAX) {
-            return Err(format!("instr_gap overflow at record {i}"));
-        }
-        let dpc =
-            get_varint(payload, &mut pos).ok_or_else(|| format!("bad pc varint at record {i}"))?;
-        let dline = get_varint(payload, &mut pos)
-            .ok_or_else(|| format!("bad line varint at record {i}"))?;
-        let pc = prev_pc.wrapping_add(unzigzag(dpc) as u64);
-        let line = prev_line.wrapping_add(unzigzag(dline) as u64);
-        out.push(TraceRecord {
-            instr_gap: gap as u32,
-            pc,
-            line,
-            is_store: gap_store & 1 == 1,
-        });
-        prev_pc = pc;
-        prev_line = line;
+        let r = chain
+            .decode(payload, &mut pos)
+            .map_err(|what| format!("{what} at record {i}"))?;
+        out.push(r);
     }
     if pos != payload.len() {
         return Err(format!(
@@ -136,6 +157,15 @@ pub(crate) fn decode_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(records: &[TraceRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut chain = DeltaChain::default();
+        for r in records {
+            chain.encode(r, &mut out);
+        }
+        out
+    }
 
     #[test]
     fn varint_round_trip_edges() {
@@ -186,8 +216,7 @@ mod tests {
                 is_store: false,
             },
         ];
-        let mut payload = Vec::new();
-        encode_frame(&records, &mut payload);
+        let payload = encode(&records);
         let mut back = Vec::new();
         decode_frame(&payload, records.len() as u32, &mut back).unwrap();
         assert_eq!(back, records);
@@ -201,8 +230,7 @@ mod tests {
             line: 3,
             is_store: false,
         }];
-        let mut payload = Vec::new();
-        encode_frame(&records, &mut payload);
+        let mut payload = encode(&records);
         payload.push(0);
         let mut back = Vec::new();
         assert!(decode_frame(&payload, 1, &mut back).is_err());

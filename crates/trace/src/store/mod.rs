@@ -29,7 +29,7 @@
 //! [`TraceRecord`]: crate::TraceRecord
 //! [`WorkloadGen`]: crate::WorkloadGen
 
-mod codec;
+pub(crate) mod codec;
 mod reader;
 mod writer;
 

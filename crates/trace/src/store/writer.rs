@@ -4,12 +4,12 @@ use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use super::codec::{encode_frame, fnv1a64};
+use super::codec::{fnv1a64, DeltaChain};
 use super::{StoreError, COUNT_OFFSET, DEFAULT_FRAME_LEN, MAGIC, VERSION};
 use crate::TraceRecord;
 
 /// Streams [`TraceRecord`]s into a `drishti-trace/v1` file, buffering at
-/// most one frame in memory.
+/// most one encoded frame in memory.
 ///
 /// The header's record count is written as a placeholder and patched on
 /// [`finish`](TraceWriter::finish) — a writer that is dropped without
@@ -19,8 +19,10 @@ use crate::TraceRecord;
 pub struct TraceWriter {
     out: BufWriter<File>,
     frame_len: u32,
-    pending: Vec<TraceRecord>,
+    /// The open frame: its records so far, encoded, and their count.
     payload: Vec<u8>,
+    pending: u32,
+    chain: DeltaChain,
     written: u64,
 }
 
@@ -60,34 +62,37 @@ impl TraceWriter {
         Ok(TraceWriter {
             out,
             frame_len,
-            pending: Vec::with_capacity(frame_len as usize),
             payload: Vec::new(),
+            pending: 0,
+            chain: DeltaChain::default(),
             written: 0,
         })
     }
 
     /// Appends one record, flushing a frame to disk when full.
     pub fn push(&mut self, rec: TraceRecord) -> Result<(), StoreError> {
-        self.pending.push(rec);
-        if self.pending.len() == self.frame_len as usize {
+        self.chain.encode(&rec, &mut self.payload);
+        self.pending += 1;
+        if self.pending == self.frame_len {
             self.flush_frame()?;
         }
         Ok(())
     }
 
     fn flush_frame(&mut self) -> Result<(), StoreError> {
-        if self.pending.is_empty() {
+        if self.pending == 0 {
             return Ok(());
         }
-        encode_frame(&self.pending, &mut self.payload);
         self.out
             .write_all(&(self.payload.len() as u32).to_le_bytes())?;
-        self.out
-            .write_all(&(self.pending.len() as u32).to_le_bytes())?;
+        self.out.write_all(&self.pending.to_le_bytes())?;
         self.out.write_all(&fnv1a64(&self.payload).to_le_bytes())?;
         self.out.write_all(&self.payload)?;
-        self.written += self.pending.len() as u64;
-        self.pending.clear();
+        self.written += u64::from(self.pending);
+        self.payload.clear();
+        self.pending = 0;
+        // Every frame is its own delta chain (see `codec`).
+        self.chain = DeltaChain::default();
         Ok(())
     }
 

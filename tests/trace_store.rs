@@ -1,8 +1,8 @@
 //! Integration tests for the `drishti-trace/v1` on-disk store: codec
 //! round-trips (property-based), typed corruption reporting, streaming
 //! replay bit-identity with bounded memory, and the two-tier trace
-//! cache's pointer-equality contract under concurrency (see DESIGN.md
-//! §12).
+//! cache: its encoded RAM tier's bit-exact replay and size, and its
+//! pointer-equality contract under concurrency (see DESIGN.md §12).
 
 use drishti_sim::runner::{run_mix, run_mix_cached, RunConfig};
 use drishti_trace::mix::Mix;
@@ -294,6 +294,119 @@ fn streaming_reader_memory_stays_bounded() {
     assert!(peak >= 512 * std::mem::size_of::<TraceRecord>());
 }
 
+/// Records at the extremes of every field: pc and line jump between 0 and
+/// `u64::MAX` in both directions, `instr_gap` reaches `u32::MAX`, and both
+/// store values occur.
+const EXTREMES: [TraceRecord; 4] = [
+    TraceRecord {
+        instr_gap: u32::MAX,
+        pc: 0,
+        line: u64::MAX,
+        is_store: true,
+    },
+    TraceRecord {
+        instr_gap: 0,
+        pc: u64::MAX,
+        line: 0,
+        is_store: false,
+    },
+    TraceRecord {
+        instr_gap: u32::MAX,
+        pc: u64::MAX,
+        line: u64::MAX,
+        is_store: false,
+    },
+    TraceRecord {
+        instr_gap: 1,
+        pc: 0,
+        line: 0,
+        is_store: true,
+    },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary records, extremes included, go into the cache's encoded
+    /// RAM tier through `insert` and replay bit-exactly across two
+    /// wraparounds, where the delta chain restarts from zero.
+    #[test]
+    fn inserted_records_replay_bit_exactly_across_wraps(
+        recs in prop::collection::vec(
+            (any::<u32>(), any::<u64>(), any::<u64>(), any::<bool>()),
+            0..200,
+        ),
+        at in any::<usize>(),
+    ) {
+        let mut records: Vec<TraceRecord> = recs
+            .iter()
+            .map(|&(instr_gap, pc, line, is_store)| TraceRecord {
+                instr_gap,
+                pc,
+                line,
+                is_store,
+            })
+            .collect();
+        let at = at % (records.len() + 1);
+        records.splice(at..at, EXTREMES);
+        let len = records.len() as u64;
+        let cache = TraceCache::new();
+        let shared = cache.insert(Benchmark::Mcf, 1, records.clone());
+        let mut replay = cache.replay(Benchmark::Mcf, 1, len);
+        prop_assert!(Arc::ptr_eq(replay.records(), &shared));
+        for (i, want) in records.iter().cycle().take(3 * records.len()).enumerate() {
+            prop_assert_eq!(replay.next_record(), *want, "record {}", i);
+        }
+        prop_assert_eq!(cache.get(Benchmark::Mcf, 1, len), records);
+        prop_assert_eq!(cache.stats().1, 0, "insert left nothing to generate");
+    }
+
+    /// A replay that has served `k` records and then skips `n` serves
+    /// record `(k + n) mod len` next, for any `n`.
+    #[test]
+    fn replay_skip_lands_on_n_mod_len(
+        len in 1u64..300,
+        k in 0u64..600,
+        n in any::<u64>(),
+        small in 0u64..1_000,
+    ) {
+        let cache = TraceCache::new();
+        let records = cache.get(Benchmark::Gcc, 5, len);
+        for n in [n, small] {
+            let mut replay = cache.replay(Benchmark::Gcc, 5, len);
+            for _ in 0..k {
+                replay.next_record();
+            }
+            replay.skip_records(n);
+            let at = ((u128::from(k) + u128::from(n)) % u128::from(len)) as usize;
+            prop_assert_eq!(replay.next_record(), records[at], "k {} n {}", k, n);
+        }
+    }
+}
+
+/// The RAM tier keeps traces encoded: a 250k-record preset trace (the
+/// per-core span of a 16-core alone run) costs at most 8 bytes per record
+/// against the 24 of a decoded `TraceRecord`.
+#[test]
+fn cached_trace_costs_at_most_8_bytes_per_record() {
+    let len = 250_000;
+    for bench in [Benchmark::Mcf, Benchmark::BcTwitter] {
+        let cache = TraceCache::new();
+        let _ = cache.replay(bench, 1, len);
+        let per_record = cache.resident_bytes() as f64 / len as f64;
+        assert!(
+            per_record <= 8.0,
+            "{} keeps {per_record:.2} B/record",
+            bench.label()
+        );
+    }
+}
+
+/// Encoded size of the `len`-record trace of `bench` at `seed`.
+fn encoded_size(bench: Benchmark, seed: u64, len: u64) -> usize {
+    TraceCache::new().encoded(bench, seed, len).encoded_bytes()
+}
+
 /// Satellite regression test: a byte-capped cache still upholds the
 /// pointer-equality contract for concurrently racing cells. Every thread
 /// acquires the contended key, churns the cache past its budget with
@@ -301,10 +414,15 @@ fn streaming_reader_memory_stays_bounded() {
 /// one `Arc` because at least one racer holds it alive throughout.
 #[test]
 fn capped_cache_shares_one_arc_across_racing_threads() {
-    let rec = std::mem::size_of::<TraceRecord>();
-    // Budget: one 200-record trace; the churn keys guarantee evictions.
-    let cache = Arc::new(TraceCache::with_budget(200 * rec));
     let threads = 8;
+    let churn = |t: usize| (0..4).map(move |seed| seed + t as u64 * 10);
+    // Budget: one 200-record trace; the churn keys guarantee evictions.
+    let budget = encoded_size(Benchmark::Mcf, 1, 200);
+    let largest = (0..threads)
+        .flat_map(churn)
+        .map(|seed| encoded_size(Benchmark::Gcc, seed, 200))
+        .fold(budget, usize::max);
+    let cache = Arc::new(TraceCache::with_budget(budget));
     let barrier = Arc::new(Barrier::new(threads));
     let handles: Vec<_> = (0..threads)
         .map(|t| {
@@ -312,13 +430,13 @@ fn capped_cache_shares_one_arc_across_racing_threads() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                let first = cache.get(Benchmark::Mcf, 1, 200);
+                let first = cache.encoded(Benchmark::Mcf, 1, 200);
                 // Churn: distinct keys large enough to evict everything
                 // not pinned by an outstanding Arc.
-                for seed in 0..4 {
-                    let _ = cache.get(Benchmark::Gcc, seed + t as u64 * 10, 200);
+                for seed in churn(t) {
+                    let _ = cache.encoded(Benchmark::Gcc, seed, 200);
                 }
-                let again = cache.get(Benchmark::Mcf, 1, 200);
+                let again = cache.encoded(Benchmark::Mcf, 1, 200);
                 assert!(
                     Arc::ptr_eq(&first, &again),
                     "thread {t} saw the shared trace replaced mid-flight"
@@ -336,7 +454,7 @@ fn capped_cache_shares_one_arc_across_racing_threads() {
         );
     }
     assert!(
-        cache.resident_bytes() <= 2 * 200 * rec,
+        cache.resident_bytes() <= budget + largest,
         "budget is a soft cap: at most budget + one trace resident"
     );
 }
@@ -358,10 +476,15 @@ fn capped_spilling_cache_preserves_run_results() {
         drishti_core::config::DrishtiConfig::baseline(2),
         &rc,
     );
-    let rec = std::mem::size_of::<TraceRecord>();
     let dir = std::env::temp_dir().join(format!("drishti-store-test-{}-spill", std::process::id()));
-    // Budget below one core's trace (3000 records) forces spill traffic.
-    let cache = TraceCache::with_spill(2_000 * rec, &dir).unwrap();
+    // A budget below either core's encoded trace (3000 records) holds one
+    // trace at a time, so every admission spills the other.
+    let budget = (0..mix.cores())
+        .map(|c| encoded_size(mix.benchmarks[c], mix.seeds[c], 3_000))
+        .min()
+        .unwrap()
+        - 1;
+    let cache = TraceCache::with_spill(budget, &dir).unwrap();
     for round in 0..3 {
         let r = run_mix_cached(
             &mix,
@@ -375,6 +498,9 @@ fn capped_spilling_cache_preserves_run_results() {
             "round {round} diverged from the generated run"
         );
     }
+    let (spills, disk_loads) = cache.tier_stats();
+    assert!(spills > 0, "the budget forced no spill");
+    assert!(disk_loads > 0, "no round replayed a reloaded trace");
     drop(cache);
     let _ = std::fs::remove_dir(&dir);
 }
