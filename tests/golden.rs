@@ -6,6 +6,11 @@
 //! any diff here is a *behaviour* change — intended or not — and must be
 //! reviewed, not papered over.
 //!
+//! `tests/golden/llc_decisions.txt` pins every policy's replacement
+//! decisions directly: one fixed request stream through a small
+//! `SlicedLlc` that is under pressure, where the 4-core table's 8 MB LLC
+//! is not (SHiP++ reads the same there as LRU).
+//!
 //! # Blessing a new snapshot
 //!
 //! When a change intentionally moves the numbers (new policy tuning,
@@ -20,6 +25,8 @@
 //! Never bless to silence a diff you cannot explain.
 
 use drishti::core::config::DrishtiConfig;
+use drishti::mem::access::Access;
+use drishti::mem::llc::{LlcGeometry, SlicedLlc};
 use drishti::policies::factory::PolicyKind;
 use drishti::sim::config::SystemConfig;
 use drishti::sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig};
@@ -27,13 +34,15 @@ use drishti::sim::sampling::SamplingSpec;
 use drishti::sim::sweep::report::{scenario_coverage_rows, SweepReport};
 use drishti::sim::sweep::{JobKind, SweepJob};
 use drishti::sim::telemetry::TelemetrySpec;
-use drishti::trace::mix::Mix;
+use drishti::trace::mix::{paper_mixes, Mix};
 use drishti::trace::presets::Benchmark;
 use drishti::trace::scenario::datacenter_mix;
+use drishti::trace::WorkloadGen;
 use std::path::Path;
 
 const SNAPSHOT: &str = "tests/golden/metrics_4core.txt";
 const COVERAGE_SNAPSHOT: &str = "tests/golden/scenario_coverage.txt";
+const DECISIONS_SNAPSHOT: &str = "tests/golden/llc_decisions.txt";
 
 fn rc() -> RunConfig {
     RunConfig {
@@ -172,4 +181,115 @@ fn golden_scenario_coverage_matches_snapshot() {
     table.push_str(&report.to_json_string());
     table.push('\n');
     check_snapshot(&table, COVERAGE_SNAPSHOT);
+}
+
+/// Geometry of the decisions table: 2 slices × 64 sets × 8 ways (64 KiB),
+/// small enough that the fixed stream keeps every set under pressure.
+const DECISIONS_GEOM: LlcGeometry = LlcGeometry {
+    slices: 2,
+    sets_per_slice: 64,
+    ways: 8,
+    latency: 20,
+};
+
+/// The decisions table's LLC request stream: the first heterogeneous
+/// 2-core fig13 preset mix, cores round-robin. Every third record also
+/// prefetches the next line, and every fifth record writes back the
+/// oldest of the core's last eight stored lines, so all four request
+/// kinds reach the policies.
+fn decision_stream(len: usize) -> Vec<Access> {
+    let cores = 2;
+    let mix = &paper_mixes(cores, 3, 3)[3];
+    let mut workloads = mix.build();
+    let mut stored: Vec<Vec<u64>> = vec![Vec::new(); cores];
+    let mut out = Vec::with_capacity(len + len / 2);
+    let mut i = 0usize;
+    while out.len() < len {
+        let c = i % cores;
+        let rec = workloads[c].next_record();
+        if rec.is_store {
+            out.push(Access::store(c, rec.pc, rec.line));
+            stored[c].push(rec.line);
+            if stored[c].len() > 8 {
+                stored[c].remove(0);
+            }
+        } else {
+            out.push(Access::load(c, rec.pc, rec.line));
+        }
+        if i % 3 == 0 {
+            out.push(Access::prefetch(c, rec.pc, rec.line + 1));
+        }
+        if i % 5 == 0 && !stored[c].is_empty() {
+            out.push(Access::writeback(c, stored[c].remove(0)));
+        }
+        i += 1;
+    }
+    out.truncate(len);
+    out
+}
+
+/// The decisions table, freshly computed: one line per (policy, org) with
+/// the hit, miss, fill, bypass and DRAM write-back counts, the summed
+/// policy-charged latency and the policy's diagnostics.
+fn compute_decisions() -> String {
+    const LEN: usize = 30_000;
+    let stream = decision_stream(LEN);
+    let geom = DECISIONS_GEOM;
+    let mut out = format!(
+        "# stream=paper_mixes(2,3,3)[3] accesses={LEN} slices={} sets={} ways={}\n",
+        geom.slices, geom.sets_per_slice, geom.ways
+    );
+    out.push_str(
+        "# policy/org hits misses fills bypasses dram_writebacks extra_latency diagnostics...\n",
+    );
+    for kind in PolicyKind::all() {
+        for (org_label, cfg) in [
+            ("baseline", DrishtiConfig::baseline(geom.slices)),
+            ("drishti", DrishtiConfig::drishti(geom.slices)),
+        ] {
+            let mut llc = SlicedLlc::new(geom, kind.build(&geom, cfg));
+            let (mut hits, mut misses, mut extra) = (0u64, 0u64, 0u64);
+            for (i, acc) in stream.iter().enumerate() {
+                let cycle = i as u64 * 8;
+                let r = llc.lookup(acc, cycle);
+                extra += r.extra_latency;
+                if r.hit {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                    extra += llc.fill(acc, cycle).extra_latency;
+                }
+            }
+            let s = llc.stats();
+            out.push_str(&format!(
+                "{kind}/{org_label} hits={hits} misses={misses} fills={} bypasses={} \
+                 dram_writebacks={} extra_latency={extra}",
+                s.fills, s.bypasses, s.dram_writebacks
+            ));
+            for (name, v) in llc.policy().diagnostics() {
+                out.push_str(&format!(" {name}={v}"));
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Pins every policy's replacement decisions under both organisations.
+#[test]
+fn golden_llc_decisions_match_snapshot() {
+    let table = compute_decisions();
+    let row = |prefix: &str| {
+        let line = table
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix} row"));
+        line.split_whitespace().take(7).collect::<Vec<_>>()[1..].to_vec()
+    };
+    assert_ne!(
+        row("ship++/baseline "),
+        row("lru/baseline "),
+        "the stream must put SHiP++'s training in play"
+    );
+    check_snapshot(&table, DECISIONS_SNAPSHOT);
 }
