@@ -172,11 +172,11 @@ echo "killed sweep resumed to a byte-identical report; journal cleaned up"
 
 # Checkpoint gate: a single run checkpointed with --save (every 15000
 # steps and at completion) must restore to the same per-core IPC, and a
-# file whose header claims the older drishti-ckpt/v1 container must be
-# refused by version with a typed error (exit 2, not a panic's 101). The
-# .drck files stay in $out for upload if the gate fails. (Runs in --quick
-# too.)
-step "checkpoint gate (--save/--restore IPC, v1 refused by version)"
+# file whose header claims an older container (drishti-ckpt/v1 or /v2)
+# must be refused by version with a typed error (exit 2, not a panic's
+# 101). The .drck files stay in $out for upload if the gate fails. (Runs
+# in --quick too.)
+step "checkpoint gate (--save/--restore IPC, v1 and v2 refused by version)"
 ck_args=(--cores 4 --mix homo:mcf --policy mockingjay --org drishti --accesses 20000
          --warmup 5000)
 "$sim" "${ck_args[@]}" --save "$out/gate.drck" --checkpoint-every 15000 >"$out/ckpt_saved.txt"
@@ -186,16 +186,19 @@ if ! diff -u <(grep 'IPC' "$out/ckpt_saved.txt") <(grep 'IPC' "$out/ckpt_restore
   exit 1
 fi
 # Bytes 8-11 of the header hold the container version (little-endian u32).
-cp "$out/gate.drck" "$out/gate_v1.drck"
-printf '\x01\x00\x00\x00' | dd of="$out/gate_v1.drck" bs=1 seek=8 conv=notrunc status=none
-v1_status=0
-"$sim" "${ck_args[@]}" --restore "$out/gate_v1.drck" >/dev/null 2>"$out/ckpt_v1.err" || v1_status=$?
-if [[ $v1_status -ne 2 ]] || ! grep -q 'drishti-ckpt/v1' "$out/ckpt_v1.err"; then
-  echo "FAIL: a drishti-ckpt/v1 header was not refused by version (exit $v1_status)" >&2
-  cat "$out/ckpt_v1.err" >&2
-  exit 1
-fi
-echo "restored run matches the checkpointed run; drishti-ckpt/v1 refused by version"
+for v in 1 2; do
+  cp "$out/gate.drck" "$out/gate_v$v.drck"
+  printf "\\x0$v\\x00\\x00\\x00" | dd of="$out/gate_v$v.drck" bs=1 seek=8 conv=notrunc status=none
+  old_status=0
+  "$sim" "${ck_args[@]}" --restore "$out/gate_v$v.drck" >/dev/null 2>"$out/ckpt_v$v.err" ||
+    old_status=$?
+  if [[ $old_status -ne 2 ]] || ! grep -q "drishti-ckpt/v$v" "$out/ckpt_v$v.err"; then
+    echo "FAIL: a drishti-ckpt/v$v header was not refused by version (exit $old_status)" >&2
+    cat "$out/ckpt_v$v.err" >&2
+    exit 1
+  fi
+done
+echo "restored run matches the checkpointed run; drishti-ckpt/v1 and /v2 refused by version"
 
 # Fuzz-smoke gate: 64 seed-derived conformance cells (differential
 # RefCache shadow + metamorphic re-runs) with the pinned CI seed must run

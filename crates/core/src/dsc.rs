@@ -117,16 +117,39 @@ impl drishti_noc::snap::Persist for Phase {
 }
 
 // Mutable selector state only; `cfg` is rebuilt from configuration.
-drishti_noc::impl_persist_fields!(DynamicSampledCache {
-    counters,
-    phase,
-    slot_of,
-    sampled,
-    rng_state,
-    changed_slots,
-    reselections,
-    uniform_epochs,
-});
+// Policies index their sampler slots with what `slot_of` and
+// `changed_slots` return, so a load checks the restored tables against
+// each other and refuses any that could send a slot out of range.
+impl drishti_noc::snap::Persist for DynamicSampledCache {
+    fn save(&self, w: &mut drishti_noc::snap::StateWriter) {
+        self.counters.save(w);
+        self.phase.save(w);
+        self.slot_of.save(w);
+        self.sampled.save(w);
+        self.rng_state.save(w);
+        self.changed_slots.save(w);
+        self.reselections.save(w);
+        self.uniform_epochs.save(w);
+    }
+    fn load(
+        &mut self,
+        r: &mut drishti_noc::snap::StateReader<'_>,
+    ) -> Result<(), drishti_noc::snap::SnapError> {
+        self.counters.load(r)?;
+        self.phase.load(r)?;
+        self.slot_of.load(r)?;
+        self.sampled.load(r)?;
+        self.rng_state.load(r)?;
+        self.changed_slots.load(r)?;
+        self.reselections.load(r)?;
+        self.uniform_epochs.load(r)?;
+        self.check()
+            .map_err(|detail| drishti_noc::snap::SnapError::Invalid {
+                what: "dynamic sampled cache",
+                detail,
+            })
+    }
+}
 
 /// Per-slice dynamic sampled-set selector.
 #[derive(Debug, Clone)]
@@ -187,6 +210,53 @@ impl DynamicSampledCache {
     /// The configuration in use.
     pub fn config(&self) -> &DscConfig {
         &self.cfg
+    }
+
+    /// Whether the state is one `new` and `observe` can reach: counters
+    /// within `k` bits, a phase with work left in its window, `sampled`
+    /// and `slot_of` inverse to each other, and `changed_slots` a strictly
+    /// increasing list of slots.
+    fn check(&self) -> Result<(), String> {
+        let max = self.cfg.counter_max();
+        if let Some(c) = self.counters.iter().find(|&&c| c > max) {
+            return Err(format!(
+                "counter {c} exceeds the {}-bit maximum {max}",
+                self.cfg.k_bits
+            ));
+        }
+        let (remaining, window) = match self.phase {
+            Phase::Monitoring { remaining } => (remaining, self.cfg.monitor_interval),
+            Phase::Active { remaining } => (remaining, self.cfg.active_interval),
+        };
+        if remaining == 0 || remaining > window {
+            return Err(format!(
+                "phase has {remaining} accesses left of a {window}-access window"
+            ));
+        }
+        let n_sets = self.slot_of.len();
+        for (slot, &set) in self.sampled.iter().enumerate() {
+            if set >= n_sets || self.slot_of[set] as usize != slot + 1 {
+                return Err(format!(
+                    "sampled slot {slot} names set {set}, which does not map back to it"
+                ));
+            }
+        }
+        let mapped = self.slot_of.iter().filter(|&&s| s != 0).count();
+        if mapped != self.sampled.len() {
+            return Err(format!(
+                "{mapped} sets map to a slot, but {} slots are sampled",
+                self.sampled.len()
+            ));
+        }
+        let ordered = self.changed_slots.windows(2).all(|p| p[0] < p[1]);
+        if !ordered || self.changed_slots.iter().any(|&s| s >= self.sampled.len()) {
+            return Err(format!(
+                "changed slots {:?} are not increasing slots below {}",
+                self.changed_slots,
+                self.sampled.len()
+            ));
+        }
+        Ok(())
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -402,6 +472,40 @@ mod tests {
         fresh.load(&mut StateReader::new(w.bytes())).unwrap();
         assert_eq!(fresh.sampled_sets(), dsc.sampled_sets());
         assert_eq!(fresh.changed_slots(), dsc.changed_slots());
+    }
+
+    #[test]
+    fn inconsistent_restored_tables_are_refused() {
+        use drishti_noc::snap::{Persist, SnapError, StateReader, StateWriter};
+        let cfg = tiny_cfg(4, 400, 1000);
+        let good = DynamicSampledCache::new(cfg, 16);
+        let spare = (0..16).find(|&s| !good.is_sampled(s)).unwrap();
+        type Corrupt = fn(&mut DynamicSampledCache, usize);
+        let corruptions: [(&str, Corrupt); 6] = [
+            ("slot out of range", |d, spare| d.slot_of[spare] = 9),
+            ("extra mapped set", |d, spare| d.slot_of[spare] = 1),
+            ("sampled set out of range", |d, _| d.sampled[0] = 16),
+            ("changed slot out of range", |d, _| {
+                d.changed_slots = vec![4]
+            }),
+            ("counter past k bits", |d, _| d.counters[0] = 256),
+            ("spent phase", |d, _| {
+                d.phase = Phase::Active { remaining: 0 }
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = good.clone();
+            corrupt(&mut bad, spare);
+            let mut w = StateWriter::new();
+            bad.save(&mut w);
+            let mut fresh = DynamicSampledCache::new(cfg, 16);
+            match fresh.load(&mut StateReader::new(w.bytes())) {
+                Err(SnapError::Invalid { what: field, .. }) => {
+                    assert_eq!(field, "dynamic sampled cache", "{what}")
+                }
+                other => panic!("{what}: expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

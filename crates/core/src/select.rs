@@ -40,14 +40,12 @@ impl Default for SetSelector {
     }
 }
 
+// A fixed selector never changes after construction, so only its
+// variant tag is run-state worth saving.
 impl drishti_noc::snap::Persist for SetSelector {
     fn save(&self, w: &mut drishti_noc::snap::StateWriter) {
         match self {
-            SetSelector::Fixed { slot_of, sampled } => {
-                w.put_u8(0);
-                slot_of.save(w);
-                sampled.save(w);
-            }
+            SetSelector::Fixed { .. } => w.put_u8(0),
             SetSelector::Dynamic(dsc) => {
                 w.put_u8(1);
                 dsc.save(w);
@@ -64,10 +62,7 @@ impl drishti_noc::snap::Persist for SetSelector {
         // snapshot's variant must agree with the configured one — a mismatch
         // means the snapshot came from a different configuration.
         match (tag, &mut *self) {
-            (0, SetSelector::Fixed { slot_of, sampled }) => {
-                slot_of.load(r)?;
-                sampled.load(r)
-            }
+            (0, SetSelector::Fixed { .. }) => Ok(()),
             (1, SetSelector::Dynamic(dsc)) => dsc.load(r),
             (0 | 1, _) => Err(SnapError::Invalid {
                 what: "set selector tag",

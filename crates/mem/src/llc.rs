@@ -20,7 +20,7 @@ use crate::access::{Access, AccessKind};
 use crate::bits::{bit_assign, bit_get, bit_set, range_mask};
 use crate::policy::{Decision, LlcLineState, LlcLoc, LlcPolicy, SetProbe};
 use crate::shadow::{FillOutcome, LlcObserver};
-use crate::{CoreId, LineAddr};
+use crate::LineAddr;
 use drishti_noc::slicehash::{SliceHasher, XorFoldHash};
 
 /// Geometry of the sliced LLC.
@@ -203,13 +203,12 @@ pub struct FillResult {
 
 /// The sliced LLC.
 ///
-/// Line metadata is held struct-of-arrays (DESIGN.md §15): one packed tag
-/// plane for the probe scan, `u64` bitsets for valid/dirty, and separate
-/// core/signature planes that are only touched on hits, victims and
-/// fills. The global line index is `slice * lines_per_slice + set *
-/// ways + way`. Policies and observers still see [`LlcLineState`]: the
-/// container materialises per-set views at the boundary. Checkpoints save
-/// the planes themselves.
+/// The container keeps residency only, struct-of-arrays (DESIGN.md §15):
+/// one packed tag plane for the probe scan and `u64` bitsets for
+/// valid/dirty. The global line index is `slice * lines_per_slice + set *
+/// ways + way`. Policies get the hit or filled way and the displaced
+/// line; whatever else they train on (SHiP++'s and Hawkeye's installing
+/// PC and core) they keep themselves. Checkpoints save the planes.
 pub struct SlicedLlc {
     geom: LlcGeometry,
     /// Cached `geom.lines_per_slice()`.
@@ -222,12 +221,6 @@ pub struct SlicedLlc {
     valid: Vec<u64>,
     /// Dirty bits, packed 64 lines per word.
     dirty: Vec<u64>,
-    /// Installing core per line (read on hit/victim/fill only).
-    cores: Vec<CoreId>,
-    /// Installing PC signature per line (read on hit/victim/fill only).
-    sigs: Vec<u64>,
-    /// Reusable per-set [`LlcLineState`] view handed to the policy.
-    view: Vec<LlcLineState>,
     set_counters: Vec<Vec<SetCounters>>,
     slice_counters: Vec<SliceCounters>,
     stats: LlcStats,
@@ -281,9 +274,6 @@ impl SlicedLlc {
             tags: vec![0; total],
             valid: vec![0; words],
             dirty: vec![0; words],
-            cores: vec![0; total],
-            sigs: vec![0; total],
-            view: Vec::with_capacity(geom.ways),
             set_counters: vec![vec![SetCounters::default(); geom.sets_per_slice]; geom.slices],
             slice_counters: vec![SliceCounters::default(); geom.slices],
             geom,
@@ -301,40 +291,13 @@ impl SlicedLlc {
         slice * self.lps + set * self.geom.ways
     }
 
-    /// The [`LlcLineState`] view of the line at global index `g`.
+    /// The [`LlcLineState`] of the line at global index `g`.
     #[inline]
     fn line_state_at(&self, g: usize) -> LlcLineState {
         LlcLineState {
             line: self.tags[g],
             valid: bit_get(&self.valid, g),
             dirty: bit_get(&self.dirty, g),
-            core: self.cores[g],
-            signature: self.sigs[g],
-        }
-    }
-
-    /// Rebuild the reusable per-set view for the set at `base`. The valid
-    /// and dirty masks are extracted once per set, not once per way.
-    fn refresh_view(&mut self, base: usize) {
-        let ways = self.geom.ways;
-        self.view.clear();
-        if ways <= 64 {
-            let vm = range_mask(&self.valid, base, ways);
-            let dm = range_mask(&self.dirty, base, ways);
-            for w in 0..ways {
-                self.view.push(LlcLineState {
-                    line: self.tags[base + w],
-                    valid: vm >> w & 1 != 0,
-                    dirty: dm >> w & 1 != 0,
-                    core: self.cores[base + w],
-                    signature: self.sigs[base + w],
-                });
-            }
-        } else {
-            for w in 0..ways {
-                let s = self.line_state_at(base + w);
-                self.view.push(s);
-            }
         }
     }
 
@@ -445,8 +408,7 @@ impl SlicedLlc {
             if matches!(acc.kind, AccessKind::Store | AccessKind::Writeback) {
                 bit_set(&mut self.dirty, base + way);
             }
-            self.refresh_view(base);
-            let extra = self.policy.on_hit(loc, way, &self.view, acc, cycle);
+            let extra = self.policy.on_hit(loc, way, acc, cycle);
             if let Some(obs) = &mut self.observer {
                 obs.on_lookup(acc, loc, Some(way), &self.slice_counters[slice]);
             }
@@ -516,44 +478,36 @@ impl SlicedLlc {
             };
         }
 
-        // Prefer an invalid way; otherwise ask the policy. Track whether
-        // the victim scan already materialised the set view, so the
-        // post-install state for `on_fill` is a one-slot patch instead of
-        // a second full refresh.
-        let mut view_fresh = false;
+        // Prefer an invalid way; otherwise ask the policy.
         let (way, evicted) = match self.first_invalid(base) {
             Some(w) => (w, None),
-            None => {
-                view_fresh = true;
-                self.refresh_view(base);
-                match self.policy.choose_victim(loc, &self.view, acc, cycle) {
-                    Decision::Evict(w) => {
-                        assert!(w < self.geom.ways, "policy returned way {w} out of range");
-                        (w, Some(self.line_state_at(base + w)))
-                    }
-                    Decision::Bypass => {
-                        self.stats.bypasses += 1;
-                        self.slice_counters[slice].bypasses += 1;
-                        let probe = self.probe_for_observer(loc);
-                        if let Some(obs) = &mut self.observer {
-                            obs.on_fill(
-                                acc,
-                                loc,
-                                FillOutcome::Bypassed,
-                                &self.slice_counters[slice],
-                                probe.as_ref(),
-                            );
-                        }
-                        // The policy still sees the fill event as a bypass so
-                        // it can train; we model that as no state change.
-                        return FillResult {
-                            writeback: None,
-                            extra_latency: 0,
-                            bypassed: true,
-                        };
-                    }
+            None => match self.policy.choose_victim(loc, acc, cycle) {
+                Decision::Evict(w) => {
+                    assert!(w < self.geom.ways, "policy returned way {w} out of range");
+                    (w, Some(self.line_state_at(base + w)))
                 }
-            }
+                Decision::Bypass => {
+                    self.stats.bypasses += 1;
+                    self.slice_counters[slice].bypasses += 1;
+                    let probe = self.probe_for_observer(loc);
+                    if let Some(obs) = &mut self.observer {
+                        obs.on_fill(
+                            acc,
+                            loc,
+                            FillOutcome::Bypassed,
+                            &self.slice_counters[slice],
+                            probe.as_ref(),
+                        );
+                    }
+                    // The policy still sees the fill event as a bypass so
+                    // it can train; we model that as no state change.
+                    return FillResult {
+                        writeback: None,
+                        extra_latency: 0,
+                        bypassed: true,
+                    };
+                }
+            },
         };
 
         let writeback = evicted.and_then(|v| if v.dirty { Some(v.line) } else { None });
@@ -576,8 +530,6 @@ impl SlicedLlc {
             g,
             matches!(acc.kind, AccessKind::Store | AccessKind::Writeback),
         );
-        self.cores[g] = acc.core;
-        self.sigs[g] = acc.signature();
         self.stats.fills += 1;
         self.slice_counters[slice].fills += 1;
         if self.miscount_fill == Some(self.stats.fills) {
@@ -585,14 +537,7 @@ impl SlicedLlc {
             self.slice_counters[slice].fills += 1;
         }
 
-        if view_fresh {
-            self.view[way] = self.line_state_at(g);
-        } else {
-            self.refresh_view(base);
-        }
-        let extra = self
-            .policy
-            .on_fill(loc, way, &self.view, acc, evicted.as_ref(), cycle);
+        let extra = self.policy.on_fill(loc, way, acc, evicted.as_ref(), cycle);
         let probe = self.probe_for_observer(loc);
         if let Some(obs) = &mut self.observer {
             obs.on_fill(
@@ -645,8 +590,6 @@ impl SlicedLlc {
         self.tags.save(w);
         self.valid.save(w);
         self.dirty.save(w);
-        self.cores.save(w);
-        self.sigs.save(w);
         self.set_counters.save(w);
         self.slice_counters.save(w);
         self.stats.save(w);
@@ -663,8 +606,6 @@ impl SlicedLlc {
         self.tags.load(r)?;
         self.valid.load(r)?;
         self.dirty.load(r)?;
-        self.cores.load(r)?;
-        self.sigs.load(r)?;
         self.set_counters.load(r)?;
         self.slice_counters.load(r)?;
         self.stats.load(r)?;
@@ -713,21 +654,20 @@ mod tests {
         fn name(&self) -> String {
             "evict-zero".into()
         }
-        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &[LlcLineState], _: &Access, _: u64) -> u64 {
+        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &Access, _: u64) -> u64 {
             self.hits += 1;
             0
         }
         fn on_miss(&mut self, _: LlcLoc, _: &Access, _: u64) {
             self.misses += 1;
         }
-        fn choose_victim(&mut self, _: LlcLoc, _: &[LlcLineState], _: &Access, _: u64) -> Decision {
+        fn choose_victim(&mut self, _: LlcLoc, _: &Access, _: u64) -> Decision {
             Decision::Evict(0)
         }
         fn on_fill(
             &mut self,
             _: LlcLoc,
             _: usize,
-            _: &[LlcLineState],
             _: &Access,
             _: Option<&LlcLineState>,
             _: u64,

@@ -13,7 +13,7 @@
 //! paper Fig 11) is charged to the request.
 
 use crate::access::Access;
-use crate::{CoreId, LineAddr};
+use crate::LineAddr;
 use drishti_noc::NocStats;
 
 /// Where a request landed inside the sliced LLC.
@@ -25,8 +25,9 @@ pub struct LlcLoc {
     pub set: usize,
 }
 
-/// Replacement-relevant state of one resident LLC line, as exposed to
-/// policies.
+/// Residency of one LLC line: what the container itself keeps. Policies
+/// see it only as the line a fill displaced; anything else they train on
+/// (the installing PC or core, say) is theirs to keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LlcLineState {
     /// The resident line address (0 if invalid).
@@ -35,10 +36,6 @@ pub struct LlcLineState {
     pub valid: bool,
     /// Whether the line is dirty (must be written back on eviction).
     pub dirty: bool,
-    /// The core whose request installed the line.
-    pub core: CoreId,
-    /// The PC signature ([`Access::signature`]) that installed the line.
-    pub signature: u64,
 }
 
 /// A victim decision for a fill into a full set.
@@ -123,33 +120,22 @@ pub trait PolicyProbe {
 ///
 /// Implementations are constructed with the LLC geometry (see
 /// [`crate::llc::LlcGeometry`]) so they can size per-slice/per-set metadata.
+/// The container passes no view of the set: the associativity comes from
+/// that geometry, and per-line state a policy needs is its own.
 pub trait LlcPolicy: std::fmt::Debug {
     /// Human-readable policy name, e.g. `"mockingjay"` or `"d-hawkeye"`.
     fn name(&self) -> String;
 
-    /// A resident line was hit. `way` indexes into `lines`. Returns extra
-    /// critical-path cycles (almost always 0 on hits).
-    fn on_hit(
-        &mut self,
-        loc: LlcLoc,
-        way: usize,
-        lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> u64;
+    /// The resident line in `way` was hit. Returns extra critical-path
+    /// cycles (almost always 0 on hits).
+    fn on_hit(&mut self, loc: LlcLoc, way: usize, acc: &Access, cycle: u64) -> u64;
 
     /// A lookup missed (called before the fill, so samplers observe the
     /// miss even if the fill later bypasses).
     fn on_miss(&mut self, loc: LlcLoc, acc: &Access, cycle: u64);
 
-    /// Choose a victim for a fill into a *full* set.
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> Decision;
+    /// Choose a victim for a fill into a *full* set: every way is valid.
+    fn choose_victim(&mut self, loc: LlcLoc, acc: &Access, cycle: u64) -> Decision;
 
     /// A line was installed in `way` (after any eviction). `evicted` is the
     /// line that was displaced, if the set was full. Returns extra
@@ -159,7 +145,6 @@ pub trait LlcPolicy: std::fmt::Debug {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        lines: &[LlcLineState],
         acc: &Access,
         evicted: Option<&LlcLineState>,
         cycle: u64,
@@ -213,18 +198,17 @@ mod tests {
         fn name(&self) -> String {
             "evict-zero".into()
         }
-        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &[LlcLineState], _: &Access, _: u64) -> u64 {
+        fn on_hit(&mut self, _: LlcLoc, _: usize, _: &Access, _: u64) -> u64 {
             0
         }
         fn on_miss(&mut self, _: LlcLoc, _: &Access, _: u64) {}
-        fn choose_victim(&mut self, _: LlcLoc, _: &[LlcLineState], _: &Access, _: u64) -> Decision {
+        fn choose_victim(&mut self, _: LlcLoc, _: &Access, _: u64) -> Decision {
             Decision::Evict(0)
         }
         fn on_fill(
             &mut self,
             _: LlcLoc,
             _: usize,
-            _: &[LlcLineState],
             _: &Access,
             _: Option<&LlcLineState>,
             _: u64,

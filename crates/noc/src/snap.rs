@@ -8,7 +8,7 @@
 //! come from configuration, not from the snapshot: restore first rebuilds
 //! the component from its config, then loads the bytes into it, and the
 //! codec refuses a snapshot whose shape differs (see `Vec<T>`'s
-//! [`Persist`] impl). The container layer (`drishti-ckpt/v2` in
+//! [`Persist`] impl). The container layer (`drishti-ckpt/v3` in
 //! `crates/sim`) guards every section with an fnv1a64 checksum and a
 //! config hash; `load` defends against what the container cannot rule
 //! out — a checksummed section that is short or mis-shaped — via typed

@@ -108,14 +108,7 @@ impl LlcPolicy for Drrip {
         }
     }
 
-    fn on_hit(
-        &mut self,
-        loc: LlcLoc,
-        way: usize,
-        _lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> u64 {
+    fn on_hit(&mut self, loc: LlcLoc, way: usize, _acc: &Access, _cycle: u64) -> u64 {
         self.selectors[loc.slice].observe(loc.set, true);
         *self.rrpv.get_mut(loc.slice, loc.set, way) = 0;
         0
@@ -137,16 +130,10 @@ impl LlcPolicy for Drrip {
         self.selectors[loc.slice].observe(loc.set, false);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
         loop {
             let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().take(lines.len()).position(|&r| r >= MAX_RRPV) {
+            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
                 return Decision::Evict(w);
             }
             for r in set.iter_mut() {
@@ -159,7 +146,6 @@ impl LlcPolicy for Drrip {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         _evicted: Option<&LlcLineState>,
         _cycle: u64,

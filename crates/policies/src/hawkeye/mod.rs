@@ -110,6 +110,11 @@ drishti_noc::impl_persist_fields!(HawkeyeDiag {
 pub struct Hawkeye {
     label: String,
     rrpv: PerLine<u8>,
+    /// PC signature that installed each line: the predictor entry a
+    /// friendly victim detrains.
+    sig: PerLine<u64>,
+    /// Core that installed each line (folded into the predictor index).
+    core: PerLine<u32>,
     selectors: Vec<SetSelector>,
     samplers: Vec<Vec<SampledSet>>,
     /// 3-bit saturating counters per predictor bank.
@@ -150,6 +155,8 @@ impl Hawkeye {
         Hawkeye {
             label,
             rrpv: PerLine::new(geom),
+            sig: PerLine::new(geom),
+            core: PerLine::new(geom),
             selectors,
             samplers,
             predictors: vec![vec![COUNTER_INIT; 1 << INDEX_BITS]; fabric.banks()],
@@ -299,6 +306,8 @@ impl LlcPolicy for Hawkeye {
     fn save_state(&self, w: &mut drishti_noc::snap::StateWriter) {
         use drishti_noc::snap::Persist;
         self.rrpv.save(w);
+        self.sig.save(w);
+        self.core.save(w);
         self.selectors.save(w);
         self.samplers.save(w);
         self.predictors.save(w);
@@ -313,6 +322,8 @@ impl LlcPolicy for Hawkeye {
     ) -> Result<(), drishti_noc::snap::SnapError> {
         use drishti_noc::snap::Persist;
         self.rrpv.load(r)?;
+        self.sig.load(r)?;
+        self.core.load(r)?;
         self.selectors.load(r)?;
         self.samplers.load(r)?;
         self.predictors.load(r)?;
@@ -325,14 +336,7 @@ impl LlcPolicy for Hawkeye {
         self.label.clone()
     }
 
-    fn on_hit(
-        &mut self,
-        loc: LlcLoc,
-        way: usize,
-        _lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> u64 {
+    fn on_hit(&mut self, loc: LlcLoc, way: usize, acc: &Access, cycle: u64) -> u64 {
         self.sample_access(loc, acc, true, cycle);
         *self.rrpv.get_mut(loc.slice, loc.set, way) = 0;
         0
@@ -342,26 +346,21 @@ impl LlcPolicy for Hawkeye {
         self.sample_access(loc, acc, false, cycle);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, cycle: u64) -> Decision {
         let rrpvs = self.rrpv.set(loc.slice, loc.set);
         // Prefer a cache-averse line.
-        if let Some(w) = rrpvs.iter().take(lines.len()).position(|&r| r == MAX_RRPV) {
+        if let Some(w) = rrpvs.iter().position(|&r| r == MAX_RRPV) {
             return Decision::Evict(w);
         }
         // No averse line: evict the oldest friendly line and detrain its PC.
-        let w = (0..lines.len())
+        let w = (0..rrpvs.len())
             .max_by_key(|&w| rrpvs[w])
             .expect("nonzero ways");
-        let victim = lines[w];
-        if victim.valid && victim.signature != 0 {
+        let sig = *self.sig.get(loc.slice, loc.set, w);
+        if sig != 0 {
             self.diag.detrains += 1;
-            self.train(loc.slice, victim.signature, victim.core, false, cycle);
+            let core = *self.core.get(loc.slice, loc.set, w) as usize;
+            self.train(loc.slice, sig, core, false, cycle);
         }
         Decision::Evict(w)
     }
@@ -370,11 +369,12 @@ impl LlcPolicy for Hawkeye {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         _evicted: Option<&LlcLineState>,
         cycle: u64,
     ) -> u64 {
+        *self.sig.get_mut(loc.slice, loc.set, way) = acc.signature();
+        *self.core.get_mut(loc.slice, loc.set, way) = acc.core as u32;
         if acc.kind == AccessKind::Writeback {
             // Dirty lines get the lowest priority (paper §5.2, Table 5).
             *self.rrpv.get_mut(loc.slice, loc.set, way) = MAX_RRPV;

@@ -60,14 +60,7 @@ impl LlcPolicy for Lru {
         "lru".into()
     }
 
-    fn on_hit(
-        &mut self,
-        loc: LlcLoc,
-        way: usize,
-        _lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> u64 {
+    fn on_hit(&mut self, loc: LlcLoc, way: usize, _acc: &Access, _cycle: u64) -> u64 {
         self.clock += 1;
         *self.stamp.get_mut(loc.slice, loc.set, way) = self.clock;
         0
@@ -75,15 +68,10 @@ impl LlcPolicy for Lru {
 
     fn on_miss(&mut self, _loc: LlcLoc, _acc: &Access, _cycle: u64) {}
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> Decision {
-        let victim = (0..lines.len())
-            .min_by_key(|&w| *self.stamp.get(loc.slice, loc.set, w))
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
+        let stamps = self.stamp.set(loc.slice, loc.set);
+        let victim = (0..stamps.len())
+            .min_by_key(|&w| stamps[w])
             .expect("nonzero ways");
         Decision::Evict(victim)
     }
@@ -92,7 +80,6 @@ impl LlcPolicy for Lru {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         _acc: &Access,
         _evicted: Option<&LlcLineState>,
         _cycle: u64,

@@ -411,14 +411,7 @@ impl LlcPolicy for Mockingjay {
         self.label.clone()
     }
 
-    fn on_hit(
-        &mut self,
-        loc: LlcLoc,
-        way: usize,
-        _lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> u64 {
+    fn on_hit(&mut self, loc: LlcLoc, way: usize, acc: &Access, cycle: u64) -> u64 {
         self.age(loc);
         self.sample_access(loc, acc, true, cycle);
         // Re-arm the line's ETR with a fresh prediction. The bank is read
@@ -439,13 +432,7 @@ impl LlcPolicy for Mockingjay {
         self.sample_access(loc, acc, false, cycle);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, acc: &Access, cycle: u64) -> Decision {
         // Predict the incoming line here so the bypass decision can compare
         // it against the resident ETRs; the fill consumes the result.
         let (units, lat) = if acc.kind == AccessKind::Writeback {
@@ -455,7 +442,7 @@ impl LlcPolicy for Mockingjay {
         };
 
         let etrs = self.etr.set(loc.slice, loc.set);
-        let victim = (0..lines.len())
+        let victim = (0..etrs.len())
             .max_by_key(|&w| etrs[w].unsigned_abs())
             .expect("nonzero ways");
 
@@ -477,7 +464,6 @@ impl LlcPolicy for Mockingjay {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         _evicted: Option<&LlcLineState>,
         cycle: u64,

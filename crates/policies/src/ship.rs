@@ -40,6 +40,11 @@ pub struct ShipPp {
     label: String,
     rrpv: PerLine<u8>,
     outcome: PerLine<bool>,
+    /// PC signature that installed each line: the SHCT entry its outcome
+    /// trains.
+    sig: PerLine<u64>,
+    /// Core that installed each line (folded into the SHCT index).
+    core: PerLine<u32>,
     selectors: Vec<SetSelector>,
     shct: Vec<Vec<u8>>,
     fabric: PredictorFabric,
@@ -70,6 +75,8 @@ impl ShipPp {
             label,
             rrpv: PerLine::new(geom),
             outcome: PerLine::new(geom),
+            sig: PerLine::new(geom),
+            core: PerLine::new(geom),
             shct: vec![vec![SHCT_INIT; 1 << SHCT_BITS]; fabric.banks()],
             fabric,
             selectors,
@@ -122,6 +129,8 @@ impl LlcPolicy for ShipPp {
         use drishti_noc::snap::Persist;
         self.rrpv.save(w);
         self.outcome.save(w);
+        self.sig.save(w);
+        self.core.save(w);
         self.selectors.save(w);
         self.shct.save(w);
         self.fabric.save_state(w);
@@ -136,6 +145,8 @@ impl LlcPolicy for ShipPp {
         use drishti_noc::snap::Persist;
         self.rrpv.load(r)?;
         self.outcome.load(r)?;
+        self.sig.load(r)?;
+        self.core.load(r)?;
         self.selectors.load(r)?;
         self.shct.load(r)?;
         self.fabric.load_state(r)?;
@@ -147,14 +158,7 @@ impl LlcPolicy for ShipPp {
         self.label.clone()
     }
 
-    fn on_hit(
-        &mut self,
-        loc: LlcLoc,
-        way: usize,
-        lines: &[LlcLineState],
-        acc: &Access,
-        cycle: u64,
-    ) -> u64 {
+    fn on_hit(&mut self, loc: LlcLoc, way: usize, acc: &Access, cycle: u64) -> u64 {
         self.selectors[loc.slice].observe(loc.set, true);
         *self.rrpv.get_mut(loc.slice, loc.set, way) = 0;
         // Sampled sets train on the first reuse of a line.
@@ -162,9 +166,10 @@ impl LlcPolicy for ShipPp {
             && !*self.outcome.get(loc.slice, loc.set, way)
         {
             *self.outcome.get_mut(loc.slice, loc.set, way) = true;
-            let line = lines[way];
             if acc.kind.has_pc() {
-                self.train(loc.slice, line.signature, line.core, true, cycle);
+                let sig = *self.sig.get(loc.slice, loc.set, way);
+                let core = *self.core.get(loc.slice, loc.set, way) as usize;
+                self.train(loc.slice, sig, core, true, cycle);
             }
         }
         0
@@ -174,16 +179,10 @@ impl LlcPolicy for ShipPp {
         self.selectors[loc.slice].observe(loc.set, false);
     }
 
-    fn choose_victim(
-        &mut self,
-        loc: LlcLoc,
-        lines: &[LlcLineState],
-        _acc: &Access,
-        _cycle: u64,
-    ) -> Decision {
+    fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
         loop {
             let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().take(lines.len()).position(|&r| r >= MAX_RRPV) {
+            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
                 return Decision::Evict(w);
             }
             for r in set.iter_mut() {
@@ -196,22 +195,24 @@ impl LlcPolicy for ShipPp {
         &mut self,
         loc: LlcLoc,
         way: usize,
-        _lines: &[LlcLineState],
         acc: &Access,
         evicted: Option<&LlcLineState>,
         cycle: u64,
     ) -> u64 {
-        // Detrain the dead victim if this is a sampled set.
-        if let Some(v) = evicted {
-            if self.selectors[loc.slice].slot_of(loc.set).is_some()
-                && v.valid
-                && v.signature != 0
-                && !*self.outcome.get(loc.slice, loc.set, way)
-            {
-                self.train(loc.slice, v.signature, v.core, false, cycle);
-            }
+        // Detrain the dead victim if this is a sampled set. `way` still
+        // holds the victim's installer until the writes below.
+        let victim_sig = *self.sig.get(loc.slice, loc.set, way);
+        if evicted.is_some()
+            && self.selectors[loc.slice].slot_of(loc.set).is_some()
+            && victim_sig != 0
+            && !*self.outcome.get(loc.slice, loc.set, way)
+        {
+            let core = *self.core.get(loc.slice, loc.set, way) as usize;
+            self.train(loc.slice, victim_sig, core, false, cycle);
         }
         *self.outcome.get_mut(loc.slice, loc.set, way) = false;
+        *self.sig.get_mut(loc.slice, loc.set, way) = acc.signature();
+        *self.core.get_mut(loc.slice, loc.set, way) = acc.core as u32;
 
         let (insert, lat) = if acc.kind == AccessKind::Writeback {
             (MAX_RRPV, 0)

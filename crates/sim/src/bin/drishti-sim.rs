@@ -67,7 +67,7 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
   crash recovery: sweeps with --report journal completed cells to
   PATH.journal; after a crash, re-running with --resume simulates only the
   unfinished cells and produces a byte-identical report. Single runs take
-  --save PATH to write a drishti-ckpt/v2 engine checkpoint at completion
+  --save PATH to write a drishti-ckpt/v3 engine checkpoint at completion
   (with --checkpoint-every N, also every N engine steps, atomically), and
   --restore PATH to continue a checkpointed run; a restored run's results
   are bit-identical to an uninterrupted one.
@@ -105,6 +105,10 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
   latency and cycles-per-flit of those links (defaults 32 and 4). NOCSTAR
   stays intra-chip: cross-chip predictor traffic pays the inter-chip
   segment. --chips 1 is bit-identical to a flat single-chip run.";
+
+/// Most LLC-slice plus L2 lines a simulated machine may hold: 32× the
+/// 256-core scaling study's LLC.
+const MAX_CACHE_LINES: usize = 1 << 28;
 
 /// Everything the CLI accepts, fully validated.
 struct CliArgs {
@@ -357,25 +361,27 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         ));
     }
     // Set counts are KiB × 2 (L2) and MiB × 1024 (LLC slice) and must be
-    // powers of two, so the sizes must be too, and the byte counts
-    // (KiB × 2^10 per L2, MiB × 2^20 per core across the LLC) must fit.
-    let llc_bytes = cli
-        .llc_mib
-        .checked_mul(1 << 20)
-        .and_then(|b| b.checked_mul(cli.cores));
-    let l2_bytes = cli.l2_kib.checked_mul(1 << 10);
-    for (flag, size, bytes) in [
-        ("--l2-kib", cli.l2_kib, l2_bytes),
-        ("--llc-mib", cli.llc_mib, llc_bytes),
-    ] {
+    // powers of two, so the sizes must be too.
+    for (flag, size) in [("--l2-kib", cli.l2_kib), ("--llc-mib", cli.llc_mib)] {
         if !size.is_power_of_two() {
             return Err(format!("{flag} must be a power of two, got {size}"));
         }
-        if bytes.is_none() {
-            return Err(format!(
-                "{flag} {size} is too large: its byte count overflows"
-            ));
-        }
+    }
+    // Every core brings an LLC slice (MiB × 2^14 lines) and an L2 (KiB ×
+    // 2^4 lines). Bound the machine's total so an absurd size is a usage
+    // error instead of an aborted allocation.
+    let lines = cli
+        .llc_mib
+        .checked_mul(1 << 14)
+        .zip(cli.l2_kib.checked_mul(1 << 4))
+        .and_then(|(slice, l2)| slice.checked_add(l2))
+        .and_then(|per_core| per_core.checked_mul(cli.cores));
+    if lines.is_none_or(|n| n > MAX_CACHE_LINES) {
+        return Err(format!(
+            "--cores {} with --llc-mib {} and --l2-kib {} is too large: more than \
+             2^28 simulated cache lines",
+            cli.cores, cli.llc_mib, cli.l2_kib
+        ));
     }
     if cli.record.is_some() && cli.trace_file.is_some() {
         return Err("--record and --trace-file are mutually exclusive".to_string());
@@ -1016,9 +1022,13 @@ mod tests {
 
     #[test]
     fn cache_sizes_whose_byte_count_overflows_are_rejected() {
+        // Parsing only: none of these machines is built.
         for args in [
             ["--llc-mib", "17592186044416"],
             ["--l2-kib", "9223372036854775808"],
+            ["--llc-mib", "1099511627776"],
+            ["--l2-kib", "1099511627776"],
+            ["--cores", "1099511627776"],
         ] {
             let err = parse(&args).err().expect("overflowing size accepted");
             assert!(err.contains(args[0]) && err.contains(args[1]), "{err}");

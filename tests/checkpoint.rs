@@ -1,10 +1,12 @@
 //! Integration tests for crash-resumable simulation (see DESIGN.md §14):
-//! the `drishti-ckpt/v2` engine checkpoint restores bit-identically across
+//! the `drishti-ckpt/v3` engine checkpoint restores bit-identically across
 //! every policy × organisation, the RefCache conformance contracts keep
 //! holding through a save/restore seam, telemetry timelines survive the
-//! seam, a checkpoint whose state is shaped for another configuration is
-//! a typed error, and an interrupted journaled sweep resumed with
-//! `--resume` produces a byte-identical report.
+//! seam, a checkpoint whose state is shaped for another configuration or
+//! whose checksummed `llc` section was altered is a typed error (or, for
+//! harmless alterations, a clean resume) and never a panic, and an
+//! interrupted journaled sweep resumed with `--resume` produces a
+//! byte-identical report.
 
 use drishti_core::config::DrishtiConfig;
 use drishti_noc::snap::StateWriter;
@@ -246,6 +248,116 @@ fn mis_shaped_policy_table_is_refused_at_restore() {
     match restore_engine_bytes(&mut second, &crafted) {
         Err(CkptError::SectionDecode { section: "llc", .. }) => {}
         other => panic!("expected an llc SectionDecode error, got {other:?}"),
+    }
+}
+
+/// The little-endian `u64` at `pos`.
+fn u64_at(b: &[u8], pos: usize) -> u64 {
+    u64::from_le_bytes(b[pos..pos + 8].try_into().unwrap())
+}
+
+/// The offset just past a snapshot-codec `Vec` of `elem`-byte elements
+/// that starts at `pos` (a `u64` length, then the elements).
+fn skip_vec(b: &[u8], pos: usize, elem: usize) -> usize {
+    pos + 8 + u64_at(b, pos) as usize * elem
+}
+
+/// A checkpoint with valid checksums and config hash whose D-Glider
+/// dynamic sampled cache maps every unsampled set of slice 0 to a sampler
+/// slot far past the end is refused as an `llc` decode error. Restored,
+/// it would panic indexing the samplers on the first access to such a set.
+#[test]
+fn out_of_range_dsc_slot_is_refused_at_restore() {
+    let org = DrishtiConfig::drishti(CORES);
+    let mut first = engine(PolicyKind::Glider, org.clone());
+    first.run_steps(3_000);
+    let bytes = save_engine_bytes(&first);
+    let mut policy_tail = StateWriter::new();
+    first.llc().policy().save_state(&mut policy_tail);
+
+    let crafted = with_section(&bytes, "llc", |payload| {
+        let mut p = payload.to_vec();
+        // Glider's state opens with its per-line RRPVs (`Vec<Vec<u8>>`),
+        // then its per-slice selectors (a `Vec`). Slice 0's dynamic
+        // selector is its tag, the counters (`Vec<u32>`), the phase (tag
+        // and count) and then `slot_of` (`Vec<u32>`).
+        let mut pos = p.len() - policy_tail.len();
+        let slices = u64_at(&p, pos) as usize;
+        pos += 8;
+        for _ in 0..slices {
+            pos = skip_vec(&p, pos, 1);
+        }
+        pos += 8;
+        assert_eq!(p[pos], 1, "slice 0 runs a dynamic selector");
+        let slot_of = skip_vec(&p, pos + 1, 4) + 9;
+        for set in 0..u64_at(&p, slot_of) as usize {
+            let at = slot_of + 8 + 4 * set;
+            if p[at..at + 4] == [0; 4] {
+                p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+        }
+        p
+    });
+    let mut second = engine(PolicyKind::Glider, org);
+    match restore_engine_bytes(&mut second, &crafted) {
+        Err(CkptError::SectionDecode {
+            section: "llc",
+            detail,
+        }) => assert!(detail.contains("dynamic sampled cache"), "{detail}"),
+        other => panic!("expected an llc SectionDecode error, got {other:?}"),
+    }
+}
+
+/// Seeded mutations of the `llc` section with its checksum recomputed:
+/// every restore either fails with a typed error or resumes and runs to
+/// completion, for every policy under both organisations. Three in four
+/// mutations land in the policy's state, the rest anywhere in the section.
+#[test]
+fn checksum_valid_llc_mutations_never_panic() {
+    const MUTATIONS: u64 = 6;
+    let mut state = 0xd15c_0c4e_u64;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for policy in all_policies() {
+        for (org, org_label) in orgs() {
+            let mut first = engine(policy, org.clone());
+            first.run_steps(3_000);
+            let bytes = save_engine_bytes(&first);
+            let mut policy_tail = StateWriter::new();
+            first.llc().policy().save_state(&mut policy_tail);
+            drop(first);
+            for m in 0..MUTATIONS {
+                let (pick, width, value) = (next(), 1 + next() as usize % 4, next());
+                let crafted = with_section(&bytes, "llc", |payload| {
+                    let mut p = payload.to_vec();
+                    let tail = policy_tail.len().max(1);
+                    let at = if pick % 4 != 0 {
+                        p.len() - tail + (pick >> 2) as usize % tail
+                    } else {
+                        (pick >> 2) as usize % p.len()
+                    };
+                    let end = (at + width).min(p.len());
+                    p[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+                    p
+                });
+                let outcome = std::panic::catch_unwind(|| {
+                    let mut second = engine(policy, org.clone());
+                    if restore_engine_bytes(&mut second, &crafted).is_ok() {
+                        second.run();
+                    }
+                });
+                assert!(
+                    outcome.is_ok(),
+                    "{policy}/{org_label}: llc mutation {m} panicked"
+                );
+            }
+        }
     }
 }
 

@@ -216,10 +216,10 @@ fn decision_stream(len: usize) -> Vec<Access> {
         } else {
             out.push(Access::load(c, rec.pc, rec.line));
         }
-        if i % 3 == 0 {
+        if i.is_multiple_of(3) {
             out.push(Access::prefetch(c, rec.pc, rec.line + 1));
         }
-        if i % 5 == 0 && !stored[c].is_empty() {
+        if i.is_multiple_of(5) && !stored[c].is_empty() {
             out.push(Access::writeback(c, stored[c].remove(0)));
         }
         i += 1;

@@ -243,8 +243,7 @@ mod soa_equivalence {
                 if matches!(acc.kind, AccessKind::Store | AccessKind::Writeback) {
                     set_lines[way].dirty = true;
                 }
-                let view = set_lines.to_vec();
-                let extra = self.policy.on_hit(loc, way, &view, acc, cycle);
+                let extra = self.policy.on_hit(loc, way, acc, cycle);
                 (true, extra)
             } else {
                 self.set_counters[slice][set].misses += 1;
@@ -282,17 +281,14 @@ mod soa_equivalence {
                 .position(|l| !l.valid);
             let (way, evicted) = match invalid {
                 Some(w) => (w, None),
-                None => {
-                    let view = self.lines[slice][start..start + ways].to_vec();
-                    match self.policy.choose_victim(loc, &view, acc, cycle) {
-                        Decision::Evict(w) => (w, Some(view[w])),
-                        Decision::Bypass => {
-                            self.stats.bypasses += 1;
-                            self.slice_counters[slice].bypasses += 1;
-                            return (None, 0, true);
-                        }
+                None => match self.policy.choose_victim(loc, acc, cycle) {
+                    Decision::Evict(w) => (w, Some(self.lines[slice][start + w])),
+                    Decision::Bypass => {
+                        self.stats.bypasses += 1;
+                        self.slice_counters[slice].bypasses += 1;
+                        return (None, 0, true);
                     }
-                }
+                },
             };
 
             let writeback = evicted.and_then(|v: LlcLineState| v.dirty.then_some(v.line));
@@ -311,16 +307,11 @@ mod soa_equivalence {
                 line: acc.line,
                 valid: true,
                 dirty: matches!(acc.kind, AccessKind::Store | AccessKind::Writeback),
-                core: acc.core,
-                signature: acc.signature(),
             };
             self.stats.fills += 1;
             self.slice_counters[slice].fills += 1;
 
-            let view = self.lines[slice][start..start + ways].to_vec();
-            let extra = self
-                .policy
-                .on_fill(loc, way, &view, acc, evicted.as_ref(), cycle);
+            let extra = self.policy.on_fill(loc, way, acc, evicted.as_ref(), cycle);
             (writeback, extra, false)
         }
 
@@ -431,9 +422,10 @@ proptest! {
     }
 }
 
-/// The `LlcLineState` views the container hands to policies reflect the
-/// installed SoA state exactly: every field of every way, at both the
-/// `on_hit` and `choose_victim` boundaries.
+/// What the container hands to policies matches its own state: the way
+/// `on_hit` names holds the hit line, `choose_victim` is asked only when
+/// the set is full, and the `evicted` line `on_fill` receives is the
+/// victim's exact residency (line, valid, dirty).
 #[test]
 fn llc_line_state_view_round_trips_at_policy_boundary() {
     use drishti::mem::policy::{Decision, LlcLineState, LlcLoc, LlcPolicy};
@@ -441,47 +433,42 @@ fn llc_line_state_view_round_trips_at_policy_boundary() {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    type Seen = Rc<RefCell<Vec<Vec<LlcLineState>>>>;
+    /// One policy callback as the spy saw it: `Hit(set, way, line)`,
+    /// `Victim(set, incoming line)`, `Fill(set, way, evicted)`.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Hit(usize, usize, u64),
+        Victim(usize, u64),
+        Fill(usize, usize, Option<LlcLineState>),
+    }
+    type Seen = Rc<RefCell<Vec<Call>>>;
 
-    /// Records every view it is handed; evicts way 0 when asked.
+    /// Records every callback; evicts way 0 when asked.
     #[derive(Debug)]
     struct SpyPolicy(Seen);
     impl LlcPolicy for SpyPolicy {
         fn name(&self) -> String {
             "spy".into()
         }
-        fn on_hit(
-            &mut self,
-            _: LlcLoc,
-            _: usize,
-            lines: &[LlcLineState],
-            _: &drishti::mem::access::Access,
-            _: u64,
-        ) -> u64 {
-            self.0.borrow_mut().push(lines.to_vec());
+        fn on_hit(&mut self, loc: LlcLoc, way: usize, acc: &Access, _: u64) -> u64 {
+            self.0.borrow_mut().push(Call::Hit(loc.set, way, acc.line));
             0
         }
-        fn on_miss(&mut self, _: LlcLoc, _: &drishti::mem::access::Access, _: u64) {}
-        fn choose_victim(
-            &mut self,
-            _: LlcLoc,
-            lines: &[LlcLineState],
-            _: &drishti::mem::access::Access,
-            _: u64,
-        ) -> Decision {
-            self.0.borrow_mut().push(lines.to_vec());
+        fn on_miss(&mut self, _: LlcLoc, _: &Access, _: u64) {}
+        fn choose_victim(&mut self, loc: LlcLoc, acc: &Access, _: u64) -> Decision {
+            self.0.borrow_mut().push(Call::Victim(loc.set, acc.line));
             Decision::Evict(0)
         }
         fn on_fill(
             &mut self,
-            _: LlcLoc,
-            _: usize,
-            lines: &[LlcLineState],
-            _: &drishti::mem::access::Access,
-            _: Option<&LlcLineState>,
+            loc: LlcLoc,
+            way: usize,
+            _: &Access,
+            evicted: Option<&LlcLineState>,
             _: u64,
         ) -> u64 {
-            self.0.borrow_mut().push(lines.to_vec());
+            let evicted = evicted.copied();
+            self.0.borrow_mut().push(Call::Fill(loc.set, way, evicted));
             0
         }
     }
@@ -501,54 +488,39 @@ fn llc_line_state_view_round_trips_at_policy_boundary() {
         Box::new(ModuloHash::new()),
     );
 
-    // Install two lines in set 0 with distinct cores/PCs/dirty bits.
+    // Install two lines in set 0, one dirty and one clean: invalid ways
+    // are filled in order and the policy is never asked for a victim.
     let a = Access::store(0, 0x100, 0); // line 0 -> set 0, dirty
     let b = Access::load(1, 0x200, 4); // line 4 -> set 0, clean
     assert!(!llc.lookup(&a, 0).hit);
     llc.fill(&a, 0);
     assert!(!llc.lookup(&b, 1).hit);
     llc.fill(&b, 1);
+    let installs = [Call::Fill(0, 0, None), Call::Fill(0, 1, None)];
+    assert_eq!(seen.borrow().as_slice(), &installs);
 
-    let expect = [
-        LlcLineState {
-            line: 0,
-            valid: true,
-            dirty: true,
-            core: 0,
-            signature: 0x100,
-        },
-        LlcLineState {
-            line: 4,
-            valid: true,
-            dirty: false,
-            core: 1,
-            signature: 0x200,
-        },
-    ];
-
-    // on_hit view: a lookup of line 0 must see both ways exactly.
+    // on_hit names the way that holds the hit line.
     seen.borrow_mut().clear();
-    assert!(llc.lookup(&Access::load(0, 0x300, 0), 2).hit);
-    assert_eq!(seen.borrow().as_slice(), &[expect.to_vec()]);
+    assert!(llc.lookup(&Access::load(0, 0x300, 4), 2).hit);
+    assert!(llc.lookup(&Access::load(0, 0x300, 0), 3).hit);
+    let hits = [Call::Hit(0, 1, 4), Call::Hit(0, 0, 0)];
+    assert_eq!(seen.borrow().as_slice(), &hits);
 
-    // choose_victim + on_fill views: a conflicting fill sees the full set
-    // pre-eviction, then the post-install state in way 0.
+    // A conflicting fill into the full set asks for a victim, then hands
+    // on_fill the displaced line exactly: line 0, valid, dirty.
     seen.borrow_mut().clear();
     let c = Access::load(0, 0x400, 8); // line 8 -> set 0, set now full
-    assert!(!llc.lookup(&c, 3).hit);
-    llc.fill(&c, 3);
-    let views = seen.borrow();
-    assert_eq!(views.len(), 2, "choose_victim then on_fill");
-    assert_eq!(views[0], expect.to_vec());
-    let mut after = expect.to_vec();
-    after[0] = LlcLineState {
-        line: 8,
+    assert!(!llc.lookup(&c, 4).hit);
+    let fr = llc.fill(&c, 4);
+    assert_eq!(fr.writeback, Some(0), "the dirty victim is written back");
+    let victim = LlcLineState {
+        line: 0,
         valid: true,
-        dirty: false,
-        core: 0,
-        signature: 0x400,
+        dirty: true,
     };
-    assert_eq!(views[1], after);
+    let eviction = [Call::Victim(0, 8), Call::Fill(0, 0, Some(victim))];
+    assert_eq!(seen.borrow().as_slice(), &eviction);
+    assert!(llc.peek(8) && llc.peek(4) && !llc.peek(0));
 }
 
 /// Historical proptest shrink of `llc_capacity_invariant`, promoted to an
