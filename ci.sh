@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a pull request must pass, fully offline.
 #
-#   ./ci.sh          # build + test + fmt + clippy + rustdoc + determinism gate
-#                    # + one traced benchmark trial against the pinned
-#                    # fingerprints
-#   ./ci.sh --quick  # skip the release build, rustdoc and the benchmark trial
-#                    # (debug test run, fmt, clippy and the determinism gate
-#                    # still run)
+#   ./ci.sh          # build + test + fmt + clippy + rustdoc + byte-diff gates
+#                    # + reduced-scale sweeps + one traced benchmark trial
+#                    # against the pinned fingerprints
+#   ./ci.sh --quick  # skip the release build, rustdoc, the reduced-scale
+#                    # sweeps and the benchmark trial (debug test run, fmt,
+#                    # clippy and the byte-diff gates still run)
+#
+# This script is the whole gate: the CI workflow runs it and nothing else.
 #
 # The workspace vendors its only external dev-dependency (a proptest API
 # shim under shims/), so --offline always works and no network access is
@@ -172,11 +174,11 @@ echo "killed sweep resumed to a byte-identical report; journal cleaned up"
 
 # Checkpoint gate: a single run checkpointed with --save (every 15000
 # steps and at completion) must restore to the same per-core IPC, and a
-# file whose header claims an older container (drishti-ckpt/v1 or /v2)
-# must be refused by version with a typed error (exit 2, not a panic's
-# 101). The .drck files stay in $out for upload if the gate fails. (Runs
-# in --quick too.)
-step "checkpoint gate (--save/--restore IPC, v1 and v2 refused by version)"
+# file whose header claims an older container (drishti-ckpt/v1, /v2 or
+# /v3) must be refused by version with a typed error (exit 2, not a
+# panic's 101). The .drck files stay in $out for upload if the gate fails.
+# (Runs in --quick too.)
+step "checkpoint gate (--save/--restore IPC, v1 to v3 refused by version)"
 ck_args=(--cores 4 --mix homo:mcf --policy mockingjay --org drishti --accesses 20000
          --warmup 5000)
 "$sim" "${ck_args[@]}" --save "$out/gate.drck" --checkpoint-every 15000 >"$out/ckpt_saved.txt"
@@ -186,7 +188,7 @@ if ! diff -u <(grep 'IPC' "$out/ckpt_saved.txt") <(grep 'IPC' "$out/ckpt_restore
   exit 1
 fi
 # Bytes 8-11 of the header hold the container version (little-endian u32).
-for v in 1 2; do
+for v in 1 2 3; do
   cp "$out/gate.drck" "$out/gate_v$v.drck"
   printf "\\x0$v\\x00\\x00\\x00" | dd of="$out/gate_v$v.drck" bs=1 seek=8 conv=notrunc status=none
   old_status=0
@@ -198,7 +200,7 @@ for v in 1 2; do
     exit 1
   fi
 done
-echo "restored run matches the checkpointed run; drishti-ckpt/v1 and /v2 refused by version"
+echo "restored run matches the checkpointed run; drishti-ckpt/v1 to /v3 refused by version"
 
 # Fuzz-smoke gate: 64 seed-derived conformance cells (differential
 # RefCache shadow + metamorphic re-runs) with the pinned CI seed must run
@@ -277,6 +279,23 @@ if ! grep -q '"family": "ingested"' "$out/scn_ingested.json"; then
   exit 1
 fi
 echo "ingest round-trip byte-identical; ingested replay covered as 'ingested'"
+
+# Sweep-smoke gate: the reduced table6, fig17 and resilience sweeps, a
+# drishti-sim multi-policy sweep and the 1-to-4-chip scaling ladder must
+# each run every cell (a failed cell exits 1). Their reports stay in $out
+# for upload if a step fails. About 30 s on 2 CPUs; skipped under --quick,
+# whose debug binaries would take minutes.
+if [[ $quick -eq 0 ]]; then
+  step "sweep-smoke gate (reduced table6, fig17, resilience, CLI sweep, scaling ladder)"
+  smoke_args=(--mixes 2 --cores 8 --accesses 20000)
+  target/release/table6_metrics "${smoke_args[@]}" --report "$out/table6_smoke.json" >/dev/null
+  target/release/fig17_ablation "${smoke_args[@]}" --report "$out/fig17_smoke.json" >/dev/null
+  target/release/resilience --accesses 20000 --report "$out/resilience_smoke.json" >/dev/null
+  "$sim" --cores 4 --mix homo:mcf --policy hawkeye,mockingjay --org baseline,drishti \
+    --accesses 20000 --warmup 5000 --report "$out/cli_sweep_smoke.json" >/dev/null
+  "$scaling" --mixes 1 --accesses 20000 --report "$out/scaling_ladder.json" >/dev/null
+  echo "reduced sweeps, the CLI sweep and the scaling ladder ran every cell"
+fi
 
 if [[ $quick -eq 0 ]]; then
   step "release-mode oracle/golden/telemetry/scheduler/scenario tests"

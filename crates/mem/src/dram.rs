@@ -15,6 +15,7 @@
 //! write-backs (paper Table 5) cost performance and energy.
 
 use crate::LineAddr;
+use drishti_noc::backlog::Backlog;
 use drishti_noc::faults::{FaultConfig, FaultDomain, FaultSchedule};
 
 /// DRAM timing/geometry parameters (in core cycles at 4 GHz).
@@ -85,34 +86,10 @@ impl Default for DramConfig {
     }
 }
 
-/// Leaky-bucket occupancy: `debt` cycles of pending work that drains one
-/// cycle per cycle; a new request waits behind it. Tolerant of slightly
-/// out-of-order request timestamps (cores' clocks drift within a
-/// scheduling step).
-#[derive(Debug, Clone, Copy, Default)]
-struct Occupancy {
-    debt: u64,
-    last: u64,
-}
-
-impl Occupancy {
-    #[inline]
-    fn occupy(&mut self, cycle: u64, work: u64) -> u64 {
-        let elapsed = cycle.saturating_sub(self.last);
-        self.debt = self.debt.saturating_sub(elapsed);
-        self.last = self.last.max(cycle);
-        let wait = self.debt;
-        self.debt += work;
-        wait
-    }
-}
-
-drishti_noc::impl_persist_fields!(Occupancy { debt, last });
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     open_row: Option<u64>,
-    busy: Occupancy,
+    busy: Backlog,
 }
 
 drishti_noc::impl_persist_fields!(Bank { open_row, busy });
@@ -181,7 +158,7 @@ pub struct DramChannelSnapshot {
 pub struct Dram {
     cfg: DramConfig,
     banks: Vec<Vec<Bank>>,
-    bus: Vec<Occupancy>,
+    bus: Vec<Backlog>,
     /// Buffered (posted) writes per channel, drained at the watermark.
     write_queues: Vec<Vec<LineAddr>>,
     /// Read bursts serviced per channel (post-re-steer).
@@ -206,7 +183,7 @@ impl Dram {
         );
         Dram {
             banks: vec![vec![Bank::default(); cfg.banks_per_channel]; cfg.channels],
-            bus: vec![Occupancy::default(); cfg.channels],
+            bus: vec![Backlog::default(); cfg.channels],
             write_queues: vec![Vec::new(); cfg.channels],
             chan_reads: vec![0; cfg.channels],
             chan_writes: vec![0; cfg.channels],
@@ -376,7 +353,7 @@ impl Dram {
                 reads: self.chan_reads[ch],
                 writes: self.chan_writes[ch],
                 queue_depth: self.write_queues[ch].len() as u64,
-                bus_backlog: self.bus[ch].debt,
+                bus_backlog: self.bus[ch].debt(),
             })
             .collect()
     }

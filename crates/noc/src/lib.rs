@@ -24,6 +24,9 @@
 //! * [`link::PredictorLink`] — the abstraction the replacement policies use
 //!   to reach a (possibly remote) reuse predictor, with implementations for
 //!   local (zero-cost), mesh-routed, NOCSTAR, and fixed-latency links.
+//! * [`backlog::Backlog`] — the leaky-bucket queue model every contended
+//!   resource shares: mesh and inter-chip links here, DRAM banks and buses
+//!   in `drishti-mem`.
 //!
 //! # Example
 //!
@@ -36,6 +39,7 @@
 //! assert!(latency >= mesh.hops(0, 15) as u64);
 //! ```
 
+pub mod backlog;
 pub mod faults;
 pub mod link;
 pub mod linmap;

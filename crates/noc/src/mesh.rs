@@ -13,6 +13,7 @@
 //! 32 cores, Fig 11) and growing contention with core count — at a cost that
 //! lets us simulate billions of events.
 
+use crate::backlog::LinkLoad;
 use crate::faults::{FaultConfig, FaultDomain, FaultSchedule};
 use crate::snap::SnapError;
 use crate::{NocStats, NodeId};
@@ -82,36 +83,6 @@ enum Dir {
     South = 3,
 }
 
-/// Per-link contention state: a leaky bucket of pending flits.
-///
-/// `debt` is the backlog of flits already accepted; it drains at one flit
-/// per cycle and a new message waits for the backlog ahead of it. Unlike a
-/// "link free at time T" pointer, a bucket tolerates slightly out-of-order
-/// arrival timestamps (different cores' clocks drift within a scheduling
-/// step), which would otherwise charge phantom waits.
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkState {
-    debt: u64,
-    last: u64,
-    /// Total flits ever pushed through this link (telemetry).
-    flits: u64,
-}
-
-crate::impl_persist_fields!(LinkState { debt, last, flits });
-
-impl LinkState {
-    #[inline]
-    fn occupy(&mut self, cycle: u64, flits: u64) -> u64 {
-        let elapsed = cycle.saturating_sub(self.last);
-        self.debt = self.debt.saturating_sub(elapsed);
-        self.last = self.last.max(cycle);
-        let wait = self.debt;
-        self.debt += flits;
-        self.flits += flits;
-        wait
-    }
-}
-
 /// A 2-D mesh with XY routing and per-link occupancy tracking.
 ///
 /// All latencies returned by [`Mesh::traverse`] are *end-to-end* (injection
@@ -119,8 +90,9 @@ impl LinkState {
 #[derive(Debug, Clone)]
 pub struct Mesh {
     cfg: MeshConfig,
-    /// Outgoing-link backlog per node and direction.
-    links: Vec<[LinkState; 4]>,
+    /// Outgoing-link backlog per node and direction; each flit holds a
+    /// link for one cycle.
+    links: Vec<[LinkLoad; 4]>,
     stats: NocStats,
     /// Injected-fault stream (`None` on the healthy fast path).
     faults: Option<FaultSchedule>,
@@ -139,7 +111,7 @@ impl Mesh {
     /// Create an idle mesh.
     pub fn new(cfg: MeshConfig) -> Self {
         Mesh {
-            links: vec![[LinkState::default(); 4]; cfg.nodes()],
+            links: vec![[LinkLoad::default(); 4]; cfg.nodes()],
             cfg,
             stats: NocStats::default(),
             faults: None,
@@ -259,7 +231,7 @@ impl Mesh {
                 (Dir::North, x, y - 1)
             };
             let node = y * self.cfg.width + x;
-            let wait = self.links[node][dir as usize].occupy(head_time, serialization);
+            let wait = self.links[node][dir as usize].carry(head_time, serialization, 1);
             contention += wait;
             head_time += wait + self.cfg.link_latency + self.cfg.router_latency;
             (x, y) = (nx, ny);

@@ -25,6 +25,7 @@
 //! block (link state, separate stats block, fault cursor), which stays
 //! idle and empty with one chip.
 
+use crate::backlog::LinkLoad;
 use crate::faults::{FaultConfig, FaultDomain, FaultSchedule};
 use crate::mesh::{Mesh, MeshConfig};
 use crate::snap::SnapError;
@@ -113,31 +114,6 @@ impl Default for TopologyConfig {
     }
 }
 
-/// Per-inter-chip-link backlog: the same leaky bucket as a mesh link, but
-/// each flit deposits [`ChipLinkConfig::serialization`] cycles of debt.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChipLinkState {
-    debt: u64,
-    last: u64,
-    /// Total flits ever pushed through this link (telemetry).
-    flits: u64,
-}
-
-crate::impl_persist_fields!(ChipLinkState { debt, last, flits });
-
-impl ChipLinkState {
-    #[inline]
-    fn occupy(&mut self, cycle: u64, flits: u64, serialization: u64) -> u64 {
-        let elapsed = cycle.saturating_sub(self.last);
-        self.debt = self.debt.saturating_sub(elapsed);
-        self.last = self.last.max(cycle);
-        let wait = self.debt;
-        self.debt += flits * serialization;
-        self.flits += flits;
-        wait
-    }
-}
-
 /// Local tile hosting a chip's I/O gateway (where cross-chip traffic
 /// enters and leaves the on-chip mesh).
 pub const GATEWAY_TILE: NodeId = 0;
@@ -159,8 +135,9 @@ pub struct ChipTopology {
     nodes_per_chip: usize,
     meshes: Vec<Mesh>,
     /// Outgoing inter-chip link backlog per chip and direction (E, W, N,
-    /// S), flattened as `chip * 4 + direction`.
-    links: Vec<[ChipLinkState; 4]>,
+    /// S), flattened as `chip * 4 + direction`; each flit holds a link for
+    /// [`ChipLinkConfig::serialization`] cycles.
+    links: Vec<[LinkLoad; 4]>,
     /// Inter-chip traffic only; [`ChipTopology::stats`] merges the per-chip
     /// mesh blocks on demand.
     stats: NocStats,
@@ -198,7 +175,7 @@ impl ChipTopology {
             meshes: (0..cfg.chips)
                 .map(|_| Mesh::with_faults(MeshConfig::for_nodes(nodes_per_chip), faults))
                 .collect(),
-            links: vec![[ChipLinkState::default(); 4]; cfg.chips],
+            links: vec![[LinkLoad::default(); 4]; cfg.chips],
             stats: NocStats::default(),
             faults: if cfg.is_flat() {
                 None
@@ -338,7 +315,7 @@ impl ChipTopology {
                 (2, x, y - 1)
             };
             let chip = y * self.grid_w + x;
-            let wait = self.links[chip][dir].occupy(head, u64::from(flits), ser);
+            let wait = self.links[chip][dir].carry(head, u64::from(flits), ser);
             contention += wait;
             head += wait + self.cfg.link.latency;
             (x, y) = (nx, ny);

@@ -1,7 +1,9 @@
 //! Shared infrastructure for replacement policies.
 
+use drishti_mem::access::Access;
 use drishti_mem::llc::LlcGeometry;
 use drishti_mem::CoreId;
+use drishti_noc::snap::{Persist, SnapError, StateReader, StateWriter};
 
 /// Per-line policy metadata, indexed `(slice, set, way)`.
 #[derive(Debug, Clone)]
@@ -44,17 +46,14 @@ impl<T: Clone + Default> PerLine<T> {
     }
 }
 
-impl<T: drishti_noc::snap::Persist + Default> drishti_noc::snap::Persist for PerLine<T> {
-    fn save(&self, w: &mut drishti_noc::snap::StateWriter) {
+impl<T: Persist + Default> Persist for PerLine<T> {
+    fn save(&self, w: &mut StateWriter) {
         // `ways` is geometry, re-derived at construction; only the data
         // array is run-state.
-        drishti_noc::snap::Persist::save(&self.data, w);
+        self.data.save(w);
     }
-    fn load(
-        &mut self,
-        r: &mut drishti_noc::snap::StateReader<'_>,
-    ) -> Result<(), drishti_noc::snap::SnapError> {
-        drishti_noc::snap::Persist::load(&mut self.data, r)
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+        self.data.load(r)
     }
 }
 
@@ -70,6 +69,140 @@ pub fn predictor_index(signature: u64, core: CoreId, bits: u32) -> usize {
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 29;
     (x & ((1 << bits) - 1)) as usize
+}
+
+/// The access that installed an LLC line, in the 4 B Hawkeye and SHiP++
+/// train on: its predictor index, a no-PC bit and its core.
+///
+/// The index is [`predictor_index`] of the installing signature and core,
+/// computed once at install; the function is pure, so training later on
+/// the stored index trains the same entry as hashing again would. The
+/// no-PC bit marks installs whose signature is 0 (write-backs carry no
+/// PC), which the detrain paths skip. Such lines keep their index too:
+/// SHiP++ trains a hit line's entry whatever installed it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Installer {
+    /// Predictor index, with [`Installer::NO_PC`] set for a 0 signature.
+    key: u16,
+    core: u16,
+}
+
+drishti_noc::impl_persist_fields!(Installer { key, core });
+
+impl Installer {
+    const NO_PC: u16 = 1 << 15;
+
+    /// The installer of a line filled by `core` with PC `signature`, for a
+    /// predictor of `bits` (at most 15) index bits.
+    #[inline]
+    pub fn new(signature: u64, core: CoreId, bits: u32) -> Self {
+        let no_pc = if signature == 0 { Self::NO_PC } else { 0 };
+        Installer {
+            key: predictor_index(signature, core, bits) as u16 | no_pc,
+            core: core as u16,
+        }
+    }
+
+    /// The predictor entry this installer trains.
+    #[inline]
+    pub fn index(self) -> usize {
+        usize::from(self.key & !Self::NO_PC)
+    }
+
+    /// The installing core.
+    #[inline]
+    pub fn core(self) -> CoreId {
+        usize::from(self.core)
+    }
+
+    /// Whether the install carried a PC (a nonzero signature).
+    #[inline]
+    pub fn has_pc(self) -> bool {
+        self.key & Self::NO_PC == 0
+    }
+}
+
+/// The [`Installer`] of every LLC line, for a predictor of `bits` index
+/// bits shared by `cores` cores.
+#[derive(Debug)]
+pub(crate) struct Installers {
+    lines: PerLine<Installer>,
+    bits: u32,
+    cores: usize,
+}
+
+impl Installers {
+    /// Installers for `geom`, all zero until each line's first fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geom` has more than 2^16 slices or there are more than
+    /// 2^16 cores (one slice per core; the core is stored as a `u16`), or
+    /// if `bits` exceeds 15.
+    pub fn new(geom: &LlcGeometry, cores: usize, bits: u32) -> Self {
+        assert!(
+            geom.slices.max(cores) <= 1 << 16,
+            "installer state holds at most 2^16 slices and cores, got {} and {cores}",
+            geom.slices
+        );
+        assert!(
+            bits <= 15,
+            "installer index holds at most 15 bits, got {bits}"
+        );
+        Installers {
+            lines: PerLine::new(geom),
+            bits,
+            cores,
+        }
+    }
+
+    /// Record that `acc` installed the line at `(slice, set, way)`; return
+    /// its installer so the fill can reuse the index.
+    #[inline]
+    pub fn install(&mut self, slice: usize, set: usize, way: usize, acc: &Access) -> Installer {
+        let by = Installer::new(acc.signature(), acc.core, self.bits);
+        *self.lines.get_mut(slice, set, way) = by;
+        by
+    }
+
+    /// The installer of the line at `(slice, set, way)`.
+    #[inline]
+    pub fn get(&self, slice: usize, set: usize, way: usize) -> Installer {
+        *self.lines.get(slice, set, way)
+    }
+}
+
+impl Persist for Installers {
+    fn save(&self, w: &mut StateWriter) {
+        self.lines.save(w);
+    }
+    /// The codec's shape rule holds the plane to its configured size but
+    /// cannot see the values, so each restored installer is cross-checked:
+    /// an index of `bits` bits and a core below `cores`, else a training
+    /// on it would index past the predictor tables.
+    fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+        self.lines.load(r)?;
+        for (slice, lines) in self.lines.data.iter().enumerate() {
+            if let Some(line) = lines
+                .iter()
+                .position(|by| by.index() >> self.bits != 0 || by.core() >= self.cores)
+            {
+                let by = lines[line];
+                return Err(SnapError::Invalid {
+                    what: "llc installer",
+                    detail: format!(
+                        "slice {slice} line {line}: index {} needs more than {} bits or core {} \
+                         is not below {}",
+                        by.index(),
+                        self.bits,
+                        by.core(),
+                        self.cores
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A compact hash of a line address for sampler tags.
@@ -117,6 +250,45 @@ mod tests {
             predictor_index(0x400, 1, 11),
             "core must influence the index"
         );
+    }
+
+    #[test]
+    fn installer_packs_index_pc_bit_and_core_in_four_bytes() {
+        assert_eq!(std::mem::size_of::<Installer>(), 4);
+        for (sig, core, bits) in [
+            (0x400u64, 3usize, 13u32),
+            (0xdead_beef, 65_535, 14),
+            (0, 2, 14),
+        ] {
+            let by = Installer::new(sig, core, bits);
+            assert_eq!(by.index(), predictor_index(sig, core, bits));
+            assert_eq!(by.core(), core);
+            assert_eq!(by.has_pc(), sig != 0);
+        }
+    }
+
+    #[test]
+    fn restored_installers_are_cross_checked() {
+        let g = geom();
+        let mut live = Installers::new(&g, 2, 13);
+        live.install(1, 3, 2, &Access::load(1, 0x400, 77));
+        let mut w = StateWriter::new();
+        live.save(&mut w);
+        let good = w.into_bytes();
+        let mut fresh = Installers::new(&g, 2, 13);
+        fresh.load(&mut StateReader::new(&good)).unwrap();
+        assert_eq!(fresh.get(1, 3, 2), live.get(1, 3, 2));
+        // The last line's (key, core): an index of 14 bits, then core 2.
+        let n = good.len();
+        for (at, v) in [(n - 4, 1u16 << 13), (n - 2, 2)] {
+            let mut bad = good.clone();
+            bad[at..at + 2].copy_from_slice(&v.to_le_bytes());
+            let mut fresh = Installers::new(&g, 2, 13);
+            match fresh.load(&mut StateReader::new(&bad)) {
+                Err(SnapError::Invalid { what, .. }) => assert_eq!(what, "llc installer"),
+                other => panic!("expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

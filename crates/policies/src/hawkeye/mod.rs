@@ -16,7 +16,7 @@
 
 pub mod optgen;
 
-use crate::common::{line_tag, predictor_index, PerLine};
+use crate::common::{line_tag, Installer, Installers, PerLine};
 use drishti_core::config::DrishtiConfig;
 use drishti_core::dsc::DscEvent;
 use drishti_core::fabric::PredictorFabric;
@@ -110,11 +110,9 @@ drishti_noc::impl_persist_fields!(HawkeyeDiag {
 pub struct Hawkeye {
     label: String,
     rrpv: PerLine<u8>,
-    /// PC signature that installed each line: the predictor entry a
-    /// friendly victim detrains.
-    sig: PerLine<u64>,
-    /// Core that installed each line (folded into the predictor index).
-    core: PerLine<u32>,
+    /// Who installed each line: the predictor entry a friendly victim
+    /// detrains.
+    installers: Installers,
     selectors: Vec<SetSelector>,
     samplers: Vec<Vec<SampledSet>>,
     /// 3-bit saturating counters per predictor bank.
@@ -155,8 +153,7 @@ impl Hawkeye {
         Hawkeye {
             label,
             rrpv: PerLine::new(geom),
-            sig: PerLine::new(geom),
-            core: PerLine::new(geom),
+            installers: Installers::new(geom, cfg.cores, INDEX_BITS),
             selectors,
             samplers,
             predictors: vec![vec![COUNTER_INIT; 1 << INDEX_BITS]; fabric.banks()],
@@ -166,13 +163,14 @@ impl Hawkeye {
         }
     }
 
-    fn train(&mut self, slice: usize, signature: u64, core: usize, friendly: bool, cycle: u64) {
+    fn train(&mut self, slice: usize, by: Installer, friendly: bool, cycle: u64) {
+        let core = by.core();
         let t = self.fabric.train(slice, core, cycle);
         if !t.delivered {
             return; // update lost in transit; later samples retrain
         }
         let bank = t.bank;
-        let idx = predictor_index(signature, core, INDEX_BITS);
+        let idx = by.index();
         let update = |c: &mut u8| {
             *c = if friendly {
                 (*c + 1).min(COUNTER_MAX)
@@ -193,16 +191,16 @@ impl Hawkeye {
         }
     }
 
-    /// Whether the predictor currently classifies `(signature, core)` as
+    /// Whether the predictor currently classifies the fill `by` as
     /// cache-friendly, plus the charged lookup latency.
-    fn predict(&mut self, slice: usize, signature: u64, core: usize, cycle: u64) -> (bool, u64) {
-        let p = self.fabric.predict(slice, core, cycle);
+    fn predict(&mut self, slice: usize, by: Installer, cycle: u64) -> (bool, u64) {
+        let p = self.fabric.predict(slice, by.core(), cycle);
         // An abandoned lookup uses the untrained-default classification
         // (counter at its initial value) — the local static decision.
         let c = if p.fallback {
             COUNTER_INIT
         } else {
-            self.predictors[p.bank][predictor_index(signature, core, INDEX_BITS)]
+            self.predictors[p.bank][by.index()]
         };
         (c >= FRIENDLY_THRESHOLD, p.latency)
     }
@@ -240,7 +238,8 @@ impl Hawkeye {
             } else {
                 self.diag.opt_misses += 1;
             }
-            self.train(loc.slice, prev_sig, prev_core, opt_hit, cycle);
+            let by = Installer::new(prev_sig, prev_core, INDEX_BITS);
+            self.train(loc.slice, by, opt_hit, cycle);
             let sampler = &mut self.samplers[loc.slice][slot];
             sampler.entries[i] = SamplerEntry {
                 valid: true,
@@ -268,7 +267,8 @@ impl Hawkeye {
             };
             if old.valid {
                 self.diag.detrains += 1;
-                self.train(loc.slice, old.signature, old.core as usize, false, cycle);
+                let by = Installer::new(old.signature, old.core as usize, INDEX_BITS);
+                self.train(loc.slice, by, false, cycle);
             }
         }
     }
@@ -306,8 +306,7 @@ impl LlcPolicy for Hawkeye {
     fn save_state(&self, w: &mut drishti_noc::snap::StateWriter) {
         use drishti_noc::snap::Persist;
         self.rrpv.save(w);
-        self.sig.save(w);
-        self.core.save(w);
+        self.installers.save(w);
         self.selectors.save(w);
         self.samplers.save(w);
         self.predictors.save(w);
@@ -322,8 +321,7 @@ impl LlcPolicy for Hawkeye {
     ) -> Result<(), drishti_noc::snap::SnapError> {
         use drishti_noc::snap::Persist;
         self.rrpv.load(r)?;
-        self.sig.load(r)?;
-        self.core.load(r)?;
+        self.installers.load(r)?;
         self.selectors.load(r)?;
         self.samplers.load(r)?;
         self.predictors.load(r)?;
@@ -356,11 +354,10 @@ impl LlcPolicy for Hawkeye {
         let w = (0..rrpvs.len())
             .max_by_key(|&w| rrpvs[w])
             .expect("nonzero ways");
-        let sig = *self.sig.get(loc.slice, loc.set, w);
-        if sig != 0 {
+        let by = self.installers.get(loc.slice, loc.set, w);
+        if by.has_pc() {
             self.diag.detrains += 1;
-            let core = *self.core.get(loc.slice, loc.set, w) as usize;
-            self.train(loc.slice, sig, core, false, cycle);
+            self.train(loc.slice, by, false, cycle);
         }
         Decision::Evict(w)
     }
@@ -373,15 +370,14 @@ impl LlcPolicy for Hawkeye {
         _evicted: Option<&LlcLineState>,
         cycle: u64,
     ) -> u64 {
-        *self.sig.get_mut(loc.slice, loc.set, way) = acc.signature();
-        *self.core.get_mut(loc.slice, loc.set, way) = acc.core as u32;
+        let by = self.installers.install(loc.slice, loc.set, way, acc);
         if acc.kind == AccessKind::Writeback {
             // Dirty lines get the lowest priority (paper §5.2, Table 5).
             *self.rrpv.get_mut(loc.slice, loc.set, way) = MAX_RRPV;
             self.rrip_histogram[MAX_RRPV as usize] += 1;
             return 0;
         }
-        let (friendly, lat) = self.predict(loc.slice, acc.signature(), acc.core, cycle);
+        let (friendly, lat) = self.predict(loc.slice, by, cycle);
         let insert = if friendly {
             self.diag.fills_friendly += 1;
             0

@@ -14,7 +14,7 @@
 //! (myopic), centralized, or per-core-yet-global, and sampled sets can be
 //! random or dynamic.
 
-use crate::common::{predictor_index, PerLine};
+use crate::common::{Installer, Installers, PerLine};
 use drishti_core::config::DrishtiConfig;
 use drishti_core::fabric::PredictorFabric;
 use drishti_core::select::SetSelector;
@@ -40,11 +40,8 @@ pub struct ShipPp {
     label: String,
     rrpv: PerLine<u8>,
     outcome: PerLine<bool>,
-    /// PC signature that installed each line: the SHCT entry its outcome
-    /// trains.
-    sig: PerLine<u64>,
-    /// Core that installed each line (folded into the SHCT index).
-    core: PerLine<u32>,
+    /// Who installed each line: the SHCT entry its outcome trains.
+    installers: Installers,
     selectors: Vec<SetSelector>,
     shct: Vec<Vec<u8>>,
     fabric: PredictorFabric,
@@ -75,8 +72,7 @@ impl ShipPp {
             label,
             rrpv: PerLine::new(geom),
             outcome: PerLine::new(geom),
-            sig: PerLine::new(geom),
-            core: PerLine::new(geom),
+            installers: Installers::new(geom, cfg.cores, SHCT_BITS),
             shct: vec![vec![SHCT_INIT; 1 << SHCT_BITS]; fabric.banks()],
             fabric,
             selectors,
@@ -85,12 +81,12 @@ impl ShipPp {
         }
     }
 
-    fn train(&mut self, slice: usize, signature: u64, core: usize, reused: bool, cycle: u64) {
-        let t = self.fabric.train(slice, core, cycle);
+    fn train(&mut self, slice: usize, by: Installer, reused: bool, cycle: u64) {
+        let t = self.fabric.train(slice, by.core(), cycle);
         if !t.delivered {
             return; // update lost in transit; later evictions retrain
         }
-        let c = &mut self.shct[t.bank][predictor_index(signature, core, SHCT_BITS)];
+        let c = &mut self.shct[t.bank][by.index()];
         if reused {
             self.trains_up += 1;
             *c = (*c + 1).min(SHCT_MAX);
@@ -129,8 +125,7 @@ impl LlcPolicy for ShipPp {
         use drishti_noc::snap::Persist;
         self.rrpv.save(w);
         self.outcome.save(w);
-        self.sig.save(w);
-        self.core.save(w);
+        self.installers.save(w);
         self.selectors.save(w);
         self.shct.save(w);
         self.fabric.save_state(w);
@@ -145,8 +140,7 @@ impl LlcPolicy for ShipPp {
         use drishti_noc::snap::Persist;
         self.rrpv.load(r)?;
         self.outcome.load(r)?;
-        self.sig.load(r)?;
-        self.core.load(r)?;
+        self.installers.load(r)?;
         self.selectors.load(r)?;
         self.shct.load(r)?;
         self.fabric.load_state(r)?;
@@ -166,10 +160,11 @@ impl LlcPolicy for ShipPp {
             && !*self.outcome.get(loc.slice, loc.set, way)
         {
             *self.outcome.get_mut(loc.slice, loc.set, way) = true;
+            // The line's own installer may have had no PC (a write-back);
+            // its entry trains all the same.
             if acc.kind.has_pc() {
-                let sig = *self.sig.get(loc.slice, loc.set, way);
-                let core = *self.core.get(loc.slice, loc.set, way) as usize;
-                self.train(loc.slice, sig, core, true, cycle);
+                let by = self.installers.get(loc.slice, loc.set, way);
+                self.train(loc.slice, by, true, cycle);
             }
         }
         0
@@ -200,19 +195,17 @@ impl LlcPolicy for ShipPp {
         cycle: u64,
     ) -> u64 {
         // Detrain the dead victim if this is a sampled set. `way` still
-        // holds the victim's installer until the writes below.
-        let victim_sig = *self.sig.get(loc.slice, loc.set, way);
+        // holds the victim's installer until the install below.
+        let victim = self.installers.get(loc.slice, loc.set, way);
         if evicted.is_some()
             && self.selectors[loc.slice].slot_of(loc.set).is_some()
-            && victim_sig != 0
+            && victim.has_pc()
             && !*self.outcome.get(loc.slice, loc.set, way)
         {
-            let core = *self.core.get(loc.slice, loc.set, way) as usize;
-            self.train(loc.slice, victim_sig, core, false, cycle);
+            self.train(loc.slice, victim, false, cycle);
         }
         *self.outcome.get_mut(loc.slice, loc.set, way) = false;
-        *self.sig.get_mut(loc.slice, loc.set, way) = acc.signature();
-        *self.core.get_mut(loc.slice, loc.set, way) = acc.core as u32;
+        let by = self.installers.install(loc.slice, loc.set, way, acc);
 
         let (insert, lat) = if acc.kind == AccessKind::Writeback {
             (MAX_RRPV, 0)
@@ -224,7 +217,7 @@ impl LlcPolicy for ShipPp {
             let c = if p.fallback {
                 SHCT_INIT
             } else {
-                self.shct[p.bank][predictor_index(acc.signature(), acc.core, SHCT_BITS)]
+                self.shct[p.bank][by.index()]
             };
             let rrpv = if c == 0 {
                 MAX_RRPV // never reused: distant

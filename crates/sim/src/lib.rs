@@ -8,7 +8,7 @@
 //! parallelism (see DESIGN.md §3 for the substitution argument versus
 //! ChampSim).
 //!
-//! * [`ckpt`] — the `drishti-ckpt/v3` checkpoint container: complete
+//! * [`ckpt`] — the `drishti-ckpt/v4` checkpoint container: complete
 //!   engine state on disk with per-section checksums, for bit-identical
 //!   crash resume (DESIGN.md §14);
 //! * [`config::SystemConfig`] — every knob the paper sweeps (core count,

@@ -7,6 +7,9 @@
 //! and steal FIFO from siblings when both run dry. No job ever spawns
 //! another job, so a worker may exit as soon as the injector and every
 //! deque are empty — work in flight on other workers cannot produce more.
+//! The calling thread is worker 0: a one-worker batch spawns no thread, so
+//! its jobs allocate in the caller's heap rather than a fresh per-thread
+//! malloc arena.
 //!
 //! Two properties the sweep harness builds on:
 //!
@@ -48,9 +51,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// task order. A task that panics yields `Err(panic message)`; every other
 /// task still runs to completion.
 ///
-/// `workers` is clamped to `1..=tasks.len()`; `workers == 1` still goes
-/// through the same queues (one worker thread), so scheduling is identical
-/// in shape at every width.
+/// `workers` is clamped to `1..=tasks.len()`. The calling thread is worker
+/// 0 and `workers − 1` helpers are spawned beside it, so every width runs
+/// the same queues and worker loop, and `workers == 1` spawns no thread:
+/// its tasks run (and allocate) on the caller.
 pub fn run_tasks<T: Send>(tasks: Vec<Task<T>>, workers: usize) -> Vec<Result<T, String>> {
     let n = tasks.len();
     if n == 0 {
@@ -65,43 +69,43 @@ pub fn run_tasks<T: Send>(tasks: Vec<Task<T>>, workers: usize) -> Vec<Result<T, 
     let locals: Vec<Deque<T>> = (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let injector = &injector;
-            let locals = &locals;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                // 1. Own deque, newest first (locality).
-                let mut job = locals[w].lock().expect("local deque poisoned").pop_back();
-                // 2. Refill a chunk from the shared injector.
-                if job.is_none() {
-                    let mut inj = injector.lock().expect("injector poisoned");
-                    job = inj.pop_front();
-                    if job.is_some() {
-                        let mut local = locals[w].lock().expect("local deque poisoned");
-                        for _ in 1..INJECTOR_CHUNK {
-                            match inj.pop_front() {
-                                Some(j) => local.push_back(j),
-                                None => break,
-                            }
-                        }
+    let worker = |w: usize| loop {
+        // 1. Own deque, newest first (locality).
+        let mut job = locals[w].lock().expect("local deque poisoned").pop_back();
+        // 2. Refill a chunk from the shared injector.
+        if job.is_none() {
+            let mut inj = injector.lock().expect("injector poisoned");
+            job = inj.pop_front();
+            if job.is_some() {
+                let mut local = locals[w].lock().expect("local deque poisoned");
+                for _ in 1..INJECTOR_CHUNK {
+                    match inj.pop_front() {
+                        Some(j) => local.push_back(j),
+                        None => break,
                     }
                 }
-                // 3. Steal oldest-first from a sibling.
-                if job.is_none() {
-                    for v in (0..workers).filter(|&v| v != w) {
-                        job = locals[v].lock().expect("local deque poisoned").pop_front();
-                        if job.is_some() {
-                            break;
-                        }
-                    }
-                }
-                // 4. Nothing anywhere: no job can create more, so exit.
-                let Some((id, task)) = job else { return };
-                let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(panic_message);
-                *slots[id].lock().expect("result slot poisoned") = Some(outcome);
-            });
+            }
         }
+        // 3. Steal oldest-first from a sibling.
+        if job.is_none() {
+            for v in (0..workers).filter(|&v| v != w) {
+                job = locals[v].lock().expect("local deque poisoned").pop_front();
+                if job.is_some() {
+                    break;
+                }
+            }
+        }
+        // 4. Nothing anywhere: no job can create more, so exit.
+        let Some((id, task)) = job else { return };
+        let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(panic_message);
+        *slots[id].lock().expect("result slot poisoned") = Some(outcome);
+    };
+    std::thread::scope(|scope| {
+        let worker = &worker;
+        for w in 1..workers {
+            scope.spawn(move || worker(w));
+        }
+        worker(0);
     });
 
     slots

@@ -197,11 +197,12 @@ impl PatternState {
             }
             Pattern::Zipf { footprint, .. } => {
                 let u = rng.unit();
+                // The CDF is non-decreasing and ends at exactly 1.0, so the
+                // binary search finds the first bucket with `u <= c`.
                 let bucket = self
                     .zipf_cum
-                    .iter()
-                    .position(|&c| u <= c)
-                    .unwrap_or(self.zipf_cum.len() - 1) as u64;
+                    .partition_point(|&c| c < u)
+                    .min(self.zipf_cum.len() - 1) as u64;
                 let buckets = self.zipf_cum.len() as u64;
                 let bucket_lines = (footprint / buckets).max(1);
                 self.base + bucket * bucket_lines + rng.below(bucket_lines)
@@ -336,6 +337,24 @@ mod tests {
             first_bucket > n / 20,
             "hot bucket too cold: {first_bucket}/{n}"
         );
+    }
+
+    #[test]
+    fn zipf_binary_search_picks_the_linear_scan_bucket() {
+        for alpha in [0.6, 1.0, 1.4] {
+            let (s, mut rng) = state(Pattern::Zipf {
+                footprint: 25_600,
+                alpha,
+            });
+            let cum = &s.zipf_cum;
+            assert_eq!(*cum.last().unwrap(), 1.0);
+            let probes = (0..10_000).map(|_| rng.unit());
+            for u in probes.chain(cum.iter().copied()).chain([0.0, 0.999_999_9]) {
+                let scan = cum.iter().position(|&c| u <= c).unwrap_or(cum.len() - 1);
+                let search = cum.partition_point(|&c| c < u).min(cum.len() - 1);
+                assert_eq!(search, scan, "alpha {alpha}, u {u}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Integration tests for crash-resumable simulation (see DESIGN.md §14):
-//! the `drishti-ckpt/v3` engine checkpoint restores bit-identically across
+//! the `drishti-ckpt/v4` engine checkpoint restores bit-identically across
 //! every policy × organisation, the RefCache conformance contracts keep
 //! holding through a save/restore seam, telemetry timelines survive the
 //! seam, a checkpoint whose state is shaped for another configuration or
-//! whose checksummed `llc` section was altered is a typed error (or, for
+//! whose checksummed sections were altered is a typed error (or, for
 //! harmless alterations, a clean resume) and never a panic, and an
 //! interrupted journaled sweep resumed with `--resume` produces a
 //! byte-identical report.
@@ -308,22 +308,158 @@ fn out_of_range_dsc_slot_is_refused_at_restore() {
     }
 }
 
-/// Seeded mutations of the `llc` section with its checksum recomputed:
-/// every restore either fails with a typed error or resumes and runs to
-/// completion, for every policy under both organisations. Three in four
-/// mutations land in the policy's state, the rest anywhere in the section.
+/// A checkpoint with valid checksums and config hash whose Hawkeye or
+/// SHiP++ installer plane names a core past the machine is refused as an
+/// `llc` decode error. Restored, the first detrain of such a line would
+/// index past the predictor banks.
 #[test]
-fn checksum_valid_llc_mutations_never_panic() {
-    const MUTATIONS: u64 = 6;
-    let mut state = 0xd15c_0c4e_u64;
-    let mut next = move || {
-        // splitmix64
+fn out_of_range_installer_is_refused_at_restore() {
+    // Per-line byte planes ahead of the installers: Hawkeye's RRPVs;
+    // SHiP++'s RRPVs and outcome bits.
+    for (policy, planes_before) in [(PolicyKind::Hawkeye, 1), (PolicyKind::ShipPp, 2)] {
+        let org = DrishtiConfig::baseline(CORES);
+        let mut first = engine(policy, org.clone());
+        first.run_steps(3_000);
+        let bytes = save_engine_bytes(&first);
+        let mut policy_tail = StateWriter::new();
+        first.llc().policy().save_state(&mut policy_tail);
+
+        let crafted = with_section(&bytes, "llc", |payload| {
+            let mut p = payload.to_vec();
+            let mut pos = p.len() - policy_tail.len();
+            for _ in 0..planes_before {
+                let slices = u64_at(&p, pos);
+                pos += 8;
+                for _ in 0..slices {
+                    pos = skip_vec(&p, pos, 1);
+                }
+            }
+            // Slice 0's installers: (key u16, core u16) per line.
+            pos += 8;
+            for line in 0..u64_at(&p, pos) as usize {
+                let at = pos + 8 + 4 * line + 2;
+                p[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+            }
+            p
+        });
+        let mut second = engine(policy, org);
+        match restore_engine_bytes(&mut second, &crafted) {
+            Err(CkptError::SectionDecode {
+                section: "llc",
+                detail,
+            }) => assert!(detail.contains("llc installer"), "{policy}: {detail}"),
+            other => panic!("{policy}: expected an llc SectionDecode error, got {other:?}"),
+        }
+    }
+}
+
+/// A checkpoint with valid checksums and config hash whose `dram` section
+/// puts every bank's backlog at 2^62 cycles, or whose `mesh` section does
+/// the same to every link, is refused as a decode error naming the
+/// section. Restored, the first accesses would overflow adding the waits.
+#[test]
+fn oversized_backlog_is_refused_at_restore() {
+    const DEBT: u64 = 1 << 62;
+    let org = DrishtiConfig::baseline(CORES);
+    let mut first = engine(PolicyKind::Lru, org.clone());
+    first.run_steps(3_000);
+    let bytes = save_engine_bytes(&first);
+    // `dram` opens with its banks, a `Vec` per channel of (open row
+    // `Option<u64>`, backlog debt, backlog last).
+    let dram = with_section(&bytes, "dram", |payload| {
+        let mut p = payload.to_vec();
+        let mut pos = 8;
+        for _ in 0..u64_at(&p, 0) {
+            let banks = u64_at(&p, pos);
+            pos += 8;
+            for _ in 0..banks {
+                pos += if p[pos] == 1 { 9 } else { 1 };
+                p[pos..pos + 8].copy_from_slice(&DEBT.to_le_bytes());
+                pos += 16;
+            }
+        }
+        p
+    });
+    // `mesh` opens with the single chip's links: a `Vec` of four
+    // (backlog debt, backlog last, flits) per tile.
+    let mesh = with_section(&bytes, "mesh", |payload| {
+        let mut p = payload.to_vec();
+        for link in 0..4 * u64_at(&p, 0) as usize {
+            let at = 8 + 24 * link;
+            p[at..at + 8].copy_from_slice(&DEBT.to_le_bytes());
+        }
+        p
+    });
+    for (name, crafted) in [("dram", dram), ("mesh", mesh)] {
+        let mut second = engine(PolicyKind::Lru, org.clone());
+        match restore_engine_bytes(&mut second, &crafted) {
+            Err(CkptError::SectionDecode { section, detail }) if section == name => {
+                assert!(detail.contains("backlog debt"), "{detail}")
+            }
+            other => panic!("expected a {name} SectionDecode error, got {other:?}"),
+        }
+    }
+}
+
+/// A splitmix64 stream for seeded checkpoint mutations.
+fn splitmix64(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
-    };
+    }
+}
+
+/// Overwrite 1–4 bytes of section `name` at a seeded offset with seeded
+/// bytes, recompute its checksum, and demand that restoring the result
+/// either fails with a typed error or resumes and runs to completion. The
+/// offset falls inside the last `tail` bytes of the payload when `pick` is
+/// not a multiple of 4 and `tail` is nonzero, anywhere in it otherwise.
+fn assert_mutation_never_panics(
+    (policy, org, org_label): (PolicyKind, &DrishtiConfig, &str),
+    bytes: &[u8],
+    name: &str,
+    tail: usize,
+    next: &mut impl FnMut() -> u64,
+) {
+    let (pick, width, value) = (next(), 1 + next() as usize % 4, next());
+    let crafted = with_section(bytes, name, |payload| {
+        let mut p = payload.to_vec();
+        let at = if tail > 0 && pick % 4 != 0 {
+            p.len() - tail + (pick >> 2) as usize % tail
+        } else {
+            (pick >> 2) as usize % p.len()
+        };
+        let end = (at + width).min(p.len());
+        p[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+        p
+    });
+    let outcome = std::panic::catch_unwind(|| {
+        let mut second = engine(policy, org.clone());
+        if restore_engine_bytes(&mut second, &crafted).is_ok() {
+            second.run();
+        }
+    });
+    assert!(
+        outcome.is_ok(),
+        "{policy}/{org_label}: {name} mutation (pick {pick:#x}, width {width}, value {value:#x}) \
+         panicked"
+    );
+}
+
+/// Seeded mutations of every section with its checksum recomputed: each
+/// restore either fails with a typed error or resumes and runs to
+/// completion. The `llc` section is mutated for every policy under both
+/// organisations, three in four mutations inside the policy's state. The
+/// other sections hold no policy state, so two cells cover them.
+#[test]
+fn checksum_valid_section_mutations_never_panic() {
+    const LLC_MUTATIONS: u64 = 6;
+    const OTHER_MUTATIONS: u64 = 16;
+    let mut next = splitmix64(0xd15c_0c4e);
     for policy in all_policies() {
         for (org, org_label) in orgs() {
             let mut first = engine(policy, org.clone());
@@ -332,30 +468,26 @@ fn checksum_valid_llc_mutations_never_panic() {
             let mut policy_tail = StateWriter::new();
             first.llc().policy().save_state(&mut policy_tail);
             drop(first);
-            for m in 0..MUTATIONS {
-                let (pick, width, value) = (next(), 1 + next() as usize % 4, next());
-                let crafted = with_section(&bytes, "llc", |payload| {
-                    let mut p = payload.to_vec();
-                    let tail = policy_tail.len().max(1);
-                    let at = if pick % 4 != 0 {
-                        p.len() - tail + (pick >> 2) as usize % tail
-                    } else {
-                        (pick >> 2) as usize % p.len()
-                    };
-                    let end = (at + width).min(p.len());
-                    p[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
-                    p
-                });
-                let outcome = std::panic::catch_unwind(|| {
-                    let mut second = engine(policy, org.clone());
-                    if restore_engine_bytes(&mut second, &crafted).is_ok() {
-                        second.run();
-                    }
-                });
-                assert!(
-                    outcome.is_ok(),
-                    "{policy}/{org_label}: llc mutation {m} panicked"
-                );
+            for _ in 0..LLC_MUTATIONS {
+                let cell = (policy, &org, org_label);
+                let tail = policy_tail.len().max(1);
+                assert_mutation_never_panics(cell, &bytes, "llc", tail, &mut next);
+            }
+        }
+    }
+    let [(baseline, _), (drishti, _)] = orgs();
+    for (policy, org, org_label) in [
+        (PolicyKind::Lru, baseline, "baseline"),
+        (PolicyKind::Mockingjay, drishti, "drishti"),
+    ] {
+        let mut first = engine(policy, org.clone());
+        first.run_steps(3_000);
+        let bytes = save_engine_bytes(&first);
+        drop(first);
+        for name in ["cores", "dram", "mesh", "sim"] {
+            for _ in 0..OTHER_MUTATIONS {
+                let cell = (policy, &org, org_label);
+                assert_mutation_never_panics(cell, &bytes, name, 0, &mut next);
             }
         }
     }

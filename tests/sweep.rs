@@ -1,6 +1,7 @@
 //! Integration tests for the parallel sweep harness: exactly-once
-//! execution under contention, panic isolation, worker-count-invariant
-//! report bytes, and trace-cache sharing (see DESIGN.md §10).
+//! execution under contention, panic isolation, one-worker batches on the
+//! calling thread, worker-count-invariant report bytes, and trace-cache
+//! sharing (see DESIGN.md §10).
 
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
@@ -46,27 +47,43 @@ fn pool_executes_every_task_exactly_once_under_contention() {
 }
 
 /// A panicking task is isolated: its slot reports the panic message and
-/// every other task still completes normally.
+/// every other task still completes normally, also when the one worker
+/// is the calling thread.
 #[test]
 fn pool_isolates_and_reports_a_panicking_task() {
-    let tasks: Vec<Task<usize>> = (0..16usize)
-        .map(|i| {
-            Box::new(move || {
-                if i == 7 {
-                    panic!("job 7 exploded");
-                }
-                i * 10
-            }) as Task<usize>
-        })
-        .collect();
-    let results = run_tasks(tasks, 4);
-    for (i, r) in results.iter().enumerate() {
-        if i == 7 {
-            let msg = r.as_ref().unwrap_err();
-            assert!(msg.contains("job 7 exploded"), "got: {msg}");
-        } else {
-            assert_eq!(r.as_ref().unwrap(), &(i * 10));
+    for workers in [1, 4] {
+        let tasks: Vec<Task<usize>> = (0..16usize)
+            .map(|i| {
+                Box::new(move || {
+                    if i == 7 {
+                        panic!("job 7 exploded");
+                    }
+                    i * 10
+                }) as Task<usize>
+            })
+            .collect();
+        let results = run_tasks(tasks, workers);
+        for (i, r) in results.iter().enumerate() {
+            if i == 7 {
+                let msg = r.as_ref().unwrap_err();
+                assert!(msg.contains("job 7 exploded"), "got: {msg}");
+            } else {
+                assert_eq!(r.as_ref().unwrap(), &(i * 10), "{workers} workers");
+            }
         }
+    }
+}
+
+/// The calling thread is worker 0: a one-worker batch spawns no thread, so
+/// every task runs (and allocates) on the caller.
+#[test]
+fn one_worker_runs_every_task_on_the_calling_thread() {
+    let caller = std::thread::current().id();
+    let tasks: Vec<Task<std::thread::ThreadId>> = (0..12)
+        .map(|_| Box::new(|| std::thread::current().id()) as Task<std::thread::ThreadId>)
+        .collect();
+    for (i, r) in run_tasks(tasks, 1).into_iter().enumerate() {
+        assert_eq!(r.unwrap(), caller, "task {i} ran off the calling thread");
     }
 }
 
