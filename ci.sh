@@ -280,21 +280,29 @@ if ! grep -q '"family": "ingested"' "$out/scn_ingested.json"; then
 fi
 echo "ingest round-trip byte-identical; ingested replay covered as 'ingested'"
 
-# Sweep-smoke gate: the reduced table6, fig17 and resilience sweeps, a
+# Sweep-smoke gate: one reduced all_experiments pass (every figure, its
+# cells planned as one deduplicated sweep) at --jobs 1 and --jobs 8, whose
+# reports must be byte-identical, the reduced resilience sweep, a
 # drishti-sim multi-policy sweep and the 1-to-4-chip scaling ladder must
-# each run every cell (a failed cell exits 1). Their reports stay in $out
-# for upload if a step fails. About 30 s on 2 CPUs; skipped under --quick,
-# whose debug binaries would take minutes.
+# each run every cell (a failed cell or figure exits 1). Their reports
+# stay in $out for upload if a step fails. Skipped under --quick, whose
+# debug binaries would take minutes.
 if [[ $quick -eq 0 ]]; then
-  step "sweep-smoke gate (reduced table6, fig17, resilience, CLI sweep, scaling ladder)"
+  step "sweep-smoke gate (all_experiments --jobs 1/8 byte-diff, resilience, CLI sweep, scaling ladder)"
   smoke_args=(--mixes 2 --cores 8 --accesses 20000)
-  target/release/table6_metrics "${smoke_args[@]}" --report "$out/table6_smoke.json" >/dev/null
-  target/release/fig17_ablation "${smoke_args[@]}" --report "$out/fig17_smoke.json" >/dev/null
+  for jobs in 1 8; do
+    target/release/all_experiments "${smoke_args[@]}" --jobs "$jobs" \
+      --report "$out/all_j${jobs}.json" >/dev/null
+  done
+  if ! diff -u "$out/all_j1.json" "$out/all_j8.json"; then
+    echo "FAIL: all_experiments report differs between --jobs 1 and --jobs 8" >&2
+    exit 1
+  fi
   target/release/resilience --accesses 20000 --report "$out/resilience_smoke.json" >/dev/null
   "$sim" --cores 4 --mix homo:mcf --policy hawkeye,mockingjay --org baseline,drishti \
     --accesses 20000 --warmup 5000 --report "$out/cli_sweep_smoke.json" >/dev/null
   "$scaling" --mixes 1 --accesses 20000 --report "$out/scaling_ladder.json" >/dev/null
-  echo "reduced sweeps, the CLI sweep and the scaling ladder ran every cell"
+  echo "all_experiments reports byte-identical; every sweep ran every cell"
 fi
 
 if [[ $quick -eq 0 ]]; then

@@ -1,52 +1,3 @@
-//! Figure 11a: slowdown of D-Mockingjay when the slice↔predictor traffic
-//! rides the existing mesh instead of NOCSTAR, vs. baseline Mockingjay, on
-//! 4/16/32 cores.
-//!
-//! Paper: −2.8% (4 cores), −5.5% (16), −9% (32; up to −40% for mcf homo) —
-//! without a low-latency interconnect, the benefit of global training is
-//! nullified by the added fill-path latency.
-
-use drishti_bench::{evaluate_mix, pct, ExpOpts};
-use drishti_core::config::DrishtiConfig;
-use drishti_policies::factory::PolicyKind;
-use drishti_sim::metrics::mean;
-
 fn main() {
-    let opts = ExpOpts::from_args();
-    println!("# Figure 11a: D-Mockingjay without NOCSTAR (mesh fabric) vs Mockingjay\n");
-    println!(
-        "{:<8} {:>16} {:>18} {:>22}",
-        "cores", "mockingjay", "d-mockingjay", "d-mockingjay (mesh)"
-    );
-    for &cores in &opts.cores {
-        let rc = opts.rc(cores);
-        let policies = vec![
-            (PolicyKind::Mockingjay, DrishtiConfig::baseline(cores)),
-            (PolicyKind::Mockingjay, DrishtiConfig::drishti(cores)),
-            (
-                PolicyKind::Mockingjay,
-                DrishtiConfig::drishti_without_nocstar(cores),
-            ),
-        ];
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let avg = |p: usize| {
-            mean(
-                &evals
-                    .iter()
-                    .map(|e| e.cells[p].ws_improvement_pct)
-                    .collect::<Vec<_>>(),
-            )
-        };
-        println!(
-            "{cores:<8} {:>16} {:>18} {:>22}",
-            pct(avg(0)),
-            pct(avg(1)),
-            pct(avg(2))
-        );
-    }
-    println!("\npaper: mesh-fabric slowdown vs Mockingjay grows with cores (−2.8/−5.5/−9%)");
+    drishti_bench::run(&[&drishti_bench::figures::FIG11A_NO_NOCSTAR]);
 }

@@ -1,37 +1,3 @@
-//! Figure 11b: sensitivity of D-Mockingjay to the slice↔predictor
-//! interconnect latency (1…30 cycles) on a 32-core system.
-//!
-//! Paper: latencies below five cycles cost nothing; ~20 cycles is where the
-//! slowdown becomes significant (the mesh's average latency at 32 cores).
-
-use drishti_bench::{evaluate_mix, pct, ExpOpts};
-use drishti_core::config::DrishtiConfig;
-use drishti_policies::factory::PolicyKind;
-use drishti_sim::metrics::mean;
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    let rc = opts.rc(cores);
-    println!("# Figure 11b: predictor-interconnect latency sensitivity ({cores} cores)\n");
-    println!("{:<12} {:>26}", "latency", "D-Mockingjay WS vs LRU");
-    for latency in [1u64, 3, 5, 10, 20, 30] {
-        let policies = vec![(
-            PolicyKind::Mockingjay,
-            DrishtiConfig::drishti_fixed_latency(cores, latency),
-        )];
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let avg = mean(
-            &evals
-                .iter()
-                .map(|e| e.cells[0].ws_improvement_pct)
-                .collect::<Vec<_>>(),
-        );
-        println!("{latency:<12} {:>26}", pct(avg));
-    }
-    println!("\npaper: flat below 5 cycles, visibly degrading by 20–30 cycles");
+    drishti_bench::run(&[&drishti_bench::figures::FIG11B_LATENCY_SWEEP]);
 }

@@ -1,57 +1,3 @@
-//! Figure 13: performance improvement of Hawkeye, D-Hawkeye, Mockingjay and
-//! D-Mockingjay over LRU on 4-, 16- and 32-core systems with 8, 32 and
-//! 64 MB sliced LLCs, across homogeneous + heterogeneous mixes.
-//!
-//! Runs on the parallel sweep harness: every `(mix, policy, organisation)`
-//! cell — across *all* requested core counts — goes into one job batch,
-//! and the report written to `target/sweep/` is bit-identical for any
-//! `--jobs` value (the CI determinism gate diffs `--jobs 1` against
-//! `--jobs max` on exactly this binary).
-//!
-//! Paper values (average normalised weighted speedup over LRU):
-//!   4 cores:  Hawkeye +3.1%, D-Hawkeye +4.2%, Mockingjay +6.4%, D-Mockingjay +6.9%
-//!   16 cores: (trend between 4 and 32)
-//!   32 cores: Hawkeye +3.3%, D-Hawkeye +5.6%, Mockingjay +6.7%, D-Mockingjay +13.2%
-
-use drishti_bench::{
-    exit_on_sweep_failure, header, headline_policies, mean_improvements, pct, sweep_groups,
-    write_reports, ExpOpts, MixGroup,
-};
-
 fn main() {
-    let opts = ExpOpts::from_args();
-    println!("# Figure 13: normalised weighted speedup over LRU\n");
-    let policies_labels = ["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"];
-    header(
-        "cores (LLC)",
-        &policies_labels
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    let groups: Vec<MixGroup> = opts
-        .cores
-        .iter()
-        .map(|&cores| MixGroup {
-            label: format!("{cores}c"),
-            mixes: opts.paper_mixes(cores),
-            policies: headline_policies(cores),
-            rc: opts.rc(cores),
-        })
-        .collect();
-    let (group_evals, report, timing) =
-        exit_on_sweep_failure(sweep_groups("fig13_main_performance", &groups, &opts));
-    for g in &group_evals {
-        let cores = g.mixes[0].cores();
-        let means = mean_improvements(&g.evals);
-        drishti_bench::row(
-            &format!("{cores} cores ({} MB)", cores * 2),
-            &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
-        );
-    }
-    println!("\npaper: 4-core +3.1/+4.2/+6.4/+6.9; 32-core +3.3/+5.6/+6.7/+13.2");
-    if let Err(e) = write_reports(&opts, &report, &timing) {
-        eprintln!("error: failed to write sweep report: {e}");
-        std::process::exit(1);
-    }
+    drishti_bench::run(&[&drishti_bench::figures::FIG13_MAIN_PERFORMANCE]);
 }

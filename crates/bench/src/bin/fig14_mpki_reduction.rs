@@ -1,42 +1,3 @@
-//! Figure 14: LLC miss (MPKI) reduction over LRU on 4/16/32 cores,
-//! averaged across the homogeneous + heterogeneous mixes.
-//!
-//! Paper values: 4 cores — Hawkeye −12.9%, D-Hawkeye −14.5%,
-//! Mockingjay −23.8%, D-Mockingjay −24.0%; 32 cores — Hawkeye −10.6%,
-//! D-Hawkeye −14.1%, Mockingjay −21.2%, D-Mockingjay −24.1%.
-
-use drishti_bench::{evaluate_mix, header, headline_policies, pct, ExpOpts};
-use drishti_sim::metrics::mean;
-
 fn main() {
-    let opts = ExpOpts::from_args();
-    println!("# Figure 14: LLC MPKI reduction vs LRU (more negative = better)\n");
-    header(
-        "cores",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for &cores in &opts.cores {
-        let rc = opts.rc(cores);
-        let policies = headline_policies(cores);
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let reductions: Vec<String> = (0..policies.len())
-            .map(|p| {
-                let vals: Vec<f64> = evals
-                    .iter()
-                    .filter(|e| e.lru.llc_mpki() > 0.0)
-                    .map(|e| (e.cells[p].result.llc_mpki() / e.lru.llc_mpki() - 1.0) * 100.0)
-                    .collect();
-                pct(mean(&vals))
-            })
-            .collect();
-        drishti_bench::row(&format!("{cores} cores"), &reductions);
-    }
-    println!("\npaper: 4-core -12.9/-14.5/-23.8/-24.0; 32-core -10.6/-14.1/-21.2/-24.1");
+    drishti_bench::run(&[&drishti_bench::figures::FIG14_MPKI_REDUCTION]);
 }

@@ -1,41 +1,3 @@
-//! Figure 15: uncore (LLC + NoC + DRAM, plus NOCSTAR for D-variants)
-//! dynamic energy, normalised to LRU, on 16- and 32-core systems.
-//!
-//! Paper values (32 cores): Hawkeye 0.98, Mockingjay 0.95, D-Hawkeye 0.97,
-//! D-Mockingjay 0.91 (lower is better; savings come from fewer DRAM reads
-//! and LLC write-backs).
-
-use drishti_bench::{evaluate_mix, f2, header, headline_policies, ExpOpts};
-use drishti_sim::metrics::mean;
-
 fn main() {
-    let opts = ExpOpts::from_args();
-    println!("# Figure 15: uncore energy normalised to LRU (lower is better)\n");
-    header(
-        "cores",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for &cores in &opts.cores {
-        let rc = opts.rc(cores);
-        let policies = headline_policies(cores);
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let values: Vec<String> = (0..policies.len())
-            .map(|p| {
-                let ratios: Vec<f64> = evals
-                    .iter()
-                    .map(|e| e.cells[p].result.energy.normalized_to(&e.lru.energy))
-                    .collect();
-                f2(mean(&ratios))
-            })
-            .collect();
-        drishti_bench::row(&format!("{cores} cores"), &values);
-    }
-    println!("\npaper (32 cores): 0.98 / 0.97 / 0.95 / 0.91");
+    drishti_bench::run(&[&drishti_bench::figures::FIG15_ENERGY]);
 }

@@ -1,45 +1,3 @@
-//! Figure 16: per-mix performance of Mockingjay vs D-Mockingjay on 32-core
-//! systems, sorted by improvement (an "S-curve").
-//!
-//! Paper: D-Mockingjay ≥ Mockingjay on every mix; max 77% (mcf homo) vs
-//! 59%, xalan homo 26% vs 20%.
-
-use drishti_bench::{evaluate_mix, ExpOpts};
-use drishti_core::config::DrishtiConfig;
-use drishti_policies::factory::PolicyKind;
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    let rc = opts.rc(cores);
-    println!("# Figure 16: per-mix WS improvement over LRU, sorted ({cores} cores)\n");
-    let policies = vec![
-        (PolicyKind::Mockingjay, DrishtiConfig::baseline(cores)),
-        (PolicyKind::Mockingjay, DrishtiConfig::drishti(cores)),
-    ];
-    let mut rows: Vec<(String, f64, f64)> = opts
-        .paper_mixes(cores)
-        .iter()
-        .map(|m| {
-            let e = evaluate_mix(m, &policies, &rc);
-            (
-                e.mix.clone(),
-                e.cells[0].ws_improvement_pct,
-                e.cells[1].ws_improvement_pct,
-            )
-        })
-        .collect();
-    rows.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite"));
-    println!("{:<24} {:>12} {:>14}", "mix", "mockingjay", "d-mockingjay");
-    let mut wins = 0;
-    for (name, mj, dmj) in &rows {
-        println!("{name:<24} {mj:>11.1}% {dmj:>13.1}%");
-        if dmj >= mj {
-            wins += 1;
-        }
-    }
-    println!(
-        "\nD-Mockingjay >= Mockingjay on {wins}/{} mixes (paper: all mixes)",
-        rows.len()
-    );
+    drishti_bench::run(&[&drishti_bench::figures::FIG16_SCURVE]);
 }

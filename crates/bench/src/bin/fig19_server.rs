@@ -1,36 +1,3 @@
-//! Figure 19: Hawkeye/D-Hawkeye/Mockingjay/D-Mockingjay on server-class
-//! workloads (CVP1, Google datacenter, CloudSuite, XSBench) for 16- and
-//! 32-core mixes.
-//!
-//! Paper: on these traces the base policies only gain 2–3% (max 13%) —
-//! server workloads have low LLC MPKI — and Drishti adds ~2% on average.
-
-use drishti_bench::{evaluate_mix, header, headline_policies, mean_improvements, pct, ExpOpts};
-use drishti_trace::mix::server_mixes;
-
 fn main() {
-    let opts = ExpOpts::from_args();
-    println!("# Figure 19: server-class workloads\n");
-    header(
-        "cores",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for &cores in &opts.cores {
-        let rc = opts.rc(cores);
-        let policies = headline_policies(cores);
-        let n = if opts.full { 50 } else { opts.mixes };
-        let evals: Vec<_> = server_mixes(cores, n)
-            .iter()
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let means = mean_improvements(&evals);
-        drishti_bench::row(
-            &format!("{cores} cores"),
-            &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
-        );
-    }
-    println!("\npaper: base policies 2–3%; Drishti adds ~2% on top of each");
+    drishti_bench::run(&[&drishti_bench::figures::FIG19_SERVER]);
 }

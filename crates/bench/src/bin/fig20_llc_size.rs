@@ -1,38 +1,3 @@
-//! Figure 20: LLC slice-size sensitivity (1/2/4 MB per core) on a 16-core
-//! system, homogeneous mixes.
-//!
-//! Paper: Drishti's advantage holds across sizes and peaks at the 2 MB
-//! baseline (the sampled-set counts are tuned for 2 MB slices).
-
-use drishti_bench::{evaluate_mix, header, headline_policies, mean_improvements, pct, ExpOpts};
-use drishti_sim::config::SystemConfig;
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    println!("# Figure 20: LLC slice size sensitivity ({cores} cores)\n");
-    header(
-        "slice size",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for mib in [1usize, 2, 4] {
-        let mut rc = opts.rc(cores);
-        rc.system = SystemConfig::with_llc_mib(cores, mib);
-        let policies = headline_policies(cores);
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .filter(|m| m.is_homogeneous())
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let means = mean_improvements(&evals);
-        drishti_bench::row(
-            &format!("{mib} MB/core"),
-            &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
-        );
-    }
-    println!("\npaper: effectiveness holds at all sizes, best at 2 MB/core");
+    drishti_bench::run(&[&drishti_bench::figures::FIG20_LLC_SIZE]);
 }

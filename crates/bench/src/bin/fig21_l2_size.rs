@@ -1,39 +1,3 @@
-//! Figure 21: L2 size sensitivity (256 KB … 2 MB) on a 16-core system,
-//! homogeneous mixes.
-//!
-//! Paper: Drishti keeps enhancing both policies at every L2 size, but with
-//! a 2 MB L2 the headroom shrinks (working sets start fitting in L2 and
-//! baseline LLC MPKI drops below 1).
-
-use drishti_bench::{evaluate_mix, header, headline_policies, mean_improvements, pct, ExpOpts};
-use drishti_sim::config::SystemConfig;
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    println!("# Figure 21: L2 size sensitivity ({cores} cores)\n");
-    header(
-        "L2 size",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for kib in [256usize, 512, 1024, 2048] {
-        let mut rc = opts.rc(cores);
-        rc.system = SystemConfig::with_l2_kib(cores, kib);
-        let policies = headline_policies(cores);
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .filter(|m| m.is_homogeneous())
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let means = mean_improvements(&evals);
-        drishti_bench::row(
-            &format!("{kib} KB"),
-            &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
-        );
-    }
-    println!("\npaper: gains shrink as L2 grows (working sets fit in L2)");
+    drishti_bench::run(&[&drishti_bench::figures::FIG21_L2_SIZE]);
 }

@@ -1,39 +1,3 @@
-//! Figure 22: DRAM channel-count sensitivity (2/4/8 channels for 16 cores),
-//! homogeneous mixes.
-//!
-//! Paper: with 2 channels, Hawkeye gains 2.3% → D-Hawkeye 5.5% and
-//! Mockingjay 4.7% → D-Mockingjay 10.4%; with 8 channels the LLC miss
-//! penalty shrinks and so does every policy's headroom.
-
-use drishti_bench::{evaluate_mix, header, headline_policies, mean_improvements, pct, ExpOpts};
-use drishti_sim::config::SystemConfig;
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    println!("# Figure 22: DRAM channel sensitivity ({cores} cores)\n");
-    header(
-        "channels",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for channels in [2usize, 4, 8] {
-        let mut rc = opts.rc(cores);
-        rc.system = SystemConfig::with_dram_channels(cores, channels);
-        let policies = headline_policies(cores);
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .filter(|m| m.is_homogeneous())
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let means = mean_improvements(&evals);
-        drishti_bench::row(
-            &format!("{channels} channels"),
-            &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
-        );
-    }
-    println!("\npaper: fewer channels ⇒ bigger gains (2ch: +2.3/+5.5/+4.7/+10.4)");
+    drishti_bench::run(&[&drishti_bench::figures::FIG22_DRAM_CHANNELS]);
 }

@@ -1,48 +1,3 @@
-//! Figure 23: Drishti with five state-of-the-art prefetchers (SPP+PPF,
-//! Bingo, IPCP, Berti, Gaze) replacing the baseline next-line + IP-stride
-//! pair. Each column is normalised to an LRU baseline *with the same
-//! prefetcher*.
-//!
-//! Paper: Drishti's enhancements stay synergistic with every prefetcher;
-//! highly accurate prefetchers (SPP+PPF, Berti) raise the baseline and
-//! shrink the remaining headroom slightly.
-
-use drishti_bench::{evaluate_mix, header, headline_policies, mean_improvements, pct, ExpOpts};
-use drishti_mem::prefetch::PrefetcherKind;
-use drishti_sim::config::SystemConfig;
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    println!("# Figure 23: prefetcher sensitivity ({cores} cores)\n");
-    header(
-        "L2 prefetcher",
-        &["hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for l2pf in [
-        PrefetcherKind::IpStride,
-        PrefetcherKind::SppPpf,
-        PrefetcherKind::Bingo,
-        PrefetcherKind::Ipcp,
-        PrefetcherKind::Berti,
-        PrefetcherKind::Gaze,
-    ] {
-        let mut rc = opts.rc(cores);
-        rc.system = SystemConfig::with_prefetchers(cores, PrefetcherKind::NextLine, l2pf);
-        let policies = headline_policies(cores);
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let means = mean_improvements(&evals);
-        drishti_bench::row(
-            l2pf.label(),
-            &means.iter().map(|(_, v)| pct(*v)).collect::<Vec<_>>(),
-        );
-    }
-    println!("\npaper: D-variants ≥ baselines under every prefetcher");
+    drishti_bench::run(&[&drishti_bench::figures::FIG23_PREFETCHERS]);
 }

@@ -1,188 +1,3 @@
-//! Resilience study: speedup vs. uncore fault rate.
-//!
-//! Sweeps message-drop probability over {0, 5, 10, 25, 50}% for the
-//! headline policies under both the baseline and the Drishti predictor
-//! organisation, with every run's IPC normalised to the *fault-free* run
-//! of the same (policy, organisation). The interesting question is the
-//! shape of the curve: a policy whose degradation path works loses
-//! performance smoothly as the fabric gets lossier, never hangs, and
-//! never collapses — its slices fall back to static SRRIP-like insertion
-//! when predictions stop arriving instead of blocking on them.
-//!
-//! Every `(policy, organisation, drop-rate)` cell is an independent
-//! [`SweepJob`] on the parallel harness — this binary drives the raw
-//! `run_sweep` API rather than the mix-evaluation layer, because its
-//! normalisation baseline is the fault-free cell of the same variant, not
-//! LRU. A fixed fault seed carried by each job makes every row
-//! reproducible bit-for-bit at any `--jobs` width; the report lands in
-//! `target/sweep/resilience.json`.
-
-use drishti_bench::{f2, header, report_path, row, write_reports, ExpOpts};
-use drishti_core::config::DrishtiConfig;
-use drishti_noc::faults::FaultConfig;
-use drishti_policies::factory::PolicyKind;
-use drishti_sim::config::SystemConfig;
-use drishti_sim::runner::RunConfig;
-use drishti_sim::sampling::SamplingSpec;
-use drishti_sim::sweep::report::{SweepReport, SweepTiming};
-use drishti_sim::sweep::{journal, run_sweep_resumable, JobKind, SweepJob};
-use drishti_sim::telemetry::TelemetrySpec;
-use drishti_trace::mix::Mix;
-use drishti_trace::presets::Benchmark;
-use drishti_trace::replay::TraceCache;
-use std::sync::Arc;
-
-const FAULT_SEED: u64 = 42;
-const DROP_PCTS: [f64; 5] = [0.0, 5.0, 10.0, 25.0, 50.0];
-
-/// The run result of cell `idx`, or a fatal error naming exactly which
-/// cell is missing — a normalisation baseline that silently vanishes
-/// would otherwise surface as an opaque panic far from the cause.
-fn run_cell<'a>(
-    outcome: &'a drishti_sim::sweep::SweepOutcome,
-    jobs: &[SweepJob],
-    idx: usize,
-) -> &'a drishti_sim::runner::RunResult {
-    match &outcome.outputs[idx] {
-        Ok(out) => out.unwrap_run(),
-        Err(f) => {
-            eprintln!(
-                "error: baseline cell {} ({}) is missing: {}",
-                f.id,
-                jobs.get(idx).map_or("?", |j| j.label.as_str()),
-                f.message
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(8);
-    let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), cores, 1);
-    println!(
-        "# Resilience: total IPC vs. uncore message-drop rate ({cores} cores, mix {})\n",
-        mix.name
-    );
-
-    let variants: Vec<(PolicyKind, &str)> = vec![
-        (PolicyKind::Mockingjay, "baseline"),
-        (PolicyKind::Mockingjay, "drishti"),
-        (PolicyKind::Hawkeye, "baseline"),
-        (PolicyKind::Hawkeye, "drishti"),
-    ];
-
-    // One job per (variant, drop-rate) cell; the job's seed is the cell's
-    // fault seed, so the whole batch is order-free.
-    let mut jobs = Vec::new();
-    for (policy, org) in &variants {
-        for &drop_pct in &DROP_PCTS {
-            let faults = FaultConfig::with_drops(FAULT_SEED, drop_pct);
-            let drishti = match *org {
-                "drishti" => DrishtiConfig::drishti(cores),
-                _ => DrishtiConfig::baseline(cores),
-            }
-            .with_faults(faults.clone());
-            let id = jobs.len();
-            jobs.push(SweepJob {
-                id,
-                label: format!("{}/{}/{org}/drop{drop_pct}", mix.name, policy.label()),
-                seed: FAULT_SEED,
-                rc: RunConfig {
-                    system: SystemConfig::with_faults(cores, faults),
-                    accesses_per_core: opts.accesses,
-                    warmup_accesses: opts.accesses / 4,
-                    record_llc_stream: false,
-                    sampling: SamplingSpec::off(),
-                    telemetry: TelemetrySpec::off(),
-                },
-                kind: JobKind::Run {
-                    mix: mix.clone(),
-                    policy: *policy,
-                    org: drishti,
-                    org_label: (*org).to_string(),
-                },
-            });
-        }
-    }
-
-    let cache = Arc::new(TraceCache::new());
-    let journal_file = journal::journal_path(&report_path(&opts, "resilience"));
-    let outcome = run_sweep_resumable(&jobs, opts.jobs, &cache, &journal_file, opts.resume)
-        .unwrap_or_else(|err| {
-            eprintln!(
-                "error: cannot resume from {}: {err}",
-                journal_file.display()
-            );
-            std::process::exit(2);
-        });
-    let timing = SweepTiming::from_outcome("resilience", &outcome);
-    let failures = outcome.failures();
-    if !failures.is_empty() {
-        eprintln!("error: {} sweep cell(s) failed:", failures.len());
-        for f in failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    let mut report = SweepReport::from_outcome("resilience", &jobs, &outcome);
-    report
-        .config
-        .push(("fault_seed".to_string(), FAULT_SEED.to_string()));
-    report
-        .config
-        .push(("accesses".to_string(), opts.accesses.to_string()));
-    report.config.push(("cores".to_string(), cores.to_string()));
-
-    header(
-        "policy/org",
-        &DROP_PCTS
-            .iter()
-            .map(|p| format!("{p:.0}% drop"))
-            .collect::<Vec<_>>(),
-    );
-
-    for (v, (policy, org)) in variants.iter().enumerate() {
-        let base = v * DROP_PCTS.len();
-        let healthy = run_cell(&outcome, &jobs, base);
-        if !healthy.fault_summary().is_clean() {
-            eprintln!(
-                "error: zero-rate run of {}/{org} reports faults",
-                policy.label()
-            );
-            std::process::exit(1);
-        }
-        let healthy_ipc = healthy.total_ipc();
-        let mut cells = Vec::new();
-        for (d, &drop_pct) in DROP_PCTS.iter().enumerate() {
-            let r = run_cell(&outcome, &jobs, base + d);
-            let ipc = r.total_ipc();
-            let rel = if healthy_ipc > 0.0 {
-                ipc / healthy_ipc
-            } else {
-                0.0
-            };
-            cells.push(format!("{} ({}×)", f2(ipc), f2(rel)));
-            let cell = report.cell_mut(base + d).expect("run cell in report");
-            cell.metrics.push(("drop_pct".to_string(), drop_pct));
-            cell.metrics.push(("rel_ipc".to_string(), rel));
-        }
-        row(&format!("{}/{org}", policy.label()), &cells);
-        let worst = run_cell(&outcome, &jobs, base + DROP_PCTS.len() - 1).fault_summary();
-        println!(
-            "    at 50%: mesh drops {} (retries {}), fabric fallbacks {}, dropped trainings {}",
-            worst.mesh_dropped,
-            worst.mesh_retries,
-            worst.fallback_decisions,
-            worst.dropped_trainings
-        );
-    }
-
-    println!("\ncells: absolute total IPC (relative to the same variant's fault-free run)");
-    println!("graceful degradation = relative IPC declines smoothly and every run completes");
-    if let Err(e) = write_reports(&opts, &report, &timing) {
-        eprintln!("error: failed to write sweep report: {e}");
-        std::process::exit(1);
-    }
+    drishti_bench::run(&[&drishti_bench::figures::RESILIENCE]);
 }

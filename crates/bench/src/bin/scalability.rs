@@ -1,57 +1,3 @@
-//! Scalability (paper §5.3): D-Mockingjay on 64- and 128-core systems with
-//! 128/256 MB sliced LLCs.
-//!
-//! Paper: the D-Mockingjay advantage persists at 64 and 128 cores (about
-//! +1% more than at 32 cores).
-
-use drishti_bench::{evaluate_mix, header, pct, ExpOpts};
-use drishti_core::config::DrishtiConfig;
-use drishti_policies::factory::PolicyKind;
-use drishti_sim::metrics::mean;
-
 fn main() {
-    let opts = ExpOpts::from_args();
-    println!("# Scalability: Mockingjay vs D-Mockingjay at high core counts\n");
-    header(
-        "cores (LLC)",
-        &["mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    // Default to the larger systems; --cores overrides.
-    let cores_list = if opts.cores == vec![4, 16] {
-        vec![32, 64]
-    } else {
-        opts.cores.clone()
-    };
-    for cores in cores_list {
-        let mut rc = opts.rc(cores);
-        // Keep wall-clock bounded at very high core counts.
-        rc.accesses_per_core = rc.accesses_per_core.min(60_000);
-        rc.warmup_accesses = rc.accesses_per_core / 4;
-        let policies = vec![
-            (PolicyKind::Mockingjay, DrishtiConfig::baseline(cores)),
-            (PolicyKind::Mockingjay, DrishtiConfig::drishti(cores)),
-        ];
-        let mixes = opts.paper_mixes(cores);
-        let evals: Vec<_> = mixes
-            .iter()
-            .take(4)
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let avg = |p: usize| {
-            mean(
-                &evals
-                    .iter()
-                    .map(|e| e.cells[p].ws_improvement_pct)
-                    .collect::<Vec<_>>(),
-            )
-        };
-        drishti_bench::row(
-            &format!("{cores} cores ({} MB)", cores * 2),
-            &[pct(avg(0)), pct(avg(1))],
-        );
-    }
-    println!("\npaper: the advantage holds at 64/128 cores (≈ +1% over 32 cores)");
+    drishti_bench::run(&[&drishti_bench::figures::SCALABILITY]);
 }

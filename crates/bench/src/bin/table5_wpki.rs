@@ -1,45 +1,3 @@
-//! Table 5: average LLC write-backs per kilo-instruction (WPKI) for LRU,
-//! Hawkeye, D-Hawkeye, Mockingjay and D-Mockingjay.
-//!
-//! Paper values (16 cores): LRU 0.18, Hawkeye 1.15, D-Hawkeye 2.63,
-//! Mockingjay 7.16, D-Mockingjay 7.02 — Belady-mimicking policies assign
-//! dirty lines the lowest priority, so write-back traffic rises sharply
-//! versus LRU.
-
-use drishti_bench::{evaluate_mix, f2, header, headline_policies, ExpOpts};
-use drishti_sim::metrics::mean;
-
 fn main() {
-    let opts = ExpOpts::from_args();
-    println!("# Table 5: LLC WPKI (write-backs per kilo-instruction)\n");
-    header(
-        "cores",
-        &["lru", "hawkeye", "d-hawkeye", "mockingjay", "d-mockingjay"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-    );
-    for &cores in &opts.cores {
-        let rc = opts.rc(cores);
-        let policies = headline_policies(cores);
-        let evals: Vec<_> = opts
-            .paper_mixes(cores)
-            .iter()
-            .map(|m| evaluate_mix(m, &policies, &rc))
-            .collect();
-        let mut values = vec![f2(mean(
-            &evals.iter().map(|e| e.lru.wpki()).collect::<Vec<_>>(),
-        ))];
-        for p in 0..policies.len() {
-            values.push(f2(mean(
-                &evals
-                    .iter()
-                    .map(|e| e.cells[p].result.wpki())
-                    .collect::<Vec<_>>(),
-            )));
-        }
-        drishti_bench::row(&format!("{cores} cores"), &values);
-    }
-    println!("\npaper (16 cores): 0.18 / 1.15 / 2.63 / 7.16 / 7.02");
-    println!("shape check: every Belady-mimicking policy must exceed LRU's WPKI.");
+    drishti_bench::run(&[&drishti_bench::figures::TABLE5_WPKI]);
 }

@@ -1,42 +1,3 @@
-//! Table 8: Drishti applied to SHiP++, CHROME and Glider on 16-core
-//! systems (normalised weighted speedup over LRU).
-//!
-//! Paper: SHiP++ 1.03 → D-SHiP++ 1.08; CHROME 1.06 → D-CHROME 1.13;
-//! Glider 1.03 → D-Glider 1.06.
-
-use drishti_bench::{evaluate_mix, header, mean_improvements, ExpOpts};
-use drishti_core::config::DrishtiConfig;
-use drishti_policies::factory::PolicyKind;
-
 fn main() {
-    let mut opts = ExpOpts::from_args();
-    let cores = opts.cores.pop().unwrap_or(16);
-    let rc = opts.rc(cores);
-    println!("# Table 8: Drishti with SHiP++, CHROME and Glider ({cores} cores)\n");
-    let policies = vec![
-        (PolicyKind::ShipPp, DrishtiConfig::baseline(cores)),
-        (PolicyKind::ShipPp, DrishtiConfig::drishti(cores)),
-        (PolicyKind::Chrome, DrishtiConfig::baseline(cores)),
-        (PolicyKind::Chrome, DrishtiConfig::drishti(cores)),
-        (PolicyKind::Glider, DrishtiConfig::baseline(cores)),
-        (PolicyKind::Glider, DrishtiConfig::drishti(cores)),
-    ];
-    let evals: Vec<_> = opts
-        .paper_mixes(cores)
-        .iter()
-        .map(|m| evaluate_mix(m, &policies, &rc))
-        .collect();
-    let means = mean_improvements(&evals);
-    header(
-        "normalised WS",
-        &means.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
-    );
-    drishti_bench::row(
-        "vs LRU",
-        &means
-            .iter()
-            .map(|(_, v)| format!("{:.3}", 1.0 + v / 100.0))
-            .collect::<Vec<_>>(),
-    );
-    println!("\npaper: 1.03→1.08 (SHiP++), 1.06→1.13 (CHROME), 1.03→1.06 (Glider)");
+    drishti_bench::run(&[&drishti_bench::figures::TABLE8_OTHER_POLICIES]);
 }

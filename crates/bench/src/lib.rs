@@ -2,7 +2,8 @@
 //!
 //! Every binary reproduces one table or figure of the Drishti paper (see
 //! DESIGN.md §4 for the index and EXPERIMENTS.md for paper-vs-measured
-//! results). They share a common protocol:
+//! results) and is one [`Figure`] of the [`figures`] registry. They share
+//! a common protocol:
 //!
 //! 1. build the paper's workload mixes ([`drishti_trace::mix`]);
 //! 2. run each mix under LRU (the baseline), measure per-core alone-IPCs;
@@ -18,28 +19,32 @@
 //! (4/16/32) and longer traces; `--mixes N` / `--cores a,b,c` /
 //! `--accesses N` override individual knobs.
 //!
-//! # Parallelism and reports
+//! # One sweep per run
 //!
-//! The sweep-driven binaries (`fig13_main_performance`, `table6_metrics`,
-//! `fig17_ablation`, `resilience`) execute their cells on the
-//! [`drishti_sim::sweep`] harness: `--jobs N` picks the worker count
-//! (default: all available cores; results are bit-identical at any
-//! width), and every run writes a `drishti-sweep/v1` JSON report plus a
-//! timing sidecar to `target/sweep/` (`--report PATH` overrides the
-//! destination). The remaining binaries accept and ignore `--jobs` so
-//! `all_experiments` can forward one flag set to the whole suite.
+//! [`run`] evaluates the union of the requested figures' groups as one
+//! [`sweep_groups`] call, which simulates each distinct cell once however
+//! many figures read it. `--jobs N` picks the worker count (default: all
+//! available cores; results are bit-identical at any width), `--resume`
+//! picks up a killed run from its journal, and one `drishti-sweep/v1`
+//! report plus a timing sidecar lands in `target/sweep/` (`--report PATH`
+//! overrides the destination).
+
+pub mod figures;
 
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
 use drishti_sim::metrics::{mean, MixMetrics};
-use drishti_sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig, RunResult};
+use drishti_sim::runner::{mix_metrics, RunConfig, RunResult};
 use drishti_sim::sampling::SamplingSpec;
 use drishti_sim::sweep::report::{SweepReport, SweepTiming};
-use drishti_sim::sweep::{journal, run_sweep_resumable, JobKind, JobOutput, SweepJob};
+use drishti_sim::sweep::{journal, run_sweep_resumable};
+use drishti_sim::sweep::{JobKind, JobOutput, SweepJob, SweepOutcome};
 use drishti_sim::telemetry::TelemetrySpec;
 use drishti_trace::mix::Mix;
 use drishti_trace::replay::TraceCache;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -228,8 +233,8 @@ pub struct Cell {
     /// Weighted speedup normalised to the same mix under LRU, ×100 − 100
     /// (i.e. "% improvement over LRU", the paper's headline metric).
     pub ws_improvement_pct: f64,
-    /// The raw run result.
-    pub result: RunResult,
+    /// The raw run result, shared by every group that planned this cell.
+    pub result: Arc<RunResult>,
     /// Mix metrics against alone-IPC baselines.
     pub metrics: MixMetrics,
 }
@@ -240,7 +245,7 @@ pub struct MixEval {
     /// The mix name.
     pub mix: String,
     /// LRU baseline run.
-    pub lru: RunResult,
+    pub lru: Arc<RunResult>,
     /// LRU weighted speedup (the normalisation denominator).
     pub lru_ws: f64,
     /// LRU mix metrics.
@@ -249,56 +254,22 @@ pub struct MixEval {
     pub cells: Vec<Cell>,
 }
 
-/// Run `mix` under LRU and every `(policy, organisation)` pair.
-pub fn evaluate_mix(
-    mix: &Mix,
-    policies: &[(PolicyKind, DrishtiConfig)],
-    rc: &RunConfig,
-) -> MixEval {
-    let alone = alone_ipcs(mix, rc);
-    let lru = run_mix(
-        mix,
-        PolicyKind::Lru,
-        DrishtiConfig::baseline(mix.cores()),
-        rc,
-    );
-    let lru_metrics = mix_metrics(&lru, &alone);
-    let lru_ws = lru_metrics.weighted_speedup();
-    let cells = policies
-        .iter()
-        .map(|(pk, cfg)| {
-            let result = run_mix(mix, *pk, cfg.clone(), rc);
-            let metrics = mix_metrics(&result, &alone);
-            Cell {
-                policy: result.policy.clone(),
-                ws_improvement_pct: (metrics.weighted_speedup() / lru_ws - 1.0) * 100.0,
-                result,
-                metrics,
-            }
-        })
-        .collect();
-    MixEval {
-        mix: mix.name.clone(),
-        lru,
-        lru_ws,
-        lru_metrics,
-        cells,
-    }
-}
-
 /// Mean % WS improvement per policy across a set of mix evaluations.
 pub fn mean_improvements(evals: &[MixEval]) -> Vec<(String, f64)> {
-    if evals.is_empty() {
-        return Vec::new();
-    }
-    (0..evals[0].cells.len())
-        .map(|p| {
-            let vals: Vec<f64> = evals
-                .iter()
-                .map(|e| e.cells[p].ws_improvement_pct)
-                .collect();
-            (evals[0].cells[p].policy.clone(), mean(&vals))
-        })
+    let means = column_means(evals.iter(), |c, _| c.ws_improvement_pct);
+    let names = evals.iter().take(1).flat_map(|e| &e.cells);
+    names.map(|c| c.policy.clone()).zip(means).collect()
+}
+
+/// Per policy column, the mean over `evals` of `f` applied to the
+/// column's cell and its mix evaluation; empty when `evals` is.
+fn column_means<'a>(
+    evals: impl Iterator<Item = &'a MixEval> + Clone,
+    f: impl Fn(&Cell, &MixEval) -> f64,
+) -> Vec<f64> {
+    let columns = evals.clone().next().map_or(0, |e| e.cells.len());
+    (0..columns)
+        .map(|p| mean(&evals.clone().map(|e| f(&e.cells[p], e)).collect::<Vec<_>>()))
         .collect()
 }
 
@@ -346,18 +317,16 @@ impl std::fmt::Display for SweepFailed {
     }
 }
 
-/// Per-mix job layout inside a group: alone-IPC baselines, the LRU
-/// normalisation run, then one run per compared policy.
-const JOBS_PER_MIX_FIXED: usize = 2;
-
 /// Evaluate every group's mixes on the parallel sweep harness.
 ///
-/// Flattens all groups into one dense job batch (per mix: one alone-IPC
-/// job, one LRU job, one job per policy), executes it on
-/// [`drishti_sim::sweep::run_sweep_resumable`] with `opts.jobs` workers
-/// and a shared [`TraceCache`], and aggregates deterministically by job
-/// id — output is bit-identical for any worker count. Returns the
-/// per-group evaluations plus the enriched [`SweepReport`] (per-cell
+/// Plans per mix an alone-IPC slot, an LRU slot and one slot per policy,
+/// and runs each distinct cell ([`SweepJob::key`]: mix, policy,
+/// organisation and run configuration) once, numbered in
+/// first-seen order, sharing its output among the slots that planned it;
+/// without repeats the job list is the per-slot layout. The batch runs
+/// journaled beside the report (see `--resume`) and aggregates by job id,
+/// so the output is bit-identical for any worker count. Returns the
+/// per-group evaluations, the enriched [`SweepReport`] (per-cell
 /// `ws`/`ws_improvement_pct`, per-group mean-improvement summaries) and
 /// the host-side [`SweepTiming`].
 pub fn sweep_groups(
@@ -365,68 +334,46 @@ pub fn sweep_groups(
     groups: &[MixGroup],
     opts: &ExpOpts,
 ) -> Result<(Vec<GroupEval>, SweepReport, SweepTiming), SweepFailed> {
-    let mut jobs = Vec::new();
+    let mut jobs: Vec<SweepJob> = Vec::new();
+    let mut slots: Vec<usize> = Vec::new();
+    let mut ids: HashMap<String, usize> = HashMap::new();
+    let mut plan = |label: String, rc: &RunConfig, kind: JobKind| {
+        let id = jobs.len();
+        let seed = SweepJob::derive_seed(id);
+        let job = SweepJob {
+            id,
+            label,
+            seed,
+            rc: rc.clone(),
+            kind,
+        };
+        let id = *ids.entry(job.key()).or_insert_with(|| {
+            jobs.push(job);
+            id
+        });
+        slots.push(id);
+    };
     for group in groups {
-        let stride = group.policies.len() + JOBS_PER_MIX_FIXED;
         for mix in &group.mixes {
-            let base = jobs.len();
-            jobs.push(SweepJob {
-                id: base,
-                label: format!("{}/alone", mix.name),
-                seed: SweepJob::derive_seed(base),
-                rc: group.rc.clone(),
-                kind: JobKind::AloneIpcs { mix: mix.clone() },
-            });
-            jobs.push(SweepJob {
-                id: base + 1,
-                label: format!("{}/lru/baseline", mix.name),
-                seed: SweepJob::derive_seed(base + 1),
-                rc: group.rc.clone(),
-                kind: JobKind::Run {
-                    mix: mix.clone(),
-                    policy: PolicyKind::Lru,
-                    org: DrishtiConfig::baseline(mix.cores()),
-                    org_label: "baseline".to_string(),
-                },
-            });
-            for (p, (pk, cfg)) in group.policies.iter().enumerate() {
-                jobs.push(SweepJob {
-                    id: base + JOBS_PER_MIX_FIXED + p,
-                    label: format!("{}/{}/{}", mix.name, pk.label(), cfg.label()),
-                    seed: SweepJob::derive_seed(base + JOBS_PER_MIX_FIXED + p),
-                    rc: group.rc.clone(),
-                    kind: JobKind::Run {
-                        mix: mix.clone(),
-                        policy: *pk,
-                        org: cfg.clone(),
-                        org_label: cfg.label(),
-                    },
-                });
+            let kind = JobKind::AloneIpcs { mix: mix.clone() };
+            plan(format!("{}/alone", mix.name), &group.rc, kind);
+            let lru = (PolicyKind::Lru, DrishtiConfig::baseline(mix.cores()));
+            for (policy, org) in std::iter::once(lru).chain(group.policies.iter().cloned()) {
+                let label = format!("{}/{}/{}", mix.name, policy.label(), org.label());
+                let (mix, org_label) = (mix.clone(), org.label());
+                let kind = JobKind::Run {
+                    mix,
+                    policy,
+                    org,
+                    org_label,
+                };
+                plan(label, &group.rc, kind);
             }
-            debug_assert_eq!(jobs.len(), base + stride);
         }
     }
 
-    let cache = Arc::new(TraceCache::new());
-    // Every sweep is journaled beside its report: completed cells land in
-    // `<report>.journal` as they finish, so a killed run can be picked up
-    // with `--resume`. The journal is removed again by [`write_reports`]
-    // on clean completion. A journal that exists but belongs to a
-    // different job set is a hard refusal (exit 2), not a silent re-run.
-    let journal_file = journal::journal_path(&report_path(opts, name));
-    let outcome = run_sweep_resumable(&jobs, opts.jobs, &cache, &journal_file, opts.resume)
-        .unwrap_or_else(|err| {
-            eprintln!(
-                "error: cannot resume from {}: {err}",
-                journal_file.display()
-            );
-            std::process::exit(2);
-        });
+    let outcome = run_journaled(name, &jobs, opts)?;
     let timing = SweepTiming::from_outcome(name, &outcome);
-    let failures: Vec<_> = outcome.failures().into_iter().cloned().collect();
-    if !failures.is_empty() {
-        return Err(SweepFailed(failures));
-    }
     let mut report = SweepReport::from_outcome(name, &jobs, &outcome);
     report
         .config
@@ -455,47 +402,50 @@ pub fn sweep_groups(
             .push(("sample_warmup".to_string(), opts.sample_warmup.to_string()));
     }
 
-    // Fold outputs back into per-mix evaluations, enriching the report's
-    // cells with the LRU-normalised metrics as we go. Outputs arrive in
-    // job-id order, which is exactly construction order.
-    let mut outputs = outcome
+    // Fold the outputs back into per-mix evaluations, slot by slot in
+    // planning order, enriching each distinct cell's report entry with
+    // its LRU-normalised metrics once (a shared cell has the same alone
+    // IPCs and LRU baseline wherever it is planned).
+    let outputs: Vec<JobOutput> = outcome
         .outputs
         .into_iter()
-        .map(|o| o.expect("failures handled above"));
-    let mut next_id = 0;
+        .map(|o| o.expect("failures handled above"))
+        .collect();
+    let run = |id: usize| match &outputs[id] {
+        JobOutput::Run(r) => Arc::clone(r),
+        JobOutput::AloneIpcs(_) => unreachable!("job layout: run slots follow the alone IPCs"),
+    };
+    let mut slots = slots.into_iter();
+    let mut next = || slots.next().expect("one job per planned slot");
+    let mut enriched = vec![false; jobs.len()];
+    let mut enrich = |report: &mut SweepReport, id: usize, ws: f64, ws_improvement_pct: f64| {
+        if !std::mem::replace(&mut enriched[id], true) {
+            let cell = report.cell_mut(id).expect("run cell present in report");
+            cell.metrics.push(("ws".to_string(), ws));
+            cell.metrics
+                .push(("ws_improvement_pct".to_string(), ws_improvement_pct));
+        }
+    };
     let mut group_evals = Vec::with_capacity(groups.len());
     for group in groups {
         let mut evals = Vec::with_capacity(group.mixes.len());
         for mix in &group.mixes {
-            let alone = match outputs.next().expect("alone output") {
-                JobOutput::AloneIpcs(a) => a,
-                JobOutput::Run(_) => unreachable!("job layout: alone first"),
-            };
-            let lru = match outputs.next().expect("lru output") {
-                JobOutput::Run(r) => *r,
-                JobOutput::AloneIpcs(_) => unreachable!("job layout: lru second"),
-            };
-            let lru_metrics = mix_metrics(&lru, &alone);
+            let alone = outputs[next()].unwrap_alone();
+            let lru_id = next();
+            let lru = run(lru_id);
+            let lru_metrics = mix_metrics(&lru, alone);
             let lru_ws = lru_metrics.weighted_speedup();
-            let lru_id = next_id + 1;
-            enrich_cell(&mut report, lru_id, lru_ws, 0.0);
+            enrich(&mut report, lru_id, lru_ws, 0.0);
             let cells = group
                 .policies
                 .iter()
-                .enumerate()
-                .map(|(p, _)| {
-                    let result = match outputs.next().expect("policy output") {
-                        JobOutput::Run(r) => *r,
-                        JobOutput::AloneIpcs(_) => unreachable!("job layout: runs after lru"),
-                    };
-                    let metrics = mix_metrics(&result, &alone);
-                    let ws_improvement_pct = (metrics.weighted_speedup() / lru_ws - 1.0) * 100.0;
-                    enrich_cell(
-                        &mut report,
-                        next_id + JOBS_PER_MIX_FIXED + p,
-                        metrics.weighted_speedup(),
-                        ws_improvement_pct,
-                    );
+                .map(|_| {
+                    let id = next();
+                    let result = run(id);
+                    let metrics = mix_metrics(&result, alone);
+                    let ws = metrics.weighted_speedup();
+                    let ws_improvement_pct = (ws / lru_ws - 1.0) * 100.0;
+                    enrich(&mut report, id, ws, ws_improvement_pct);
                     Cell {
                         policy: result.policy.clone(),
                         ws_improvement_pct,
@@ -504,7 +454,6 @@ pub fn sweep_groups(
                     }
                 })
                 .collect();
-            next_id += group.policies.len() + JOBS_PER_MIX_FIXED;
             evals.push(MixEval {
                 mix: mix.name.clone(),
                 lru,
@@ -535,15 +484,37 @@ pub fn sweep_groups(
             evals,
         });
     }
-    debug_assert!(outputs.next().is_none(), "all outputs consumed");
+    debug_assert!(slots.next().is_none(), "all slots consumed");
     Ok((group_evals, report, timing))
 }
 
-fn enrich_cell(report: &mut SweepReport, id: usize, ws: f64, ws_improvement_pct: f64) {
-    let cell = report.cell_mut(id).expect("run cell present in report");
-    cell.metrics.push(("ws".to_string(), ws));
-    cell.metrics
-        .push(("ws_improvement_pct".to_string(), ws_improvement_pct));
+/// Run `jobs` on the sweep harness with `opts.jobs` workers and a shared
+/// [`TraceCache`], journaled beside the report of the sweep `name`:
+/// completed cells land in `<report>.journal` as they finish, so a killed
+/// run can be picked up with `--resume`, and [`write_reports`] removes the
+/// journal on clean completion. A journal of another job set is refused
+/// with exit 2, not silently re-run.
+fn run_journaled(
+    name: &str,
+    jobs: &[SweepJob],
+    opts: &ExpOpts,
+) -> Result<SweepOutcome, SweepFailed> {
+    let journal_file = journal::journal_path(&report_path(opts, name));
+    let cache = Arc::new(TraceCache::new());
+    let outcome = run_sweep_resumable(jobs, opts.jobs, &cache, &journal_file, opts.resume)
+        .unwrap_or_else(|err| {
+            eprintln!(
+                "error: cannot resume from {}: {err}",
+                journal_file.display()
+            );
+            std::process::exit(2);
+        });
+    let failures: Vec<_> = outcome.failures().into_iter().cloned().collect();
+    if failures.is_empty() {
+        Ok(outcome)
+    } else {
+        Err(SweepFailed(failures))
+    }
 }
 
 /// The report path a sweep named `name` will write to: `--report` or the
@@ -591,6 +562,123 @@ pub fn exit_on_sweep_failure<T>(result: Result<T, SweepFailed>) -> T {
     })
 }
 
+/// One table or figure of the paper: the mix groups it evaluates and how
+/// it prints them. The [`figures`] registry holds every one.
+pub struct Figure {
+    /// The binary's name, which also names its report.
+    pub name: &'static str,
+    /// The groups whose LRU-normalised cells the figure reads.
+    pub groups: fn(&ExpOpts) -> Vec<MixGroup>,
+    /// Print the figure from its groups' evaluations (in `groups` order),
+    /// adding any figure-level rows to the report's summary.
+    pub print: fn(&ExpOpts, &[GroupEval], &mut SweepReport),
+}
+
+impl Figure {
+    /// The figure `name` reading `groups` and printing with `print`.
+    const fn new(
+        name: &'static str,
+        groups: fn(&ExpOpts) -> Vec<MixGroup>,
+        print: fn(&ExpOpts, &[GroupEval], &mut SweepReport),
+    ) -> Self {
+        Figure {
+            name,
+            groups,
+            print,
+        }
+    }
+
+    /// A figure with no groups: it simulates, if at all, while it prints.
+    const fn plain(
+        name: &'static str,
+        print: fn(&ExpOpts, &[GroupEval], &mut SweepReport),
+    ) -> Self {
+        Figure::new(name, |_| Vec::new(), print)
+    }
+}
+
+/// The union of `figures`' groups, in order, and each figure's range in
+/// it. With more than one figure each group label gains its figure's
+/// name, so the report's summary sections stay distinct.
+fn plan(figures: &[&Figure], opts: &ExpOpts) -> (Vec<MixGroup>, Vec<Range<usize>>) {
+    let mut groups = Vec::new();
+    let mut spans = Vec::with_capacity(figures.len());
+    for fig in figures {
+        let start = groups.len();
+        groups.extend((fig.groups)(opts).into_iter().map(|mut g| {
+            if figures.len() > 1 {
+                g.label = format!("{}/{}", fig.name, g.label);
+            }
+            g
+        }));
+        spans.push(start..groups.len());
+    }
+    (groups, spans)
+}
+
+/// Run `figures`: parse the options once, evaluate the union of
+/// `figures`' groups as one [`sweep_groups`] call, print every figure in
+/// order and write one report, named after the figure when there is one
+/// and `all_experiments` otherwise (none when there are no groups).
+///
+/// Over several figures each is introduced by a banner, and a figure that
+/// runs its own sweep (`resilience`) writes its report beside this one,
+/// named after itself. A figure that panics is reported and the others
+/// still print; the run then exits 1 without a report, keeping its
+/// journal for `--resume`. Failed cells exit 1, malformed options 2.
+pub fn run(figures: &[&Figure]) {
+    const RULE: &str = "================================================================";
+    let opts = ExpOpts::from_args();
+    let several = figures.len() > 1;
+    let name = if several {
+        "all_experiments"
+    } else {
+        figures[0].name
+    };
+    let (groups, spans) = plan(figures, &opts);
+    let (evals, mut report, timing) = if groups.is_empty() {
+        (Vec::new(), SweepReport::new(name), None)
+    } else {
+        let (evals, report, timing) = exit_on_sweep_failure(sweep_groups(name, &groups, &opts));
+        (evals, report, Some(timing))
+    };
+    let mut failed = Vec::new();
+    for (fig, span) in figures.iter().zip(spans) {
+        let mut fig_opts = opts.clone();
+        if several {
+            println!("\n{RULE}\n==> {}\n{RULE}", fig.name);
+            fig_opts.report = opts
+                .report
+                .as_ref()
+                .map(|r| r.with_file_name(format!("{}.json", fig.name)));
+        }
+        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (fig.print)(&fig_opts, &evals[span], &mut report)
+        }));
+        if body.is_err() {
+            eprintln!("!! {} failed", fig.name);
+            failed.push(fig.name);
+        }
+    }
+    if several {
+        println!("\n{RULE}");
+        if failed.is_empty() {
+            println!("all {} experiments completed", figures.len());
+        } else {
+            println!("{} experiments FAILED: {failed:?}", failed.len());
+        }
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
+    if let Some(timing) = timing {
+        if let Err(e) = write_reports(&opts, &report, &timing) {
+            eprintln!("error: failed to write sweep report: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// The four headline configurations of the paper's main figures:
 /// Hawkeye, D-Hawkeye, Mockingjay, D-Mockingjay.
 pub fn headline_policies(cores: usize) -> Vec<(PolicyKind, DrishtiConfig)> {
@@ -621,6 +709,11 @@ pub fn header(label: &str, columns: &[String]) {
     println!();
 }
 
+/// Print a table row of `values`, each formatted by `fmt`.
+fn row_of(label: &str, values: &[f64], fmt: fn(f64) -> String) {
+    row(label, &values.iter().map(|&v| fmt(v)).collect::<Vec<_>>());
+}
+
 /// Format a percentage.
 pub fn pct(v: f64) -> String {
     format!("{v:+.1}%")
@@ -634,30 +727,73 @@ pub fn f2(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drishti_trace::presets::Benchmark;
+    use figures::{FIG13_MAIN_PERFORMANCE, FIG14_MPKI_REDUCTION, FIG15_ENERGY};
+    use figures::{TABLE5_WPKI, TABLE6_METRICS};
+
+    fn tiny_opts(mixes: &str, cores: &str) -> ExpOpts {
+        let tag = format!("{}-{mixes}x{cores}", std::process::id());
+        let report = std::env::temp_dir().join(format!("drishti-bench-{tag}.json"));
+        let args = format!("--accesses 2000 --jobs 1 --mixes {mixes} --cores {cores} --report");
+        let mut args: Vec<String> = args.split(' ').map(String::from).collect();
+        args.push(report.to_string_lossy().into_owned());
+        ExpOpts::parse(&args).expect("test options parse")
+    }
+
+    /// Evaluate `groups` as one sweep, removing the journal it leaves.
+    fn sweep(groups: &[MixGroup], opts: &ExpOpts) -> (Vec<GroupEval>, SweepReport, SweepTiming) {
+        let out = sweep_groups("test", groups, opts).expect("no cell fails");
+        std::fs::remove_file(journal::journal_path(&report_path(opts, "test"))).unwrap();
+        out
+    }
 
     #[test]
-    fn evaluate_mix_smoke() {
-        let mix = Mix::homogeneous(Benchmark::Deepsjeng, 4, 1);
-        let rc = RunConfig {
-            system: SystemConfig::paper_baseline(4),
-            accesses_per_core: 3_000,
-            warmup_accesses: 500,
-            record_llc_stream: false,
-            sampling: SamplingSpec::off(),
-            telemetry: TelemetrySpec::off(),
+    fn identical_groups_share_every_cell() {
+        let opts = tiny_opts("1", "2");
+        let group = MixGroup {
+            label: "2c".to_string(),
+            mixes: opts.paper_mixes(2),
+            policies: vec![(PolicyKind::Srrip, DrishtiConfig::baseline(2))],
+            rc: opts.rc(2),
         };
-        let eval = evaluate_mix(
-            &mix,
-            &[(PolicyKind::Srrip, DrishtiConfig::baseline(4))],
-            &rc,
-        );
-        assert_eq!(eval.cells.len(), 1);
-        assert!(eval.lru_ws > 0.0);
-        assert!(eval.cells[0].ws_improvement_pct.is_finite());
-        let means = mean_improvements(&[eval]);
+        let (evals, report, timing) = sweep(&[group.clone(), group], &opts);
+        // One alone-IPC job and two runs, each simulated once and each
+        // enriched once in the report.
+        assert_eq!((timing.cells, report.cells.len()), (3, 2));
+        for cell in &report.cells {
+            assert_eq!(cell.metrics.iter().filter(|(k, _)| k == "ws").count(), 1);
+        }
+        assert_eq!(format!("{:?}", evals[0]), format!("{:?}", evals[1]));
+        let [a, b] = [0, 1].map(|g| &evals[g].evals[0].cells[0].result);
+        assert!(Arc::ptr_eq(a, b));
+        let means = mean_improvements(&evals[0].evals);
         assert_eq!(means.len(), 1);
         assert_eq!(means[0].0, "srrip");
+        assert!(means[0].1.is_finite());
+    }
+
+    #[test]
+    fn headline_views_simulate_only_fig13s_cells() {
+        let opts = tiny_opts("2", "2,4");
+        let views = [
+            &FIG13_MAIN_PERFORMANCE,
+            &FIG14_MPKI_REDUCTION,
+            &TABLE5_WPKI,
+            &FIG15_ENERGY,
+            &TABLE6_METRICS,
+        ];
+        let (groups, spans) = plan(&views, &opts);
+        let (evals, _, timing) = sweep(&groups, &opts);
+        let (_, _, fig13) = sweep(&(FIG13_MAIN_PERFORMANCE.groups)(&opts), &opts);
+        assert_eq!(timing.cells, fig13.cells);
+        for (fig, span) in views.iter().zip(spans) {
+            let (alone, _, _) = sweep(&(fig.groups)(&opts), &opts);
+            assert_eq!(span.len(), alone.len(), "{}", fig.name);
+            for (union, alone) in evals[span].iter().zip(&alone) {
+                assert_eq!(union.label, format!("{}/{}", fig.name, alone.label));
+                let [union, alone] = [union, alone].map(|g| format!("{:?}", (&g.mixes, &g.evals)));
+                assert_eq!(union, alone, "{}", fig.name);
+            }
+        }
     }
 
     #[test]

@@ -170,6 +170,11 @@ impl Installers {
     pub fn get(&self, slice: usize, set: usize, way: usize) -> Installer {
         *self.lines.get(slice, set, way)
     }
+
+    /// The cores whose installs this plane records.
+    pub fn cores(&self) -> usize {
+        self.cores
+    }
 }
 
 impl Persist for Installers {

@@ -324,6 +324,26 @@ impl LlcPolicy for Hawkeye {
         self.installers.load(r)?;
         self.selectors.load(r)?;
         self.samplers.load(r)?;
+        // Like the installers, a valid sampler entry trains on its core's
+        // predictor bank, so a restored core must be on the machine.
+        let cores = self.installers.cores();
+        for (slice, sets) in self.samplers.iter().enumerate() {
+            for (slot, set) in sets.iter().enumerate() {
+                if let Some(e) = set
+                    .entries
+                    .iter()
+                    .find(|e| e.valid && e.core as usize >= cores)
+                {
+                    return Err(drishti_noc::snap::SnapError::Invalid {
+                        what: "hawkeye sampler entry",
+                        detail: format!(
+                            "slice {slice} sampled set {slot}: core {} is not below {cores}",
+                            e.core
+                        ),
+                    });
+                }
+            }
+        }
         self.predictors.load(r)?;
         self.fabric.load_state(r)?;
         self.diag.load(r)?;

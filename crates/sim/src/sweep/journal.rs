@@ -15,8 +15,9 @@
 //!
 //! All integers are little-endian; the payload is the cell's
 //! [`JobOutput`] in the snapshot codec. `jobs_hash` fingerprints the job
-//! set (ids, labels, seeds), so a journal can never be resumed against a
-//! different sweep. A torn or corrupt *tail* is the expected crash
+//! set (ids, labels, seeds and each cell's full kind and run
+//! configuration), so a journal can never be resumed against a different
+//! sweep. A torn or corrupt *tail* is the expected crash
 //! artifact and is silently ignored — the valid prefix is what counts —
 //! but a bad header is a hard, typed [`JournalError`].
 
@@ -27,6 +28,7 @@ use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Schema identifier of the journal format.
 pub const SCHEMA: &str = "drishti-journal/v1";
@@ -63,8 +65,9 @@ pub enum JournalError {
     },
     /// The file's journal version is not one this code reads.
     UnsupportedVersion(u32),
-    /// The journal belongs to a different job set (other labels, seeds or
-    /// cell count) — resuming would attribute results to the wrong cells.
+    /// The journal belongs to a different job set (other labels, seeds,
+    /// cell configurations or cell count) — resuming would attribute
+    /// results to the wrong cells.
     JobSetMismatch {
         /// Hash stored in the journal header.
         stored: u64,
@@ -114,15 +117,15 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// A deterministic fingerprint of a sweep's job set: ids, labels and
-/// seeds. Cells whose configuration differs in any reportable way also
-/// differ in label, so hash collisions across *different* sweeps of the
-/// same binary are not a practical concern (and the cost of one would be
-/// a refused resume, not a wrong report).
+/// A deterministic fingerprint of a sweep's job set: every job's id,
+/// label, seed and [`SweepJob::key`] (its full kind and run
+/// configuration). Labels carry no run configuration, so a journal of the
+/// same cells at another `--accesses` must differ here, or a resume
+/// would merge outputs simulated under the old configuration.
 pub fn jobs_hash(jobs: &[SweepJob]) -> u64 {
     let mut desc = String::new();
     for j in jobs {
-        desc.push_str(&format!("{}|{}|{:#x}\n", j.id, j.label, j.seed));
+        desc.push_str(&format!("{}|{}|{:#x}|{}\n", j.id, j.label, j.seed, j.key()));
     }
     fnv1a64(desc.as_bytes())
 }
@@ -150,7 +153,7 @@ fn decode_output(bytes: &[u8]) -> Result<JobOutput, drishti_noc::snap::SnapError
         0 => {
             let mut run = RunResult::default();
             run.load(&mut r)?;
-            JobOutput::Run(Box::new(run))
+            JobOutput::Run(Arc::new(run))
         }
         1 => {
             let mut alone: Vec<f64> = Vec::new();
@@ -316,7 +319,7 @@ mod tests {
     use crate::engine::CoreResult;
 
     fn sample_run(seed: u64) -> JobOutput {
-        JobOutput::Run(Box::new(RunResult {
+        JobOutput::Run(Arc::new(RunResult {
             policy: format!("p{seed}"),
             per_core: vec![CoreResult {
                 instructions: seed,
@@ -421,7 +424,11 @@ mod tests {
         }];
         let h1 = jobs_hash(&jobs);
         jobs[0].label = "b".to_string();
-        assert_ne!(jobs_hash(&jobs), h1);
+        let h2 = jobs_hash(&jobs);
+        assert_ne!(h2, h1);
+        // Same ids, labels and seeds under another run configuration.
+        jobs[0].rc.accesses_per_core += 1;
+        assert_ne!(jobs_hash(&jobs), h2);
     }
 
     #[test]

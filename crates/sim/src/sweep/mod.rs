@@ -90,11 +90,21 @@ impl SweepJob {
         z ^ (z >> 31)
     }
 
+    /// The identity of this cell: its full kind and run configuration,
+    /// never its id, label or seed (the engine is deterministic given its
+    /// configuration, and no cell reads its seed). Cells with equal keys
+    /// produce equal outputs, so a planner runs one of them for all, and
+    /// [`journal::jobs_hash`] binds every key so that a resume under
+    /// another configuration is refused.
+    pub fn key(&self) -> String {
+        format!("{:?}|{:?}", self.kind, self.rc)
+    }
+
     fn execute(self, cache: &TraceCache) -> JobOutput {
         match self.kind {
             JobKind::Run {
                 mix, policy, org, ..
-            } => JobOutput::Run(Box::new(run_mix_cached(&mix, policy, org, &self.rc, cache))),
+            } => JobOutput::Run(Arc::new(run_mix_cached(&mix, policy, org, &self.rc, cache))),
             JobKind::AloneIpcs { mix } => {
                 JobOutput::AloneIpcs(alone_ipcs_cached(&mix, &self.rc, cache))
             }
@@ -105,8 +115,8 @@ impl SweepJob {
 /// What a completed cell produced.
 #[derive(Debug)]
 pub enum JobOutput {
-    /// A full simulation result.
-    Run(Box<RunResult>),
+    /// A full simulation result, shared by every reader of the cell.
+    Run(Arc<RunResult>),
     /// Per-core alone-IPC baselines.
     AloneIpcs(Vec<f64>),
 }

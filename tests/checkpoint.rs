@@ -309,14 +309,20 @@ fn out_of_range_dsc_slot_is_refused_at_restore() {
 }
 
 /// A checkpoint with valid checksums and config hash whose Hawkeye or
-/// SHiP++ installer plane names a core past the machine is refused as an
-/// `llc` decode error. Restored, the first detrain of such a line would
-/// index past the predictor banks.
+/// SHiP++ installer plane, or whose Hawkeye sampler, names a core past the
+/// machine is refused as an `llc` decode error. Restored, the first
+/// detrain of such a line, or the next training on such a sampler entry,
+/// would index past the predictor banks.
 #[test]
 fn out_of_range_installer_is_refused_at_restore() {
     // Per-line byte planes ahead of the installers: Hawkeye's RRPVs;
-    // SHiP++'s RRPVs and outcome bits.
-    for (policy, planes_before) in [(PolicyKind::Hawkeye, 1), (PolicyKind::ShipPp, 2)] {
+    // SHiP++'s RRPVs and outcome bits. The last input crafts Hawkeye's
+    // first sampler entry instead of the installers.
+    for (policy, planes_before, sampler, what) in [
+        (PolicyKind::Hawkeye, 1, false, "llc installer"),
+        (PolicyKind::ShipPp, 2, false, "llc installer"),
+        (PolicyKind::Hawkeye, 1, true, "hawkeye sampler entry"),
+    ] {
         let org = DrishtiConfig::baseline(CORES);
         let mut first = engine(policy, org.clone());
         first.run_steps(3_000);
@@ -334,6 +340,23 @@ fn out_of_range_installer_is_refused_at_restore() {
                     pos = skip_vec(&p, pos, 1);
                 }
             }
+            if sampler {
+                // Past the installers (4 B per line) and the baseline's
+                // fixed selectors (a 0 tag each), the samplers open with
+                // slice 0's first sampled set: its entries `Vec` of
+                // (valid u8, tag u32, signature u64, core u32, last u64).
+                let slices = u64_at(&p, pos);
+                pos += 8;
+                for _ in 0..slices {
+                    pos = skip_vec(&p, pos, 4);
+                }
+                let selectors = skip_vec(&p, pos, 1);
+                assert!(p[pos + 8..selectors].iter().all(|&tag| tag == 0));
+                let entry = selectors + 24;
+                p[entry] = 1;
+                p[entry + 13..entry + 17].copy_from_slice(&1000u32.to_le_bytes());
+                return p;
+            }
             // Slice 0's installers: (key u16, core u16) per line.
             pos += 8;
             for line in 0..u64_at(&p, pos) as usize {
@@ -347,7 +370,7 @@ fn out_of_range_installer_is_refused_at_restore() {
             Err(CkptError::SectionDecode {
                 section: "llc",
                 detail,
-            }) => assert!(detail.contains("llc installer"), "{policy}: {detail}"),
+            }) => assert!(detail.contains(what), "{policy}: {detail}"),
             other => panic!("{policy}: expected an llc SectionDecode error, got {other:?}"),
         }
     }
