@@ -244,9 +244,12 @@ echo "injected violation caught, shrunk, persisted and replayed"
 # and --jobs 8 and demands byte-identical reports, scenario_coverage
 # table included. Part 2
 # synthesizes a demo ChampSim trace, ingests it twice (byte-diffing the
-# .drtr outputs), and replays the ingested trace through a sweep, whose
-# report must carry the "ingested" coverage family. (Runs in --quick too
-# — the coverage table is new report surface.)
+# .drtr outputs), and replays the ingested trace (4114 records, shorter
+# than the 7000-record run, so it wraps) through a sweep whose cells
+# stream it from disk, at --jobs 1
+# and --jobs 8: the two reports must be byte-identical and carry the
+# "ingested" coverage family. (Runs in --quick too — the coverage table
+# is new report surface.)
 step "scenario-smoke gate (families x jobs, ingest round-trip)"
 cargo build -q --offline "${build_flags[@]}" -p drishti-bench --bin scenarios
 scenarios="target/$profile_dir/scenarios"
@@ -271,14 +274,20 @@ if ! cmp "$out/ingest_a.drtr" "$out/ingest_b.drtr"; then
   exit 1
 fi
 cp "$out/ingest_a.drtr" "$out/scn_ext.core00.drtr"
-"$sim" --cores 1 --mix homo:mcf --policy lru --org baseline \
-  --accesses 2000 --warmup 500 --trace-file "$out/scn_ext" \
-  --jobs 1 --report "$out/scn_ingested.json" >/dev/null 2>&1
-if ! grep -q '"family": "ingested"' "$out/scn_ingested.json"; then
+for jobs in 1 8; do
+  "$sim" --cores 1 --mix homo:mcf --policy lru,hawkeye,mockingjay --org baseline,drishti \
+    --accesses 6000 --warmup 1000 --trace-file "$out/scn_ext" \
+    --jobs "$jobs" --report "$out/scn_ingested_j${jobs}.json" >/dev/null 2>&1
+done
+if ! diff -u "$out/scn_ingested_j1.json" "$out/scn_ingested_j8.json"; then
+  echo "FAIL: ingested-trace sweep report differs between --jobs 1 and --jobs 8" >&2
+  exit 1
+fi
+if ! grep -q '"family": "ingested"' "$out/scn_ingested_j1.json"; then
   echo "FAIL: externally-ingested replay report lacks the ingested coverage family" >&2
   exit 1
 fi
-echo "ingest round-trip byte-identical; ingested replay covered as 'ingested'"
+echo "ingest round-trip byte-identical; ingested sweep byte-identical at --jobs 1/8 and covered as 'ingested'"
 
 # Sweep-smoke gate: one reduced all_experiments pass (every figure, its
 # cells planned as one deduplicated sweep) at --jobs 1 and --jobs 8, whose

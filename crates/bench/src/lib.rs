@@ -381,14 +381,14 @@ pub fn sweep_groups(
     report
         .config
         .push(("accesses".to_string(), opts.accesses.to_string()));
-    report.config.push((
-        "cores".to_string(),
-        groups
-            .iter()
-            .map(|g| g.rc.system.cores.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-    ));
+    let mut cores: Vec<String> = Vec::new();
+    for g in groups {
+        let c = g.rc.system.cores.to_string();
+        if !cores.contains(&c) {
+            cores.push(c);
+        }
+    }
+    report.config.push(("cores".to_string(), cores.join(",")));
     // Sampled runs are not byte-comparable to full runs, so stamp the
     // schedule into the config (only when on — full-run reports keep
     // their historical bytes).
@@ -488,8 +488,9 @@ pub fn sweep_groups(
     Ok((group_evals, report, timing))
 }
 
-/// Run `jobs` on the sweep harness with `opts.jobs` workers and a shared
-/// [`TraceCache`], journaled beside the report of the sweep `name`:
+/// Run `jobs` on the sweep harness with `opts.jobs` workers, generating
+/// traces on demand ([`TraceCache`]), journaled beside the report of the
+/// sweep `name`:
 /// completed cells land in `<report>.journal` as they finish, so a killed
 /// run can be picked up with `--resume`, and [`write_reports`] removes the
 /// journal on clean completion. A journal of another job set is refused

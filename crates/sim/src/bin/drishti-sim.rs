@@ -39,7 +39,7 @@ use drishti_trace::ingest;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 use drishti_trace::replay::TraceCache;
-use drishti_trace::store::{write_trace, StreamingTrace};
+use drishti_trace::store::{StreamingTrace, TraceWriter};
 use drishti_trace::WorkloadGen;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -48,7 +48,7 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
        [--accesses N] [--warmup N] [--l2-kib K] [--llc-mib M] [--channels C]
        [--jobs N] [--report PATH] [--resume]
        [--save PATH] [--restore PATH] [--checkpoint-every N]
-       [--record PREFIX | --trace-file PREFIX] [--trace-cache-mib N]
+       [--record PREFIX | --trace-file PREFIX]
        [--sample-interval N] [--sample-warmup N]
        [--telemetry] [--epoch N] [--check-invariants]
        [--fault-seed S] [--drop-pct F] [--jitter J]
@@ -78,9 +78,8 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
   bit-identical to generation). External traces — header names matching
   no built-in benchmark, e.g. ingested ChampSim files — skip the
   name/seed checks, wrap around when shorter than the run, and label the
-  report's scenario_coverage table `ingested`. --trace-cache-mib caps
-  the encoded bytes the sweep trace cache keeps in RAM (about 6 per
-  record), spilling evicted traces to disk (0 = unlimited).
+  report's scenario_coverage table `ingested`. Every run and sweep cell
+  streams its files from disk, one decoded frame resident per core.
   ingest: --ingest INPUT converts a ChampSim-format trace losslessly to
   drishti-trace/v1 (--ingest-out PATH, default INPUT with a .drtr
   extension) and exits; replay it with --trace-file. --ingest-demo PATH
@@ -129,7 +128,6 @@ struct CliArgs {
     checkpoint_every: u64,
     record: Option<PathBuf>,
     trace_file: Option<PathBuf>,
-    trace_cache_mib: usize,
     sample_interval: u64,
     sample_warmup: u64,
     telemetry: bool,
@@ -200,7 +198,6 @@ impl Default for CliArgs {
             checkpoint_every: 0,
             record: None,
             trace_file: None,
-            trace_cache_mib: 0,
             sample_interval: 0,
             sample_warmup: 0,
             telemetry: false,
@@ -311,7 +308,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--checkpoint-every" => cli.checkpoint_every = parse_num(flag, val)?,
             "--record" => cli.record = Some(PathBuf::from(val)),
             "--trace-file" => cli.trace_file = Some(PathBuf::from(val)),
-            "--trace-cache-mib" => cli.trace_cache_mib = parse_num(flag, val)?,
             "--sample-interval" => cli.sample_interval = parse_num(flag, val)?,
             "--sample-warmup" => cli.sample_warmup = parse_num(flag, val)?,
             "--epoch" => {
@@ -497,20 +493,26 @@ fn core_trace_path(prefix: &Path, core: usize) -> PathBuf {
 }
 
 /// `--record`: write each core's stream (warmup + accesses records) to
-/// `PREFIX.coreNN.drtr`, generating through `cache` so a following sweep
-/// reuses the already-materialised records.
-fn record_traces(cli: &CliArgs, mix: &Mix, cache: &TraceCache) -> Result<(), String> {
+/// `PREFIX.coreNN.drtr`, streaming records from the generator into the
+/// writer.
+fn record_traces(cli: &CliArgs, mix: &Mix) -> Result<(), String> {
     let prefix = cli.record.as_ref().expect("caller checked --record");
     if let Some(dir) = prefix.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
     for c in 0..mix.cores() {
         let (bench, seed) = (mix.benchmarks[c], mix.seeds[c]);
-        let records = cache.get(bench, seed, cli.span());
         let path = core_trace_path(prefix, c);
-        write_trace(&path, bench.label(), seed, &records)
+        let mut gen = bench.build(seed);
+        let written = TraceWriter::create(&path, bench.label(), seed)
+            .and_then(|mut w| {
+                for _ in 0..cli.span() {
+                    w.push(gen.next_record())?;
+                }
+                w.finish()
+            })
             .map_err(|e| format!("recording {}: {e}", path.display()))?;
-        eprintln!("recorded: {} ({} records)", path.display(), records.len());
+        eprintln!("recorded: {} ({written} records)", path.display());
     }
     Ok(())
 }
@@ -578,66 +580,49 @@ fn check_trace_meta(
     Ok(false)
 }
 
+/// Opens core `c`'s `--trace-file`, which validates it (refusing a
+/// zero-record file), and checks its header against the mix slot it will
+/// drive. Returns the file, its stream and whether the trace is external.
+fn open_trace_file(
+    cli: &CliArgs,
+    mix: &Mix,
+    c: usize,
+) -> Result<(PathBuf, StreamingTrace, bool), String> {
+    let path = core_trace_path(cli.trace_file.as_ref().expect("caller checked"), c);
+    let stream = StreamingTrace::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let (bench, seed) = (mix.benchmarks[c], mix.seeds[c]);
+    let external = check_trace_meta(&path, stream.meta(), bench, seed, cli.span())?;
+    Ok((path, stream, external))
+}
+
 /// `--trace-file`, single-run mode: one bounded-memory [`StreamingTrace`]
 /// per core.
 fn open_streaming_workloads(
     cli: &CliArgs,
     mix: &Mix,
 ) -> Result<Vec<Option<Box<dyn WorkloadGen>>>, String> {
-    let prefix = cli.trace_file.as_ref().expect("caller checked");
-    let mut workloads = Vec::with_capacity(mix.cores());
-    for c in 0..mix.cores() {
-        let path = core_trace_path(prefix, c);
-        let stream = StreamingTrace::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        check_trace_meta(
-            &path,
-            stream.meta(),
-            mix.benchmarks[c],
-            mix.seeds[c],
-            cli.span(),
-        )?;
-        workloads.push(Some(Box::new(stream) as Box<dyn WorkloadGen>));
-    }
-    Ok(workloads)
+    (0..mix.cores())
+        .map(|c| {
+            let (_, stream, _) = open_trace_file(cli, mix, c)?;
+            Ok(Some(Box::new(stream) as Box<dyn WorkloadGen>))
+        })
+        .collect()
 }
 
-/// `--trace-file`, sweep mode: validate and preload every core's records
-/// into the shared cache, sized to exactly the span so cache lookups hit.
-/// Each file is read through a [`StreamingTrace`], whose open validates
-/// it (refusing a zero-record file) and whose wraparound extends an
-/// external trace shorter than the span, so sweep cells and single-run
-/// streaming replay see identical streams. Returns whether any preloaded
-/// trace was external (the report's coverage table is then relabelled
-/// `ingested`).
-fn preload_trace_files(cli: &CliArgs, mix: &Mix, cache: &TraceCache) -> Result<bool, String> {
-    let prefix = cli.trace_file.as_ref().expect("caller checked");
-    let span = cli.span();
+/// `--trace-file`, sweep mode: validate every core's file once, up front,
+/// and register it with the sweep's trace source, whose replays stream it
+/// as a single run does (an external trace shorter than the span wraps).
+/// Returns the source and whether any trace is external (the report's
+/// coverage table is then relabelled `ingested`).
+fn trace_file_source(cli: &CliArgs, mix: &Mix) -> Result<(TraceCache, bool), String> {
+    let mut cache = TraceCache::new();
     let mut any_external = false;
     for c in 0..mix.cores() {
-        let path = core_trace_path(prefix, c);
-        let mut stream =
-            StreamingTrace::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let external =
-            check_trace_meta(&path, stream.meta(), mix.benchmarks[c], mix.seeds[c], span)?;
+        let (path, _, external) = open_trace_file(cli, mix, c)?;
         any_external |= external;
-        cache.insert(
-            mix.benchmarks[c],
-            mix.seeds[c],
-            (0..span).map(|_| stream.next_record()),
-        );
+        cache.add_file(mix.benchmarks[c], mix.seeds[c], path);
     }
-    Ok(any_external)
-}
-
-/// The shared sweep trace cache these flags describe: unbounded by
-/// default, two-tier (RAM budget + disk spill) under `--trace-cache-mib`.
-fn build_cache(cli: &CliArgs) -> Result<TraceCache, String> {
-    if cli.trace_cache_mib == 0 {
-        return Ok(TraceCache::new());
-    }
-    let dir = std::env::temp_dir().join(format!("drishti-spill-{}", std::process::id()));
-    TraceCache::with_spill(cli.trace_cache_mib << 20, &dir)
-        .map_err(|e| format!("creating spill dir {}: {e}", dir.display()))
+    Ok((cache, any_external))
 }
 
 /// Number of instructions in the `--ingest-demo` fixture: big enough to
@@ -724,7 +709,7 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
         );
     }
     if cli.record.is_some() {
-        record_traces(cli, &mix, &TraceCache::new())?;
+        record_traces(cli, &mix)?;
     }
     let t = std::time::Instant::now();
     let ckpt = RunCkpt {
@@ -870,17 +855,17 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
         cli.policies.len(),
         cli.orgs.len()
     );
-    let cache = Arc::new(build_cache(cli)?);
     if cli.record.is_some() {
-        record_traces(cli, &mix, &cache)?;
+        record_traces(cli, &mix)?;
     }
-    let external_traces = if cli.trace_file.is_some() {
-        let external = preload_trace_files(cli, &mix, &cache)?;
-        println!("preloaded {} on-disk traces", mix.cores());
-        external
+    let (cache, external_traces) = if cli.trace_file.is_some() {
+        let source = trace_file_source(cli, &mix)?;
+        println!("replaying {} on-disk traces (streaming)", mix.cores());
+        source
     } else {
-        false
+        (TraceCache::new(), false)
     };
+    let cache = Arc::new(cache);
     // Sweeps with a report destination are journaled beside it so a
     // killed run can continue with --resume; report-less sweeps have no
     // stable place for a journal and run unjournaled.
@@ -1006,6 +991,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drishti_trace::store::write_trace;
 
     fn parse(args: &[&str]) -> Result<CliArgs, String> {
         parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -1036,10 +1022,10 @@ mod tests {
     }
 
     /// A zero-record external trace (an ingested empty ChampSim file) is
-    /// refused by the sweep preload as it is by the single-run open,
-    /// instead of wrap-extending nothing forever.
+    /// refused by the sweep's up-front validation as it is by the
+    /// single-run open, instead of wrapping nothing forever.
     #[test]
-    fn sweep_preload_refuses_an_empty_external_trace() {
+    fn sweep_refuses_an_empty_external_trace_up_front() {
         let prefix = std::env::temp_dir().join(format!("drishti-sim-empty-{}", std::process::id()));
         let path = core_trace_path(&prefix, 0);
         write_trace(&path, "champsim-empty", 0, &[]).expect("write the empty trace");
@@ -1062,9 +1048,9 @@ mod tests {
         ])
         .expect("valid arguments");
         let mix = build_mix(&cli).expect("valid mix");
-        let outcome = preload_trace_files(&cli, &mix, &TraceCache::new());
+        let outcome = trace_file_source(&cli, &mix);
         let _ = std::fs::remove_file(&path);
-        let err = outcome.expect_err("an empty trace was preloaded");
+        let err = outcome.expect_err("an empty trace was registered");
         assert!(err.contains("trace holds zero records"), "{err}");
     }
 }

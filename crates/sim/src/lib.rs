@@ -29,7 +29,7 @@
 //!   extrapolate counts to full-run estimates;
 //! * [`sweep`] — the parallel sweep harness: a std-only work-stealing
 //!   pool over `(mix, policy, organisation)` cells with deterministic
-//!   aggregation, a shared trace cache, and JSON sweep reports;
+//!   aggregation, traces generated on demand, and JSON sweep reports;
 //! * [`telemetry`] — zero-overhead-when-disabled epoch sampling of
 //!   per-core, per-slice, NoC and DRAM counters, with invariant checkers
 //!   and `drishti-telemetry/v1` JSON timelines.

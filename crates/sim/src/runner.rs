@@ -78,7 +78,10 @@ pub struct RunResult {
     pub per_core: Vec<CoreResult>,
     /// Aggregate LLC statistics.
     pub llc: LlcStats,
-    /// Per-set LLC counters, per slice (Fig 5, Table 1).
+    /// Per-set LLC counters, per slice (Fig 5, Table 1). Empty in a sweep
+    /// cell's result: at 16 B per LLC set they would be most of what a
+    /// sweep keeps per cell, and only the plain-run figures, which call
+    /// [`run_mix`], read them.
     pub set_counters: Vec<Vec<SetCounters>>,
     /// DRAM statistics.
     pub dram: DramStats,
@@ -339,9 +342,10 @@ pub fn run_mix(mix: &Mix, policy: PolicyKind, drishti: DrishtiConfig, rc: &RunCo
     run_engine(workloads, pol, rc)
 }
 
-/// Like [`run_mix`], but replaying materialised traces from `cache`
-/// instead of regenerating them — the sweep harness's per-cell entry
-/// point. Replay is bit-exact, so the result equals [`run_mix`]'s.
+/// Like [`run_mix`], but taking each core's trace from `cache`, which
+/// streams the trace files registered with it and generates the rest —
+/// the sweep harness's per-cell entry point. Without files the result
+/// equals [`run_mix`]'s.
 ///
 /// # Panics
 ///
@@ -355,16 +359,18 @@ pub fn run_mix_cached(
 ) -> RunResult {
     assert_eq!(mix.cores(), rc.system.cores, "mix/system core mismatch");
     let len = rc.warmup_accesses + rc.accesses_per_core;
-    let workloads = cache
-        .workloads_for(mix, len)
-        .into_iter()
-        .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
+    let workloads = mix
+        .benchmarks
+        .iter()
+        .zip(&mix.seeds)
+        .map(|(&b, &s)| Some(Box::new(cache.replay(b, s, len)) as Box<dyn WorkloadGen>))
         .collect();
     let pol = policy.build(&rc.system.llc, drishti);
     run_engine(workloads, pol, rc)
 }
 
-/// Like [`alone_ipcs`], but replaying materialised traces from `cache`.
+/// Like [`alone_ipcs`], but taking each core's trace from `cache` (see
+/// [`run_mix_cached`]).
 pub fn alone_ipcs_cached(mix: &Mix, rc: &RunConfig, cache: &TraceCache) -> Vec<f64> {
     let len = rc.warmup_accesses + rc.accesses_per_core;
     (0..mix.cores())

@@ -11,10 +11,10 @@
 //!    configuration; nothing reads shared mutable state. A `--jobs 1`
 //!    sweep is therefore bit-identical to a `--jobs 16` sweep, and CI
 //!    enforces this with a byte-wise `diff` of the two reports.
-//! 2. **Shared trace cache.** Each synthetic workload is materialised
-//!    once, encoded, behind an `Arc`
-//!    ([`drishti_trace::replay::TraceCache`]) and replayed by every cell
-//!    that uses it, instead of being regenerated per cell.
+//! 2. **No stored traces.** Every cell generates its cores' synthetic
+//!    workloads on the fly, or streams the trace files registered for
+//!    them, through one shared [`drishti_trace::replay::TraceCache`],
+//!    which holds no trace: a cell's memory is its own engine.
 //! 3. **Structured results.** [`report::SweepReport`] serialises per-cell
 //!    metrics to `target/sweep/*.json` for CI artifacts and trajectory
 //!    tracking; the host-dependent timing line
@@ -100,11 +100,17 @@ impl SweepJob {
         format!("{:?}|{:?}", self.kind, self.rc)
     }
 
+    /// Simulate the cell. A run's per-set counters are dropped: no sweep
+    /// consumer reads them (see [`RunResult::set_counters`]).
     fn execute(self, cache: &TraceCache) -> JobOutput {
         match self.kind {
             JobKind::Run {
                 mix, policy, org, ..
-            } => JobOutput::Run(Arc::new(run_mix_cached(&mix, policy, org, &self.rc, cache))),
+            } => {
+                let mut result = run_mix_cached(&mix, policy, org, &self.rc, cache);
+                result.set_counters = Vec::new();
+                JobOutput::Run(Arc::new(result))
+            }
             JobKind::AloneIpcs { mix } => {
                 JobOutput::AloneIpcs(alone_ipcs_cached(&mix, &self.rc, cache))
             }
@@ -181,8 +187,6 @@ pub struct SweepOutcome {
     pub workers: usize,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// Trace-cache `(hits, misses)` accumulated by the batch.
-    pub cache_stats: (u64, u64),
     /// Cells taken from a completion journal instead of simulated
     /// (always 0 for a plain, non-resumable sweep).
     pub resumed_cells: usize,
@@ -301,7 +305,6 @@ fn run_pending(
     let pending: Vec<usize> = (0..jobs.len()).filter(|&id| done[id].is_none()).collect();
     let journal = Arc::new(Mutex::new(journal));
     let write_failures = Arc::new(AtomicU64::new(write_failures));
-    let cache_before = cache.stats();
 
     let start = Instant::now();
     let tasks: Vec<pool::Task<JobOutput>> = pending
@@ -331,7 +334,6 @@ fn run_pending(
         .collect();
     let raw = pool::run_tasks(tasks, workers);
     let wall = start.elapsed();
-    let cache_after = cache.stats();
 
     let mut outputs: Vec<Option<Result<JobOutput, JobFailure>>> =
         done.into_iter().map(|d| d.map(Ok)).collect();
@@ -352,10 +354,6 @@ fn run_pending(
         outputs,
         workers,
         wall,
-        cache_stats: (
-            cache_after.0 - cache_before.0,
-            cache_after.1 - cache_before.1,
-        ),
         resumed_cells,
         ckpt_write_failures: write_failures.load(Ordering::Relaxed),
         warm_stats: (0, 0),
@@ -419,13 +417,13 @@ mod tests {
             out.outputs[2].as_ref().unwrap().unwrap_run().policy,
             "srrip"
         );
-        // 3 cells × 4 cores touch the same 4 (bench, seed) traces. Two
-        // cells racing on the same key may both count a miss (the first
-        // insert wins, see TraceCache::encoded), so `misses` is a lower bound
-        // of 4, not an exact count — only the total is exact.
-        let (hits, misses) = out.cache_stats;
-        assert_eq!(hits + misses, 12);
-        assert!((4..=8).contains(&misses), "misses = {misses}");
+        // A run cell keeps no per-set counters.
+        assert!(out.outputs[1]
+            .as_ref()
+            .unwrap()
+            .unwrap_run()
+            .set_counters
+            .is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   runs of the same sweep are **byte-identical regardless of worker
 //!   count** — CI diffs a `--jobs 1` run against a `--jobs max` run.
 //! * `<name>.timing.json` — the [`SweepTiming`] sidecar: wall-clock,
-//!   cells/second, worker count, trace-cache hit rate. Host-dependent by
+//!   cells/second, worker count. Host-dependent by
 //!   nature, hence kept out of the byte-comparable report.
 //!
 //! When cells ran with telemetry enabled, each cell's timeline lands in a
@@ -344,10 +344,6 @@ pub struct SweepTiming {
     pub wall_ms: f64,
     /// Completed cells per wall-clock second.
     pub cells_per_sec: f64,
-    /// Trace-cache hits during the sweep.
-    pub cache_hits: u64,
-    /// Trace-cache misses (i.e. traces actually generated).
-    pub cache_misses: u64,
     /// Telemetry timeline files written beside the report (file names
     /// only), empty when telemetry was off. Listed here — not in the main
     /// report — so the byte-determinism contract is unaffected.
@@ -369,8 +365,6 @@ impl SweepTiming {
             failed: outcome.failures().len(),
             wall_ms: outcome.wall.as_secs_f64() * 1e3,
             cells_per_sec: outcome.cells_per_sec(),
-            cache_hits: outcome.cache_stats.0,
-            cache_misses: outcome.cache_stats.1,
             timeline_files: Vec::new(),
             resumed_cells: outcome.resumed_cells,
             ckpt_write_failures: outcome.ckpt_write_failures,
@@ -400,9 +394,7 @@ impl SweepTiming {
             .push("cells", Json::UInt(self.cells as u64))
             .push("failed", Json::UInt(self.failed as u64))
             .push("wall_ms", Json::Num(self.wall_ms))
-            .push("cells_per_sec", Json::Num(self.cells_per_sec))
-            .push("trace_cache_hits", Json::UInt(self.cache_hits))
-            .push("trace_cache_misses", Json::UInt(self.cache_misses));
+            .push("cells_per_sec", Json::Num(self.cells_per_sec));
         // Resume/checkpoint counters appear only when nonzero, like the
         // timeline list, so pre-existing sidecar consumers see no change
         // on plain sweeps.
@@ -437,14 +429,8 @@ impl SweepTiming {
     /// One human-readable line, for the experiment binaries' stderr.
     pub fn line(&self) -> String {
         let mut line = format!(
-            "sweep {}: {} cells on {} worker(s) in {:.0} ms ({:.2} cells/s, trace cache {}/{} hits)",
-            self.name,
-            self.cells,
-            self.workers,
-            self.wall_ms,
-            self.cells_per_sec,
-            self.cache_hits,
-            self.cache_hits + self.cache_misses
+            "sweep {}: {} cells on {} worker(s) in {:.0} ms ({:.2} cells/s)",
+            self.name, self.cells, self.workers, self.wall_ms, self.cells_per_sec
         );
         if self.resumed_cells > 0 {
             line.push_str(&format!(", {} resumed from journal", self.resumed_cells));
@@ -659,8 +645,6 @@ mod tests {
             failed: 0,
             wall_ms: 1.0,
             cells_per_sec: 1.0,
-            cache_hits: 0,
-            cache_misses: 0,
             timeline_files: Vec::new(),
             resumed_cells: 0,
             ckpt_write_failures: 0,
@@ -682,8 +666,6 @@ mod tests {
             failed: 0,
             wall_ms: 1000.0,
             cells_per_sec: 16.0,
-            cache_hits: 60,
-            cache_misses: 4,
             timeline_files: Vec::new(),
             resumed_cells: 0,
             ckpt_write_failures: 0,

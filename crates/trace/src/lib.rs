@@ -18,8 +18,8 @@
 //! [`pattern`] provides the primitive address patterns, [`synthetic`]
 //! composes them into weighted multi-PC workloads, [`presets`] names ~25
 //! benchmark-like configurations, [`mix`] builds the paper's
-//! homogeneous/heterogeneous multi-core mixes, [`replay`] materialises
-//! traces once, encoded, and shares them across concurrent sweep cells,
+//! homogeneous/heterogeneous multi-core mixes, [`replay`] feeds sweep
+//! cells their cores' traces, generated on demand or streamed from disk,
 //! and [`store`] persists traces to disk (`drishti-trace/v1`) for
 //! streaming, bounded-memory replay. [`shrink`] and [`transform`] serve the
 //! conformance fuzzer: greedy minimization of failing traces and

@@ -103,28 +103,208 @@ pub enum Pattern {
 }
 
 /// Runtime state for one pattern instance.
+///
+/// No record pays for a division (the pointer chase's affine step
+/// aside): positions are wrapping counters and divisors are constants
+/// computed at construction.
 #[derive(Debug, Clone)]
 pub struct PatternState {
     pattern: Pattern,
     base: u64,
-    cursor: u64,
-    /// Zipf sampling tables (cumulative weights over a bucketed footprint).
-    zipf_cum: Vec<f64>,
-    /// Pointer-chase permutation parameters (affine walk over a prime-ish
-    /// footprint keeps memory O(1) while visiting all lines).
-    chase_mult: u64,
-    /// Program-stable salt: two instances of the *same benchmark* share it,
-    /// so their set-column bands align across cores (same binary ⇒ same
-    /// structure alignment), while their data lines stay disjoint.
-    program_salt: u64,
+    walk: Walk,
+}
+
+/// Where a pattern instance stands, with the constants its step needs.
+#[derive(Debug, Clone)]
+enum Walk {
+    /// Stream and Loop: line `pos` of `len`, advanced by `step` (< `len`).
+    Cyclic { pos: u64, step: u64, len: u64 },
+    /// PointerChase: an affine full-period permutation of `0..len`.
+    Chase { pos: u64, mult: u64, len: u64 },
+    /// Zipf: cumulative weights over 256 buckets of `bucket_lines` lines;
+    /// `mask` is `bucket_lines - 1` when `bucket_lines` is a power of two.
+    Zipf {
+        cum: Vec<f64>,
+        bucket_lines: u64,
+        mask: Option<u64>,
+    },
+    /// PrivateRegion and SliceScatter: one position `pos` in `0..len`,
+    /// advanced before every access of the stream; PC `p` then touches
+    /// `p * pc_stride + pos * line_stride`.
+    PerPc {
+        pos: u64,
+        len: u64,
+        pc_stride: u64,
+        line_stride: u64,
+    },
+    /// SetColumn.
+    Column(Column),
+    /// PhasedLoop: the access index modulo `small` and modulo `big`, and
+    /// its phase.
+    Phased {
+        small_pos: u64,
+        big_pos: u64,
+        small: u64,
+        big: u64,
+        clock: PhaseClock,
+    },
+}
+
+/// The phase of an access index `i`: `index` is `i / period`, and `left`
+/// accesses remain before it advances.
+#[derive(Debug, Clone)]
+struct PhaseClock {
+    index: u64,
+    left: u64,
+    period: u64,
+}
+
+impl PhaseClock {
+    fn new(period: u64) -> Self {
+        PhaseClock {
+            index: 0,
+            left: period,
+            period,
+        }
+    }
+
+    /// Counts one access; `true` when the next one starts a phase.
+    fn tick(&mut self) -> bool {
+        self.left -= 1;
+        if self.left > 0 {
+            return false;
+        }
+        self.left = self.period;
+        self.index += 1;
+        true
+    }
+}
+
+/// A SetColumn walk at access index `i`: set `i % sets` of row
+/// `(i / sets) % depth_eff`, in the band of `i`'s phase.
+#[derive(Debug, Clone)]
+struct Column {
+    sets: u64,
+    depth: u64,
+    row_stride: u64,
+    salt: u64,
+    /// `i % sets`, and `i / sets`: completed passes over the sets.
+    set: u64,
+    passes: u64,
+    /// `passes % depth_eff`.
+    row: u64,
+    /// The phase's band offset and depth.
+    band: u64,
+    depth_eff: u64,
+    /// `None` for a static band.
+    clock: Option<PhaseClock>,
+}
+
+impl Column {
+    fn new(sets: u64, depth: u64, row_stride: u64, phase_period: u64, salt: u64) -> Self {
+        let mut column = Column {
+            sets,
+            depth,
+            row_stride,
+            salt,
+            set: 0,
+            passes: 0,
+            row: 0,
+            band: salt % row_stride,
+            depth_eff: depth,
+            clock: (phase_period > 0).then(|| PhaseClock::new(phase_period)),
+        };
+        if column.clock.is_some() {
+            column.enter_phase(0);
+        }
+        column
+    }
+
+    /// At each phase change the column jumps to a salted band and
+    /// alternates between `depth` (even phases) and `3 × depth` rows.
+    fn enter_phase(&mut self, phase: u64) {
+        self.band = Rng::new(phase ^ self.salt ^ 0x5e7c).next_u64() % self.row_stride;
+        self.depth_eff = if phase % 2 == 1 {
+            self.depth * 3
+        } else {
+            self.depth
+        };
+        self.row = self.passes % self.depth_eff;
+    }
+
+    /// The line offset of this access; then advances to the next.
+    fn step(&mut self) -> u64 {
+        let offset = self.band + self.row * self.row_stride + self.set;
+        self.set += 1;
+        if self.set == self.sets {
+            self.set = 0;
+            self.passes += 1;
+            self.row += 1;
+            if self.row == self.depth_eff {
+                self.row = 0;
+            }
+        }
+        let next_phase = self
+            .clock
+            .as_mut()
+            .and_then(|c| c.tick().then_some(c.index));
+        if let Some(phase) = next_phase {
+            self.enter_phase(phase);
+        }
+        offset
+    }
+}
+
+/// `pos + 1`, wrapping to 0 at `len`.
+#[inline]
+fn wrap_inc(pos: u64, len: u64) -> u64 {
+    if pos + 1 == len {
+        0
+    } else {
+        pos + 1
+    }
 }
 
 impl PatternState {
     /// Instantiate `pattern` at address `base` (line address) with a
-    /// program-stable `program_salt` (see `PatternState::program_salt`).
+    /// program-stable `program_salt`: two instances of the *same
+    /// benchmark* share it, so their set-column bands align across cores
+    /// (same binary ⇒ same structure alignment), while their data lines
+    /// stay disjoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a size the walk wraps at is zero.
     pub fn with_salt(pattern: Pattern, base: u64, program_salt: u64, rng: &mut Rng) -> Self {
-        let zipf_cum = match pattern {
-            Pattern::Zipf { alpha, .. } => {
+        let walk = match pattern {
+            Pattern::Stream { footprint, stride } => Walk::Cyclic {
+                pos: 0,
+                step: stride % footprint,
+                len: footprint,
+            },
+            Pattern::Loop { footprint } => Walk::Cyclic {
+                pos: 0,
+                step: 1 % footprint,
+                len: footprint,
+            },
+            Pattern::PointerChase { footprint } => {
+                assert!(footprint > 0, "a pointer chase needs a footprint");
+                // An odd multiplier coprime with the footprint produces a
+                // full-period affine permutation.
+                let mut m = (rng.next_u64() | 1) % footprint.max(2);
+                if m < 2 {
+                    m = footprint / 2 + 1;
+                }
+                while gcd(m, footprint.max(1)) != 1 {
+                    m += 1;
+                }
+                Walk::Chase {
+                    pos: 0,
+                    mult: m,
+                    len: footprint,
+                }
+            }
+            Pattern::Zipf { footprint, alpha } => {
                 // 256 buckets with Zipf weights; addresses are drawn
                 // uniformly within the chosen bucket.
                 let mut cum = Vec::with_capacity(256);
@@ -136,32 +316,67 @@ impl PatternState {
                 for c in &mut cum {
                     *c /= total;
                 }
-                cum
-            }
-            _ => Vec::new(),
-        };
-        let chase_mult = match pattern {
-            Pattern::PointerChase { footprint } => {
-                // An odd multiplier coprime with the footprint produces a
-                // full-period affine permutation.
-                let mut m = (rng.next_u64() | 1) % footprint.max(2);
-                if m < 2 {
-                    m = footprint / 2 + 1;
+                let bucket_lines = (footprint / 256).max(1);
+                Walk::Zipf {
+                    cum,
+                    bucket_lines,
+                    mask: bucket_lines.is_power_of_two().then(|| bucket_lines - 1),
                 }
-                while gcd(m, footprint.max(1)) != 1 {
-                    m += 1;
-                }
-                m
             }
-            _ => 1,
+            Pattern::PrivateRegion {
+                lines_per_pc,
+                spacing,
+            } => Walk::PerPc {
+                pos: 0,
+                len: lines_per_pc,
+                pc_stride: spacing.max(lines_per_pc),
+                line_stride: 1,
+            },
+            Pattern::SliceScatter {
+                lines_per_pc,
+                slice_stride,
+            } => Walk::PerPc {
+                pos: 0,
+                len: lines_per_pc,
+                pc_stride: lines_per_pc * slice_stride,
+                line_stride: slice_stride,
+            },
+            Pattern::SetColumn {
+                sets,
+                depth,
+                row_stride,
+                phase_period,
+            } => {
+                assert!(sets > 0 && depth > 0, "a set column needs sets and rows");
+                Walk::Column(Column::new(
+                    sets,
+                    depth,
+                    row_stride,
+                    phase_period,
+                    program_salt,
+                ))
+            }
+            Pattern::PhasedLoop { small, big, period } => {
+                assert!(
+                    small > 0 && big > 0 && period > 0,
+                    "a phased loop needs footprints and a period"
+                );
+                Walk::Phased {
+                    small_pos: 0,
+                    big_pos: 0,
+                    small,
+                    big,
+                    clock: PhaseClock::new(period),
+                }
+            }
         };
+        if let Walk::PerPc { len, .. } = walk {
+            assert!(len > 0, "each PC needs at least one line");
+        }
         PatternState {
             pattern,
             base,
-            cursor: 0,
-            zipf_cum,
-            chase_mult,
-            program_salt,
+            walk,
         }
     }
 
@@ -177,88 +392,73 @@ impl PatternState {
     }
 
     /// Produce the next line address; `pc_index` is the index of the PC
-    /// issuing it within the owning stream (only [`Pattern::PrivateRegion`]
-    /// uses it).
+    /// issuing it within the owning stream (PrivateRegion, PhasedLoop
+    /// and SliceScatter use it).
     pub fn next_line(&mut self, pc_index: u64, rng: &mut Rng) -> u64 {
-        match self.pattern {
-            Pattern::Stream { footprint, stride } => {
-                let line = self.base + (self.cursor % footprint);
-                self.cursor += stride;
+        let offset = match &mut self.walk {
+            Walk::Cyclic { pos, step, len } => {
+                let line = *pos;
+                *pos += *step;
+                if *pos >= *len {
+                    *pos -= *len;
+                }
                 line
             }
-            Pattern::Loop { footprint } => {
-                let line = self.base + (self.cursor % footprint);
-                self.cursor += 1;
-                line
+            Walk::Chase { pos, mult, len } => {
+                *pos = (pos.wrapping_mul(*mult) + 1) % *len;
+                *pos
             }
-            Pattern::PointerChase { footprint } => {
-                self.cursor = (self.cursor.wrapping_mul(self.chase_mult) + 1) % footprint;
-                self.base + self.cursor
-            }
-            Pattern::Zipf { footprint, .. } => {
+            Walk::Zipf {
+                cum,
+                bucket_lines,
+                mask,
+            } => {
                 let u = rng.unit();
                 // The CDF is non-decreasing and ends at exactly 1.0, so the
                 // binary search finds the first bucket with `u <= c`.
-                let bucket = self
-                    .zipf_cum
-                    .partition_point(|&c| c < u)
-                    .min(self.zipf_cum.len() - 1) as u64;
-                let buckets = self.zipf_cum.len() as u64;
-                let bucket_lines = (footprint / buckets).max(1);
-                self.base + bucket * bucket_lines + rng.below(bucket_lines)
-            }
-            Pattern::PrivateRegion {
-                lines_per_pc,
-                spacing,
-            } => {
-                self.cursor += 1;
-                self.base + pc_index * spacing.max(lines_per_pc) + (self.cursor % lines_per_pc)
-            }
-            Pattern::SetColumn {
-                sets,
-                depth,
-                row_stride,
-                phase_period,
-            } => {
-                let i = self.cursor;
-                self.cursor += 1;
-                let (band_offset, depth_eff) = match i.checked_div(phase_period) {
-                    // phase_period == 0: a single static band.
-                    None => (self.program_salt % row_stride, depth),
-                    Some(phase) => {
-                        let off = crate::Rng::new(phase ^ self.program_salt ^ 0x5e7c).next_u64()
-                            % row_stride;
-                        let d = if phase % 2 == 1 { depth * 3 } else { depth };
-                        (off, d)
-                    }
+                let bucket = cum.partition_point(|&c| c < u).min(cum.len() - 1) as u64;
+                let r = rng.next_u64();
+                let within = match mask {
+                    Some(mask) => r & *mask,
+                    None => r % *bucket_lines,
                 };
-                let set = i % sets;
-                let row = (i / sets) % depth_eff;
-                self.base + band_offset + row * row_stride + set
+                bucket * *bucket_lines + within
             }
-            Pattern::PhasedLoop { small, big, period } => {
-                let i = self.cursor;
-                self.cursor += 1;
+            Walk::PerPc {
+                pos,
+                len,
+                pc_stride,
+                line_stride,
+            } => {
+                *pos = wrap_inc(*pos, *len);
+                pc_index * *pc_stride + *pos * *line_stride
+            }
+            Walk::Column(column) => column.step(),
+            Walk::Phased {
+                small_pos,
+                big_pos,
+                small,
+                big,
+                clock,
+            } => {
                 // Phases are staggered per PC: at any instant some of the
                 // stream's PCs are in their cache-fitting phase and others
                 // in their thrashing phase. Distinct PCs therefore have
                 // *distinct* current behaviour — merging them (as a
                 // myopic predictor's index aliasing does) mixes opposite
                 // classes, exactly as with real programs' PCs.
-                let phase = i / period + pc_index;
-                let footprint = if phase.is_multiple_of(2) { small } else { big };
-                self.base + (i % footprint)
+                let line = if (clock.index + pc_index).is_multiple_of(2) {
+                    *small_pos
+                } else {
+                    *big_pos
+                };
+                *small_pos = wrap_inc(*small_pos, *small);
+                *big_pos = wrap_inc(*big_pos, *big);
+                clock.tick();
+                line
             }
-            Pattern::SliceScatter {
-                lines_per_pc,
-                slice_stride,
-            } => {
-                self.cursor += 1;
-                self.base
-                    + pc_index * lines_per_pc * slice_stride
-                    + (self.cursor % lines_per_pc) * slice_stride
-            }
-        }
+        };
+        self.base + offset
     }
 }
 
@@ -267,6 +467,117 @@ fn gcd(a: u64, b: u64) -> u64 {
         a
     } else {
         gcd(b, a % b)
+    }
+}
+
+/// The division-based per-record formulas the counters replaced, kept to
+/// pin the counters record for record (`synthetic`'s differential test).
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// A pattern instance stepped by the reference formulas.
+    #[derive(Debug)]
+    pub(crate) struct RefPattern {
+        pattern: Pattern,
+        base: u64,
+        cursor: u64,
+        zipf_cum: Vec<f64>,
+        chase_mult: u64,
+        program_salt: u64,
+    }
+
+    impl RefPattern {
+        /// The reference twin of `state`, which must not have stepped yet.
+        pub(crate) fn of(state: &PatternState) -> Self {
+            let (zipf_cum, chase_mult, program_salt) = match &state.walk {
+                Walk::Zipf { cum, .. } => (cum.clone(), 1, 0),
+                Walk::Chase { mult, .. } => (Vec::new(), *mult, 0),
+                Walk::Column(column) => (Vec::new(), 1, column.salt),
+                _ => (Vec::new(), 1, 0),
+            };
+            RefPattern {
+                pattern: state.pattern,
+                base: state.base,
+                cursor: 0,
+                zipf_cum,
+                chase_mult,
+                program_salt,
+            }
+        }
+
+        pub(crate) fn next_line(&mut self, pc_index: u64, rng: &mut Rng) -> u64 {
+            match self.pattern {
+                Pattern::Stream { footprint, stride } => {
+                    let line = self.base + (self.cursor % footprint);
+                    self.cursor += stride;
+                    line
+                }
+                Pattern::Loop { footprint } => {
+                    let line = self.base + (self.cursor % footprint);
+                    self.cursor += 1;
+                    line
+                }
+                Pattern::PointerChase { footprint } => {
+                    self.cursor = (self.cursor.wrapping_mul(self.chase_mult) + 1) % footprint;
+                    self.base + self.cursor
+                }
+                Pattern::Zipf { footprint, .. } => {
+                    let u = rng.unit();
+                    let bucket = self
+                        .zipf_cum
+                        .partition_point(|&c| c < u)
+                        .min(self.zipf_cum.len() - 1) as u64;
+                    let buckets = self.zipf_cum.len() as u64;
+                    let bucket_lines = (footprint / buckets).max(1);
+                    self.base + bucket * bucket_lines + rng.below(bucket_lines)
+                }
+                Pattern::PrivateRegion {
+                    lines_per_pc,
+                    spacing,
+                } => {
+                    self.cursor += 1;
+                    self.base + pc_index * spacing.max(lines_per_pc) + (self.cursor % lines_per_pc)
+                }
+                Pattern::SetColumn {
+                    sets,
+                    depth,
+                    row_stride,
+                    phase_period,
+                } => {
+                    let i = self.cursor;
+                    self.cursor += 1;
+                    let (band_offset, depth_eff) = match i.checked_div(phase_period) {
+                        None => (self.program_salt % row_stride, depth),
+                        Some(phase) => {
+                            let off = Rng::new(phase ^ self.program_salt ^ 0x5e7c).next_u64()
+                                % row_stride;
+                            let d = if phase % 2 == 1 { depth * 3 } else { depth };
+                            (off, d)
+                        }
+                    };
+                    let set = i % sets;
+                    let row = (i / sets) % depth_eff;
+                    self.base + band_offset + row * row_stride + set
+                }
+                Pattern::PhasedLoop { small, big, period } => {
+                    let i = self.cursor;
+                    self.cursor += 1;
+                    let phase = i / period + pc_index;
+                    let footprint = if phase.is_multiple_of(2) { small } else { big };
+                    self.base + (i % footprint)
+                }
+                Pattern::SliceScatter {
+                    lines_per_pc,
+                    slice_stride,
+                } => {
+                    self.cursor += 1;
+                    self.base
+                        + pc_index * lines_per_pc * slice_stride
+                        + (self.cursor % lines_per_pc) * slice_stride
+                }
+            }
+        }
     }
 }
 
@@ -346,7 +657,9 @@ mod tests {
                 footprint: 25_600,
                 alpha,
             });
-            let cum = &s.zipf_cum;
+            let Walk::Zipf { cum, .. } = &s.walk else {
+                unreachable!("a Zipf pattern walks buckets")
+            };
             assert_eq!(*cum.last().unwrap(), 1.0);
             let probes = (0..10_000).map(|_| rng.unit());
             for u in probes.chain(cum.iter().copied()).chain([0.0, 0.999_999_9]) {

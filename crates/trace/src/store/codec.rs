@@ -12,8 +12,7 @@
 //! chain. In a file every frame is its own chain, never carried across a
 //! frame boundary: each frame decodes with no context, which is what lets
 //! [`StreamingTrace`](super::StreamingTrace) rewind by seeking to the
-//! first frame. The trace cache's RAM tier keeps a whole trace as one
-//! chain.
+//! first frame.
 
 use crate::TraceRecord;
 
@@ -82,9 +81,8 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 /// `line`, both zero before the chain's first record.
 ///
 /// [`encode`](DeltaChain::encode) and [`decode`](DeltaChain::decode) are
-/// the one per-record step of the encoding. File frames run one chain per
-/// frame; the trace cache's RAM tier
-/// ([`EncodedTrace`](crate::replay::EncodedTrace)) runs one per trace.
+/// the one per-record step of the encoding; file frames run one chain per
+/// frame.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaChain {
     prev_pc: u64,

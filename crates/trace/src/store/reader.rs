@@ -139,7 +139,7 @@ fn read_frame(
 ///
 /// Like every generator in this crate the stream is infinite: reaching the
 /// last record seeks back to frame 0 (the codec's per-frame delta reset
-/// makes the rewind exact), mirroring `ReplayWorkload`'s wraparound.
+/// makes the rewind exact).
 #[derive(Debug)]
 pub struct StreamingTrace {
     path: PathBuf,

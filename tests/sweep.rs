@@ -1,7 +1,7 @@
 //! Integration tests for the parallel sweep harness: exactly-once
 //! execution under contention, panic isolation, one-worker batches on the
-//! calling thread, worker-count-invariant report bytes, and trace-cache
-//! sharing (see DESIGN.md §10).
+//! calling thread and worker-count-invariant report bytes (see DESIGN.md
+//! §10).
 
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
@@ -191,28 +191,4 @@ fn report_bytes_are_invariant_across_worker_counts() {
     // Cells must come back in job-id order regardless of completion order.
     let order: Vec<usize> = jobs.iter().map(|j| j.id).collect();
     assert_eq!(order, vec![0, 1, 2]);
-}
-
-/// Cells sharing a mix replay the *same* materialised trace: the cache
-/// hands out pointer-equal `Arc`s rather than regenerating.
-#[test]
-fn trace_cache_shares_traces_across_cells_of_the_same_mix() {
-    let cores = 2;
-    let mix = Mix::homogeneous(Benchmark::Mcf, cores, 1);
-    let len = 3_600; // warmup + per-core accesses
-    let cache = TraceCache::new();
-    let first = cache.workloads_for(&mix, len);
-    let second = cache.workloads_for(&mix, len);
-    assert_eq!(first.len(), cores);
-    for (a, b) in first.iter().zip(&second) {
-        assert!(
-            Arc::ptr_eq(a.records(), b.records()),
-            "same mix cell regenerated its trace instead of sharing it"
-        );
-    }
-    // Each core is a distinct sim-point (its own seed), so the first call
-    // generates one trace per core and the second call hits on all of them.
-    let (hits, misses) = cache.stats();
-    assert_eq!(misses, cores as u64);
-    assert_eq!(hits, cores as u64);
 }

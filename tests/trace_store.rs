@@ -1,10 +1,13 @@
 //! Integration tests for the `drishti-trace/v1` on-disk store: codec
 //! round-trips (property-based), typed corruption reporting, streaming
-//! replay bit-identity with bounded memory, and the two-tier trace
-//! cache: its encoded RAM tier's bit-exact replay and size, and its
-//! pointer-equality contract under concurrency (see DESIGN.md §12).
+//! replay bit-identity with bounded memory, and the sweep's trace source:
+//! generated replays' wrap and skip contract, and trace files streamed
+//! into sweep cells exactly as into a single run (see DESIGN.md §12).
 
-use drishti_sim::runner::{run_mix, run_mix_cached, RunConfig};
+use drishti_core::config::DrishtiConfig;
+use drishti_policies::factory::PolicyKind;
+use drishti_sim::runner::{run_with_workloads, RunConfig};
+use drishti_sim::sweep::{run_sweep, JobKind, SweepJob};
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 use drishti_trace::replay::TraceCache;
@@ -14,7 +17,7 @@ use drishti_trace::store::{
 use drishti_trace::{TraceRecord, WorkloadGen};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 /// A scratch file under the OS temp dir, removed on drop.
 struct TempTrace(PathBuf);
@@ -327,11 +330,11 @@ const EXTREMES: [TraceRecord; 4] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary records, extremes included, go into the cache's encoded
-    /// RAM tier through `insert` and replay bit-exactly across two
-    /// wraparounds, where the delta chain restarts from zero.
+    /// Arbitrary records, extremes included, written to a trace file and
+    /// registered with the sweep's trace source replay bit-exactly across
+    /// two wraparounds, where the frame's delta chain restarts from zero.
     #[test]
-    fn inserted_records_replay_bit_exactly_across_wraps(
+    fn registered_file_replays_bit_exactly_across_wraps(
         recs in prop::collection::vec(
             (any::<u32>(), any::<u64>(), any::<u64>(), any::<bool>()),
             0..200,
@@ -350,15 +353,21 @@ proptest! {
         let at = at % (records.len() + 1);
         records.splice(at..at, EXTREMES);
         let len = records.len() as u64;
-        let cache = TraceCache::new();
-        let shared = cache.insert(Benchmark::Mcf, 1, records.clone());
+        let file = TempTrace::new("registered");
+        // Small frames, so that replays cross frame boundaries too.
+        let mut w = TraceWriter::with_frame_len(&file.0, "prop", 1, 64).unwrap();
+        for &r in &records {
+            w.push(r).unwrap();
+        }
+        w.finish().unwrap();
+        let mut cache = TraceCache::new();
+        cache.add_file(Benchmark::Mcf, 1, &file.0);
         let mut replay = cache.replay(Benchmark::Mcf, 1, len);
-        prop_assert!(Arc::ptr_eq(replay.records(), &shared));
         for (i, want) in records.iter().cycle().take(3 * records.len()).enumerate() {
             prop_assert_eq!(replay.next_record(), *want, "record {}", i);
         }
         prop_assert_eq!(cache.get(Benchmark::Mcf, 1, len), records);
-        prop_assert_eq!(cache.stats().1, 0, "insert left nothing to generate");
+        prop_assert_eq!(cache.stats(), (2, 0), "the file left nothing to generate");
     }
 
     /// A replay that has served `k` records and then skips `n` serves
@@ -384,125 +393,65 @@ proptest! {
     }
 }
 
-/// The RAM tier keeps traces encoded: a 250k-record preset trace (the
-/// per-core span of a 16-core alone run) costs at most 8 bytes per record
-/// against the 24 of a decoded `TraceRecord`.
+/// An external trace (a header name matching no built-in benchmark, as
+/// ingested ChampSim files have) shorter than the span wraps, and a sweep
+/// that streams it gives every cell the per-core results of the
+/// single-run streaming replay, at 1 and at 4 workers. Core 1 has no
+/// file and is generated.
 #[test]
-fn cached_trace_costs_at_most_8_bytes_per_record() {
-    let len = 250_000;
-    for bench in [Benchmark::Mcf, Benchmark::BcTwitter] {
-        let cache = TraceCache::new();
-        let _ = cache.replay(bench, 1, len);
-        let per_record = cache.resident_bytes() as f64 / len as f64;
-        assert!(
-            per_record <= 8.0,
-            "{} keeps {per_record:.2} B/record",
-            bench.label()
-        );
-    }
-}
-
-/// Encoded size of the `len`-record trace of `bench` at `seed`.
-fn encoded_size(bench: Benchmark, seed: u64, len: u64) -> usize {
-    TraceCache::new().encoded(bench, seed, len).encoded_bytes()
-}
-
-/// Satellite regression test: a byte-capped cache still upholds the
-/// pointer-equality contract for concurrently racing cells. Every thread
-/// acquires the contended key, churns the cache past its budget with
-/// other keys (forcing evictions), and re-acquires — all copies must be
-/// one `Arc` because at least one racer holds it alive throughout.
-#[test]
-fn capped_cache_shares_one_arc_across_racing_threads() {
-    let threads = 8;
-    let churn = |t: usize| (0..4).map(move |seed| seed + t as u64 * 10);
-    // Budget: one 200-record trace; the churn keys guarantee evictions.
-    let budget = encoded_size(Benchmark::Mcf, 1, 200);
-    let largest = (0..threads)
-        .flat_map(churn)
-        .map(|seed| encoded_size(Benchmark::Gcc, seed, 200))
-        .fold(budget, usize::max);
-    let cache = Arc::new(TraceCache::with_budget(budget));
-    let barrier = Arc::new(Barrier::new(threads));
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let cache = Arc::clone(&cache);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let first = cache.encoded(Benchmark::Mcf, 1, 200);
-                // Churn: distinct keys large enough to evict everything
-                // not pinned by an outstanding Arc.
-                for seed in churn(t) {
-                    let _ = cache.encoded(Benchmark::Gcc, seed, 200);
-                }
-                let again = cache.encoded(Benchmark::Mcf, 1, 200);
-                assert!(
-                    Arc::ptr_eq(&first, &again),
-                    "thread {t} saw the shared trace replaced mid-flight"
-                );
-                barrier.wait(); // all threads still hold `first` here
-                first
-            })
-        })
-        .collect();
-    let arcs: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    for (t, a) in arcs.iter().enumerate() {
-        assert!(
-            Arc::ptr_eq(&arcs[0], a),
-            "thread {t} got a different Arc for the same key"
-        );
-    }
-    assert!(
-        cache.resident_bytes() <= budget + largest,
-        "budget is a soft cap: at most budget + one trace resident"
-    );
-}
-
-/// Determinism across tiers: a run whose traces were evicted and spilled
-/// to disk produces results identical to an uncapped in-RAM run — the
-/// budget only moves where the bytes live.
-#[test]
-fn capped_spilling_cache_preserves_run_results() {
-    let mix = Mix::heterogeneous(&[Benchmark::Mcf, Benchmark::Gcc, Benchmark::Lbm], 2, 7);
+fn external_trace_shorter_than_the_span_wraps_identically_in_sweeps() {
+    let file = TempTrace::new("external");
     let rc = RunConfig {
         accesses_per_core: 2_500,
         warmup_accesses: 500,
         ..RunConfig::quick(2)
     };
-    let reference = run_mix(
-        &mix,
-        drishti_policies::factory::PolicyKind::Lru,
-        drishti_core::config::DrishtiConfig::baseline(2),
-        &rc,
-    );
-    let dir = std::env::temp_dir().join(format!("drishti-store-test-{}-spill", std::process::id()));
-    // A budget below either core's encoded trace (3000 records) holds one
-    // trace at a time, so every admission spills the other.
-    let budget = (0..mix.cores())
-        .map(|c| encoded_size(mix.benchmarks[c], mix.seeds[c], 3_000))
-        .min()
-        .unwrap()
-        - 1;
-    let cache = TraceCache::with_spill(budget, &dir).unwrap();
-    for round in 0..3 {
-        let r = run_mix_cached(
-            &mix,
-            drishti_policies::factory::PolicyKind::Lru,
-            drishti_core::config::DrishtiConfig::baseline(2),
-            &rc,
-            &cache,
-        );
+    let records = Benchmark::Xalan.build(4).collect(700);
+    assert!((records.len() as u64) < rc.warmup_accesses + rc.accesses_per_core);
+    write_trace(&file.0, "champsim-external", 0, &records).unwrap();
+    let mix = Mix::homogeneous(Benchmark::Mcf, 2, 1);
+    let policies = [PolicyKind::Lru, PolicyKind::Hawkeye, PolicyKind::Mockingjay];
+    let jobs: Vec<SweepJob> = policies
+        .iter()
+        .enumerate()
+        .map(|(id, &policy)| SweepJob {
+            id,
+            label: format!("{}/{}/baseline", mix.name, policy.label()),
+            seed: SweepJob::derive_seed(id),
+            rc: rc.clone(),
+            kind: JobKind::Run {
+                mix: mix.clone(),
+                policy,
+                org: DrishtiConfig::baseline(2),
+                org_label: "baseline".to_string(),
+            },
+        })
+        .collect();
+    let single: Vec<_> = policies
+        .iter()
+        .map(|&policy| {
+            let stream = StreamingTrace::open(&file.0).unwrap();
+            let workloads: Vec<Option<Box<dyn WorkloadGen>>> =
+                vec![Some(Box::new(stream)), Some(Box::new(mix.build_core(1)))];
+            run_with_workloads(workloads, policy, DrishtiConfig::baseline(2), &rc).per_core
+        })
+        .collect();
+    for workers in [1, 4] {
+        let mut cache = TraceCache::new();
+        cache.add_file(mix.benchmarks[0], mix.seeds[0], &file.0);
+        let cache = Arc::new(cache);
+        let out = run_sweep(&jobs, workers, &cache);
+        for ((job, got), want) in jobs.iter().zip(&out.outputs).zip(&single) {
+            let got = &got.as_ref().unwrap().unwrap_run().per_core;
+            assert_eq!(got, want, "{} at {workers} workers", job.label);
+        }
+        let cells = jobs.len() as u64;
         assert_eq!(
-            r.per_core, reference.per_core,
-            "round {round} diverged from the generated run"
+            cache.stats(),
+            (cells, cells),
+            "one file and one generator per cell"
         );
     }
-    let (spills, disk_loads) = cache.tier_stats();
-    assert!(spills > 0, "the budget forced no spill");
-    assert!(disk_loads > 0, "no round replayed a reloaded trace");
-    drop(cache);
-    let _ = std::fs::remove_dir(&dir);
 }
 
 /// `DEFAULT_FRAME_LEN` traces (the writer default) still round-trip — the
