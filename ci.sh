@@ -173,34 +173,39 @@ fi
 echo "killed sweep resumed to a byte-identical report; journal cleaned up"
 
 # Checkpoint gate: a single run checkpointed with --save (every 15000
-# steps and at completion) must restore to the same per-core IPC, and a
-# file whose header claims an older container (drishti-ckpt/v1, /v2 or
-# /v3) must be refused by version with a typed error (exit 2, not a
-# panic's 101). The .drck files stay in $out for upload if the gate fails.
+# steps and at completion) must restore to the same per-core IPC, under
+# Mockingjay and under Glider (whose sampler layout moved in v5), and a
+# file whose header claims an older container (drishti-ckpt/v1 to /v4)
+# must be refused by version with a typed error (exit 2, not a panic's
+# 101). The .drck files stay in $out for upload if the gate fails.
 # (Runs in --quick too.)
-step "checkpoint gate (--save/--restore IPC, v1 to v3 refused by version)"
-ck_args=(--cores 4 --mix homo:mcf --policy mockingjay --org drishti --accesses 20000
-         --warmup 5000)
-"$sim" "${ck_args[@]}" --save "$out/gate.drck" --checkpoint-every 15000 >"$out/ckpt_saved.txt"
-"$sim" "${ck_args[@]}" --restore "$out/gate.drck" >"$out/ckpt_restored.txt"
-if ! diff -u <(grep 'IPC' "$out/ckpt_saved.txt") <(grep 'IPC' "$out/ckpt_restored.txt"); then
-  echo "FAIL: the restored run's IPC differs from the checkpointed run's" >&2
-  exit 1
-fi
+step "checkpoint gate (--save/--restore IPC, v1 to v4 refused by version)"
+ck_args=(--cores 4 --mix homo:mcf --org drishti --accesses 20000 --warmup 5000)
+for policy in mockingjay glider; do
+  run_args=("${ck_args[@]}" --policy "$policy")
+  "$sim" "${run_args[@]}" --save "$out/gate_$policy.drck" --checkpoint-every 15000 \
+    >"$out/ckpt_saved_$policy.txt"
+  "$sim" "${run_args[@]}" --restore "$out/gate_$policy.drck" >"$out/ckpt_restored_$policy.txt"
+  if ! diff -u <(grep 'IPC' "$out/ckpt_saved_$policy.txt") \
+               <(grep 'IPC' "$out/ckpt_restored_$policy.txt"); then
+    echo "FAIL: the restored $policy run's IPC differs from the checkpointed run's" >&2
+    exit 1
+  fi
+done
 # Bytes 8-11 of the header hold the container version (little-endian u32).
-for v in 1 2 3; do
-  cp "$out/gate.drck" "$out/gate_v$v.drck"
+for v in 1 2 3 4; do
+  cp "$out/gate_mockingjay.drck" "$out/gate_v$v.drck"
   printf "\\x0$v\\x00\\x00\\x00" | dd of="$out/gate_v$v.drck" bs=1 seek=8 conv=notrunc status=none
   old_status=0
-  "$sim" "${ck_args[@]}" --restore "$out/gate_v$v.drck" >/dev/null 2>"$out/ckpt_v$v.err" ||
-    old_status=$?
+  "$sim" "${ck_args[@]}" --policy mockingjay --restore "$out/gate_v$v.drck" >/dev/null \
+    2>"$out/ckpt_v$v.err" || old_status=$?
   if [[ $old_status -ne 2 ]] || ! grep -q "drishti-ckpt/v$v" "$out/ckpt_v$v.err"; then
     echo "FAIL: a drishti-ckpt/v$v header was not refused by version (exit $old_status)" >&2
     cat "$out/ckpt_v$v.err" >&2
     exit 1
   fi
 done
-echo "restored run matches the checkpointed run; drishti-ckpt/v1 to /v3 refused by version"
+echo "restored mockingjay and glider runs match the checkpointed runs; drishti-ckpt/v1 to /v4 refused by version"
 
 # Fuzz-smoke gate: 64 seed-derived conformance cells (differential
 # RefCache shadow + metamorphic re-runs) with the pinned CI seed must run

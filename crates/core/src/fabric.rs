@@ -92,6 +92,36 @@ impl FabricCounters {
     pub fn total(&self) -> u64 {
         self.train_accesses + self.predict_accesses
     }
+
+    /// A policy's diagnostics: its `own` counters, then the predictor
+    /// accesses and [`FabricCounters::fault_diagnostics`].
+    pub fn diagnostics(&self, own: &[(&str, u64)]) -> Vec<(String, u64)> {
+        let own: Vec<_> = own
+            .iter()
+            .copied()
+            .chain([
+                ("predictor_train", self.train_accesses),
+                ("predictor_predict", self.predict_accesses),
+            ])
+            .collect();
+        self.fault_diagnostics(&own)
+    }
+
+    /// A policy's diagnostics: its `own` counters, then the fault
+    /// counters (fallbacks, dropped predictions, dropped and retried
+    /// trainings).
+    pub fn fault_diagnostics(&self, own: &[(&str, u64)]) -> Vec<(String, u64)> {
+        own.iter()
+            .copied()
+            .chain([
+                ("fabric_fallbacks", self.fallback_decisions),
+                ("fabric_dropped_predictions", self.dropped_predictions),
+                ("fabric_dropped_trainings", self.dropped_trainings),
+                ("fabric_retried_trainings", self.retried_trainings),
+            ])
+            .map(|(n, v)| (n.to_string(), v))
+            .collect()
+    }
 }
 
 /// Result of pushing one training update through the fabric.

@@ -9,7 +9,7 @@
 //!
 //! [`SmallU64Map`] persists in the same canonical layout as
 //! `HashMap<u64, u64>` under [`crate::snap::Persist`] (length-prefixed,
-//! entries sorted by key), so its `drishti-ckpt/v4` bytes never depend on
+//! entries sorted by key), so its `drishti-ckpt/v5` bytes never depend on
 //! insertion order.
 
 use crate::snap::{Persist, SnapError, StateReader, StateWriter};

@@ -8,7 +8,7 @@
 //! come from configuration, not from the snapshot: restore first rebuilds
 //! the component from its config, then loads the bytes into it, and the
 //! codec refuses a snapshot whose shape differs (see `Vec<T>`'s
-//! [`Persist`] impl). The container layer (`drishti-ckpt/v4` in
+//! [`Persist`] impl). The container layer (`drishti-ckpt/v5` in
 //! `crates/sim`) guards every section with an fnv1a64 checksum and a
 //! config hash; `load` defends against what the container cannot rule
 //! out — a checksummed section that is short or mis-shaped — via typed
@@ -291,6 +291,14 @@ impl Persist for String {
     }
 }
 
+/// Nothing to save: the state of a component that keeps none.
+impl Persist for () {
+    fn save(&self, _w: &mut StateWriter) {}
+    fn load(&mut self, _r: &mut StateReader<'_>) -> Result<(), SnapError> {
+        Ok(())
+    }
+}
+
 impl<T: Persist + Default> Persist for Vec<T> {
     fn save(&self, w: &mut StateWriter) {
         w.put_u64(self.len() as u64);
@@ -467,10 +475,13 @@ persist_tuple!(A: 0, B: 1, C: 2, D: 3);
 /// drishti_noc::snap::Persist::load(&mut t, &mut r).unwrap();
 /// assert_eq!(t.elapsed, 7);
 /// ```
+///
+/// A generic type lists its parameters and their bounds in brackets
+/// first: `impl_persist_fields!([X: Persist] Entry<X> { tag, extra })`.
 #[macro_export]
 macro_rules! impl_persist_fields {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::snap::Persist for $ty {
+    ([$($generics:tt)*] $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl<$($generics)*> $crate::snap::Persist for $ty {
             fn save(&self, w: &mut $crate::snap::StateWriter) {
                 $($crate::snap::Persist::save(&self.$field, w);)+
             }
@@ -482,6 +493,9 @@ macro_rules! impl_persist_fields {
                 Ok(())
             }
         }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::impl_persist_fields!([] $ty { $($field),+ });
     };
 }
 

@@ -15,7 +15,7 @@
 //! organisation — every slice's experience trains the owning core's table —
 //! and the learning-trigger sets follow the dynamic sampled cache.
 
-use crate::common::{predictor_index, PerLine};
+use crate::common::{label, predictor_index, rrip_victim, selectors, PerLine};
 use drishti_core::config::DrishtiConfig;
 use drishti_core::fabric::PredictorFabric;
 use drishti_core::select::SetSelector;
@@ -100,32 +100,20 @@ pub struct Chrome {
     rewards_neg: u64,
     /// Per-slice short miss-streak counter: the pressure feature.
     pressure: Vec<u8>,
+    /// Cores on the machine, which a restored decision's core must be
+    /// below.
+    cores: usize,
 }
 
 impl Chrome {
     /// Build CHROME for `geom` under the organisation `cfg`.
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
         let fabric = cfg.build_fabric();
-        let selectors = (0..geom.slices)
-            .map(|s| {
-                cfg.build_selector(
-                    s,
-                    geom.sets_per_slice,
-                    STATIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                    DYNAMIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                )
-            })
-            .collect();
-        let label = match cfg.label().as_str() {
-            "baseline" => "chrome".to_string(),
-            "drishti" => "d-chrome".to_string(),
-            other => format!("chrome:{other}"),
-        };
         Chrome {
-            label,
+            label: label("chrome", cfg),
             rrpv: PerLine::new(geom),
             prov: PerLine::new(geom),
-            selectors,
+            selectors: selectors(geom, cfg, (STATIC_SAMPLED_SETS, DYNAMIC_SAMPLED_SETS)),
             q: vec![vec![0; (1 << STATE_BITS) * N_ACTIONS]; fabric.banks()],
             fabric,
             bypassed: vec![(u64::MAX, 0, 0, 0); 128],
@@ -136,6 +124,7 @@ impl Chrome {
             rewards_pos: 0,
             rewards_neg: 0,
             pressure: vec![0; geom.slices],
+            cores: cfg.cores,
         }
     }
 
@@ -167,6 +156,14 @@ impl Chrome {
             .expect("actions nonempty")
     }
 
+    /// Whether a `(state, action, core)` decision indexes the Q-tables
+    /// and the fabric in range.
+    fn fits(&self, state: u16, action: u8, core: u8) -> bool {
+        u32::from(state) >> STATE_BITS == 0
+            && usize::from(action) < N_ACTIONS
+            && usize::from(core) < self.cores
+    }
+
     fn reward(&mut self, slice: usize, state: u16, action: u8, core: usize, r: i32, cycle: u64) {
         if r > 0 {
             self.rewards_pos += 1;
@@ -184,18 +181,11 @@ impl Chrome {
 
 impl PolicyProbe for Chrome {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: 0,
-                max: MAX_RRPV as i64,
-            },
-            values: self
-                .rrpv
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: 0,
+            max: MAX_RRPV as i64,
+        };
+        self.rrpv.probe(loc, kind)
     }
 }
 
@@ -204,9 +194,9 @@ impl LlcPolicy for Chrome {
         Some(self)
     }
 
-    // `label` is config-derived and excluded; the fabric serializes through
-    // its own hooks. The ε-greedy RNG stream is captured so resumed runs
-    // replay the exact exploration sequence.
+    // `label` and `cores` are config-derived and excluded; the fabric
+    // serializes through its own hooks. The ε-greedy RNG stream is
+    // captured so resumed runs replay the exact exploration sequence.
     fn save_state(&self, w: &mut drishti_noc::snap::StateWriter) {
         use drishti_noc::snap::Persist;
         self.rrpv.save(w);
@@ -228,14 +218,37 @@ impl LlcPolicy for Chrome {
         &mut self,
         r: &mut drishti_noc::snap::StateReader<'_>,
     ) -> Result<(), drishti_noc::snap::SnapError> {
-        use drishti_noc::snap::Persist;
+        use drishti_noc::snap::{Persist, SnapError};
         self.rrpv.load(r)?;
         self.prov.load(r)?;
+        // The codec holds the provenance plane and the bypass ring to their
+        // configured shapes but cannot see the values, and a decision
+        // indexes the Q-tables by state and action and the fabric by core.
+        if let Some((slice, line, p)) = self.prov.find(|p| !self.fits(p.state, p.action, p.core)) {
+            return Err(SnapError::Invalid {
+                what: "chrome provenance",
+                detail: format!("slice {slice} line {line}: {p:?} is out of range"),
+            });
+        }
         self.selectors.load(r)?;
         self.q.load(r)?;
         self.fabric.load_state(r)?;
         self.bypassed.load(r)?;
         self.bypassed_next.load(r)?;
+        let bad = self
+            .bypassed
+            .iter()
+            .find(|&&(_, s, a, c)| !self.fits(s, a, c));
+        if bad.is_some() || self.bypassed_next >= self.bypassed.len() {
+            return Err(SnapError::Invalid {
+                what: "chrome bypass ring",
+                detail: format!(
+                    "next slot {} of {}, first out-of-range entry {bad:?}",
+                    self.bypassed_next,
+                    self.bypassed.len()
+                ),
+            });
+        }
         self.rng.load(r)?;
         self.decisions.load(r)?;
         self.explorations.load(r)?;
@@ -297,15 +310,7 @@ impl LlcPolicy for Chrome {
             }
         }
         // Victim: RRIP with aging.
-        loop {
-            let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
-                return Decision::Evict(w);
-            }
-            for r in set.iter_mut() {
-                *r += 1;
-            }
-        }
+        Decision::Evict(rrip_victim(self.rrpv.set_mut(loc.slice, loc.set), MAX_RRPV))
     }
 
     fn on_fill(
@@ -356,53 +361,21 @@ impl LlcPolicy for Chrome {
     }
 
     fn diagnostics(&self) -> Vec<(String, u64)> {
-        let fc = self.fabric.counters();
-        vec![
-            ("decisions".into(), self.decisions),
-            ("explorations".into(), self.explorations),
-            ("rewards_pos".into(), self.rewards_pos),
-            ("rewards_neg".into(), self.rewards_neg),
-            ("fabric_fallbacks".into(), fc.fallback_decisions),
-            ("fabric_dropped_predictions".into(), fc.dropped_predictions),
-            ("fabric_dropped_trainings".into(), fc.dropped_trainings),
-            ("fabric_retried_trainings".into(), fc.retried_trainings),
-        ]
+        self.fabric.counters().fault_diagnostics(&[
+            ("decisions", self.decisions),
+            ("explorations", self.explorations),
+            ("rewards_pos", self.rewards_pos),
+            ("rewards_neg", self.rewards_neg),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::{cfg, geom, run};
     use drishti_mem::llc::SlicedLlc;
     use drishti_noc::slicehash::ModuloHash;
-
-    fn geom() -> LlcGeometry {
-        LlcGeometry {
-            slices: 1,
-            sets_per_slice: 16,
-            ways: 4,
-            latency: 20,
-        }
-    }
-
-    fn cfg() -> DrishtiConfig {
-        let mut c = DrishtiConfig::baseline(1);
-        c.sampled_sets_override = Some(16);
-        c
-    }
-
-    fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
-        let mut hits = 0;
-        for (i, &(pc, line)) in trace.iter().enumerate() {
-            let a = Access::load(0, pc, line);
-            if llc.lookup(&a, i as u64).hit {
-                hits += 1;
-            } else {
-                llc.fill(&a, i as u64);
-            }
-        }
-        hits
-    }
 
     #[test]
     fn names() {
@@ -488,5 +461,46 @@ mod tests {
             Box::new(ModuloHash::new()),
         );
         assert_eq!(run(&mut a, &trace), run(&mut b, &trace));
+    }
+
+    /// A restored decision must index the Q-tables and the fabric in
+    /// range: a provenance or bypass-ring entry whose core is off the
+    /// machine, whose state needs more than `STATE_BITS` bits or whose
+    /// action is not below `N_ACTIONS`, and a ring cursor past the ring,
+    /// are refused at load instead of panicking at the first hit.
+    #[test]
+    fn restored_decisions_are_cross_checked() {
+        use drishti_noc::snap::{SnapError, StateReader, StateWriter};
+        let g = geom();
+        // Three provenance mutations, then four of the bypass ring.
+        let mutations: [fn(&mut Chrome); 7] = [
+            |c| c.prov.get_mut(0, 3, 1).core = 200,
+            |c| c.prov.get_mut(0, 3, 1).state = u16::MAX,
+            |c| c.prov.get_mut(0, 3, 1).action = 4,
+            |c| c.bypassed[5].3 = 200,
+            |c| c.bypassed[5].1 = u16::MAX,
+            |c| c.bypassed[5].2 = 4,
+            |c| c.bypassed_next = c.bypassed.len(),
+        ];
+        for (i, mutate) in mutations.into_iter().enumerate() {
+            let what = if i < 3 {
+                "chrome provenance"
+            } else {
+                "chrome bypass ring"
+            };
+            let mut live = Chrome::new(&g, &cfg());
+            let mut w = StateWriter::new();
+            live.save_state(&mut w);
+            Chrome::new(&g, &cfg())
+                .load_state(&mut StateReader::new(w.bytes()))
+                .expect("in-range state loads");
+            mutate(&mut live);
+            let mut w = StateWriter::new();
+            live.save_state(&mut w);
+            match Chrome::new(&g, &cfg()).load_state(&mut StateReader::new(w.bytes())) {
+                Err(SnapError::Invalid { what: got, .. }) => assert_eq!(got, what, "mutation {i}"),
+                other => panic!("mutation {i}: expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 }

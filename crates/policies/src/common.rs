@@ -1,7 +1,10 @@
 //! Shared infrastructure for replacement policies.
 
+use drishti_core::config::DrishtiConfig;
+use drishti_core::select::SetSelector;
 use drishti_mem::access::Access;
 use drishti_mem::llc::LlcGeometry;
+use drishti_mem::policy::{LlcLoc, ProbeKind, SetProbe};
 use drishti_mem::CoreId;
 use drishti_noc::snap::{Persist, SnapError, StateReader, StateWriter};
 
@@ -43,6 +46,31 @@ impl<T: Clone + Default> PerLine<T> {
     #[inline]
     pub fn set(&self, slice: usize, set: usize) -> &[T] {
         &self.data[slice][set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// The first value matching `pred`, with its slice and its line
+    /// within the slice.
+    pub fn find(&self, pred: impl Fn(&T) -> bool) -> Option<(usize, usize, &T)> {
+        self.data.iter().enumerate().find_map(|(slice, lines)| {
+            let line = lines.iter().position(&pred)?;
+            Some((slice, line, &lines[line]))
+        })
+    }
+
+    /// The set at `loc` as a [`SetProbe`] of `kind`. Values widen through
+    /// `i128` and then cast, so a `u64` stamp keeps its bits.
+    pub fn probe(&self, loc: LlcLoc, kind: ProbeKind) -> SetProbe
+    where
+        T: Copy + Into<i128>,
+    {
+        SetProbe {
+            kind,
+            values: self
+                .set(loc.slice, loc.set)
+                .iter()
+                .map(|&v| v.into() as i64)
+                .collect(),
+        }
     }
 }
 
@@ -170,11 +198,6 @@ impl Installers {
     pub fn get(&self, slice: usize, set: usize, way: usize) -> Installer {
         *self.lines.get(slice, set, way)
     }
-
-    /// The cores whose installs this plane records.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
 }
 
 impl Persist for Installers {
@@ -187,26 +210,56 @@ impl Persist for Installers {
     /// on it would index past the predictor tables.
     fn load(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         self.lines.load(r)?;
-        for (slice, lines) in self.lines.data.iter().enumerate() {
-            if let Some(line) = lines
-                .iter()
-                .position(|by| by.index() >> self.bits != 0 || by.core() >= self.cores)
-            {
-                let by = lines[line];
-                return Err(SnapError::Invalid {
-                    what: "llc installer",
-                    detail: format!(
-                        "slice {slice} line {line}: index {} needs more than {} bits or core {} \
+        let bad = |by: &Installer| by.index() >> self.bits != 0 || by.core() >= self.cores;
+        match self.lines.find(bad) {
+            Some((slice, line, by)) => Err(SnapError::Invalid {
+                what: "llc installer",
+                detail: format!(
+                    "slice {slice} line {line}: index {} needs more than {} bits or core {} \
                          is not below {}",
-                        by.index(),
-                        self.bits,
-                        by.core(),
-                        self.cores
-                    ),
-                });
-            }
+                    by.index(),
+                    self.bits,
+                    by.core(),
+                    self.cores
+                ),
+            }),
+            None => Ok(()),
         }
-        Ok(())
+    }
+}
+
+/// Each slice's sampled-set selector for `geom` under `cfg`, with
+/// `sampled` = (random, dynamic) sets per slice unless `cfg` overrides it.
+pub(crate) fn selectors(
+    geom: &LlcGeometry,
+    cfg: &DrishtiConfig,
+    (random, dynamic): (usize, usize),
+) -> Vec<SetSelector> {
+    (0..geom.slices)
+        .map(|s| cfg.build_selector(s, geom.sets_per_slice, random, dynamic))
+        .collect()
+}
+
+/// The name of policy `base` under `cfg`: `base` for the myopic baseline,
+/// `d-base` under Drishti, `base:org` for any other organisation.
+pub(crate) fn label(base: &str, cfg: &DrishtiConfig) -> String {
+    match cfg.label().as_str() {
+        "baseline" => base.to_string(),
+        "drishti" => format!("d-{base}"),
+        other => format!("{base}:{other}"),
+    }
+}
+
+/// The RRIP victim of a full set: the first line at `max`, after ageing
+/// every line until one gets there.
+pub(crate) fn rrip_victim(rrpvs: &mut [u8], max: u8) -> usize {
+    loop {
+        if let Some(w) = rrpvs.iter().position(|&r| r >= max) {
+            return w;
+        }
+        for r in rrpvs.iter_mut() {
+            *r += 1;
+        }
     }
 }
 
@@ -217,6 +270,46 @@ pub fn line_tag(line: u64, bits: u32) -> u32 {
     x ^= x >> 31;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     (x & ((1 << bits) - 1)) as u32
+}
+
+/// Scaffolding for the policies' unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use drishti_mem::llc::SlicedLlc;
+
+    /// One slice of 16 sets × 4 ways.
+    pub fn geom() -> LlcGeometry {
+        LlcGeometry {
+            slices: 1,
+            sets_per_slice: 16,
+            ways: 4,
+            latency: 20,
+        }
+    }
+
+    /// The baseline organisation with every set of [`geom`] sampled, so
+    /// the tiny tests always train.
+    pub fn cfg() -> DrishtiConfig {
+        let mut c = DrishtiConfig::baseline(1);
+        c.sampled_sets_override = Some(16);
+        c
+    }
+
+    /// Run `(pc, line)` loads from core 0, filling every miss; returns
+    /// the hit count.
+    pub fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
+        let mut hits = 0;
+        for (i, &(pc, line)) in trace.iter().enumerate() {
+            let a = Access::load(0, pc, line);
+            if llc.lookup(&a, i as u64).hit {
+                hits += 1;
+            } else {
+                llc.fill(&a, i as u64);
+            }
+        }
+        hits
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! a dynamic [`SetSelector`] duels on the high-MPKA sets instead
 //! (D-DIP in our ablations).
 
-use crate::common::PerLine;
+use crate::common::{selectors, PerLine};
 use drishti_core::config::DrishtiConfig;
 use drishti_core::select::SetSelector;
 use drishti_mem::access::{Access, AccessKind};
@@ -48,9 +48,7 @@ impl Dip {
     /// (static random vs. Drishti's dynamic sampled cache) — 32 dueling
     /// sets per slice by default.
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
-        let selectors = (0..geom.slices)
-            .map(|s| cfg.build_selector(s, geom.sets_per_slice, 32, 32))
-            .collect::<Vec<_>>();
+        let selectors = selectors(geom, cfg, (32, 32));
         Dip {
             stamp: PerLine::new(geom),
             clock: 0,
@@ -95,18 +93,11 @@ impl PolicyProbe for Dip {
         // DIP's LRU-position insertion deliberately writes the duplicate
         // stamp 1, so stamp distinctness does not hold here; stamps are
         // still bounded by the monotone clock.
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: 0,
-                max: self.clock as i64,
-            },
-            values: self
-                .stamp
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: 0,
+            max: self.clock as i64,
+        };
+        self.stamp.probe(loc, kind)
     }
 }
 

@@ -10,7 +10,7 @@
 //! under a Drishti configuration they come from the dynamic sampled cache
 //! (Table 7's dynamic-sampling column).
 
-use crate::common::PerLine;
+use crate::common::{rrip_victim, selectors, PerLine};
 use drishti_core::config::DrishtiConfig;
 use drishti_core::select::SetSelector;
 use drishti_mem::access::{Access, AccessKind};
@@ -37,9 +37,7 @@ impl Drrip {
     /// Build DRRIP; `cfg` selects how the dueling sets are chosen
     /// (32 per slice by default).
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
-        let selectors: Vec<SetSelector> = (0..geom.slices)
-            .map(|s| cfg.build_selector(s, geom.sets_per_slice, 32, 32))
-            .collect();
+        let selectors = selectors(geom, cfg, (32, 32));
         Drrip {
             rrpv: PerLine::new(geom),
             dynamic: selectors.first().is_some_and(SetSelector::is_dynamic),
@@ -69,18 +67,11 @@ drishti_noc::impl_persist_fields!(Drrip {
 
 impl PolicyProbe for Drrip {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: 0,
-                max: MAX_RRPV as i64,
-            },
-            values: self
-                .rrpv
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: 0,
+            max: MAX_RRPV as i64,
+        };
+        self.rrpv.probe(loc, kind)
     }
 }
 
@@ -131,15 +122,7 @@ impl LlcPolicy for Drrip {
     }
 
     fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
-        loop {
-            let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
-                return Decision::Evict(w);
-            }
-            for r in set.iter_mut() {
-                *r += 1;
-            }
-        }
+        Decision::Evict(rrip_victim(self.rrpv.set_mut(loc.slice, loc.set), MAX_RRPV))
     }
 
     fn on_fill(
@@ -177,6 +160,7 @@ impl LlcPolicy for Drrip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::run;
     use drishti_mem::llc::SlicedLlc;
     use drishti_noc::slicehash::ModuloHash;
 
@@ -192,19 +176,6 @@ mod tests {
             Box::new(Drrip::new(&geom, &cfg)),
             Box::new(ModuloHash::new()),
         )
-    }
-
-    fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
-        let mut hits = 0;
-        for (i, &(pc, line)) in trace.iter().enumerate() {
-            let a = Access::load(0, pc, line);
-            if llc.lookup(&a, i as u64).hit {
-                hits += 1;
-            } else {
-                llc.fill(&a, i as u64);
-            }
-        }
-        hits
     }
 
     #[test]

@@ -15,12 +15,11 @@
 //! ISVM tables follow the per-core-yet-global organisation and the sampled
 //! sets the dynamic sampled cache.
 
-use crate::common::{line_tag, predictor_index, PerLine};
+use crate::common::{label, predictor_index, PerLine};
 use crate::hawkeye::optgen::OptGen;
+use crate::sampler::{Entry, Sampler};
 use drishti_core::config::DrishtiConfig;
-use drishti_core::dsc::DscEvent;
 use drishti_core::fabric::PredictorFabric;
-use drishti_core::select::SetSelector;
 use drishti_mem::access::{Access, AccessKind};
 use drishti_mem::llc::LlcGeometry;
 use drishti_mem::policy::{
@@ -42,55 +41,17 @@ const HISTORY_FACTOR: usize = 8;
 pub const STATIC_SAMPLED_SETS: usize = 64;
 pub const DYNAMIC_SAMPLED_SETS: usize = 8;
 
-type Features = [u8; PCHR_LEN];
-
-#[derive(Debug, Clone, Copy, Default)]
-struct SamplerEntry {
-    valid: bool,
-    tag: u32,
-    signature: u64,
-    core: u32,
-    features: Features,
-    last: u64,
-}
-
-drishti_noc::impl_persist_fields!(SamplerEntry {
-    valid,
-    tag,
-    signature,
-    core,
-    features,
-    last,
-});
-
-#[derive(Debug, Clone, Default)]
-struct SampledSet {
-    entries: Vec<SamplerEntry>,
-    optgen: OptGen,
-}
-
-drishti_noc::impl_persist_fields!(SampledSet { entries, optgen });
-
-impl SampledSet {
-    fn new(ways: usize) -> Self {
-        SampledSet {
-            entries: vec![SamplerEntry::default(); HISTORY_FACTOR * ways],
-            optgen: OptGen::new(ways, HISTORY_FACTOR * ways),
-        }
-    }
-    fn reset(&mut self) {
-        self.entries.fill(SamplerEntry::default());
-        self.optgen.reset();
-    }
-}
+/// A PC history's feature buckets, newest first.
+pub(crate) type Features = [u8; PCHR_LEN];
 
 /// The Glider-like replacement policy.
 #[derive(Debug)]
 pub struct Glider {
     label: String,
     rrpv: PerLine<u8>,
-    selectors: Vec<SetSelector>,
-    samplers: Vec<Vec<SampledSet>>,
+    /// Sampled sets with their OPT emulators; each entry keeps the PC
+    /// history its access saw.
+    sampler: Sampler<Features, OptGen>,
     /// `isvm[bank][pc_index]` = weight vector over feature buckets.
     isvm: Vec<Vec<[i8; FEATURE_BUCKETS]>>,
     pchr: Vec<[u8; PCHR_LEN]>,
@@ -102,34 +63,17 @@ impl Glider {
     /// Build Glider for `geom` under the organisation `cfg`.
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
         let fabric = cfg.build_fabric();
-        let selectors: Vec<SetSelector> = (0..geom.slices)
-            .map(|s| {
-                cfg.build_selector(
-                    s,
-                    geom.sets_per_slice,
-                    STATIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                    DYNAMIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                )
-            })
-            .collect();
-        let samplers = selectors
-            .iter()
-            .map(|sel| {
-                (0..sel.n_sampled())
-                    .map(|_| SampledSet::new(geom.ways))
-                    .collect()
-            })
-            .collect();
-        let label = match cfg.label().as_str() {
-            "baseline" => "glider".to_string(),
-            "drishti" => "d-glider".to_string(),
-            other => format!("glider:{other}"),
-        };
+        let history = HISTORY_FACTOR * geom.ways;
         Glider {
-            label,
+            label: label("glider", cfg),
             rrpv: PerLine::new(geom),
-            selectors,
-            samplers,
+            sampler: Sampler::new(
+                geom,
+                cfg,
+                (STATIC_SAMPLED_SETS, DYNAMIC_SAMPLED_SETS),
+                history,
+                OptGen::new(geom.ways, history),
+            ),
             isvm: vec![vec![[0; FEATURE_BUCKETS]; 1 << TABLE_BITS]; fabric.banks()],
             pchr: vec![[0; PCHR_LEN]; cfg.cores],
             fabric,
@@ -191,89 +135,40 @@ impl Glider {
     }
 
     fn sample_access(&mut self, loc: LlcLoc, acc: &Access, llc_hit: bool, cycle: u64) {
-        if self.selectors[loc.slice].observe(loc.set, llc_hit) == DscEvent::Reselected {
-            // Only slots whose set changed lose their history; retained
-            // sets keep training across the reselection.
-            let changed: Vec<usize> = self.selectors[loc.slice].changed_slots().to_vec();
-            for slot in changed {
-                self.samplers[loc.slice][slot].reset();
-            }
-        }
-        if !acc.kind.has_pc() {
-            return;
-        }
-        let feats = self.features(acc.core);
-        let Some(slot) = self.selectors[loc.slice].slot_of(loc.set) else {
+        let Some(set) = self.sampler.observe(loc, acc, llc_hit) else {
             return;
         };
-        let tag = line_tag(acc.line, 16);
-        let sampler = &mut self.samplers[loc.slice][slot];
-        sampler.optgen.advance();
-        let now = sampler.optgen.now();
-        if let Some(i) = sampler.entries.iter().position(|e| e.valid && e.tag == tag) {
-            let prev = sampler.entries[i];
-            let opt_hit = sampler.optgen.decide(prev.last);
-            self.train(
-                loc.slice,
-                prev.signature,
-                prev.core as usize,
-                &prev.features,
-                opt_hit,
-                cycle,
-            );
-            self.samplers[loc.slice][slot].entries[i] = SamplerEntry {
-                valid: true,
-                tag,
-                signature: acc.signature(),
-                core: acc.core as u32,
-                features: feats,
-                last: now,
-            };
-        } else {
-            let victim = sampler
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| if e.valid { e.last } else { 0 })
-                .map(|(i, _)| i)
-                .expect("sampler nonempty");
-            let old = sampler.entries[victim];
-            sampler.entries[victim] = SamplerEntry {
-                valid: true,
-                tag,
-                signature: acc.signature(),
-                core: acc.core as u32,
-                features: feats,
-                last: now,
-            };
-            if old.valid {
-                self.train(
-                    loc.slice,
-                    old.signature,
-                    old.core as usize,
-                    &old.features,
-                    false,
-                    cycle,
-                );
+        set.clock.advance();
+        let entry = Entry::new(acc, set.clock.now(), self.pchr[acc.core]);
+        let (trained, opt_hit) = match set.find(entry.tag) {
+            Some(i) => {
+                let prev = std::mem::replace(&mut set.entries[i], entry);
+                let opt_hit = set.clock.decide(prev.stamp);
+                (prev, opt_hit)
             }
-        }
+            None => match set.insert(entry) {
+                Some(old) => (old, false),
+                None => return,
+            },
+        };
+        self.train(
+            loc.slice,
+            trained.signature,
+            trained.core as usize,
+            &trained.extra,
+            opt_hit,
+            cycle,
+        );
     }
 }
 
 impl PolicyProbe for Glider {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: 0,
-                max: MAX_RRPV as i64,
-            },
-            values: self
-                .rrpv
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: 0,
+            max: MAX_RRPV as i64,
+        };
+        self.rrpv.probe(loc, kind)
     }
 }
 
@@ -287,8 +182,7 @@ impl LlcPolicy for Glider {
     fn save_state(&self, w: &mut drishti_noc::snap::StateWriter) {
         use drishti_noc::snap::Persist;
         self.rrpv.save(w);
-        self.selectors.save(w);
-        self.samplers.save(w);
+        self.sampler.save(w);
         self.isvm.save(w);
         self.pchr.save(w);
         self.fabric.save_state(w);
@@ -301,10 +195,23 @@ impl LlcPolicy for Glider {
     ) -> Result<(), drishti_noc::snap::SnapError> {
         use drishti_noc::snap::Persist;
         self.rrpv.load(r)?;
-        self.selectors.load(r)?;
-        self.samplers.load(r)?;
+        self.sampler.load(r)?;
         self.isvm.load(r)?;
         self.pchr.load(r)?;
+        // A feature bucket indexes an ISVM weight vector, so every restored
+        // one must be below FEATURE_BUCKETS.
+        let sampled = self.sampler.entries().filter(|e| e.valid).map(|e| &e.extra);
+        if let Some(f) = self
+            .pchr
+            .iter()
+            .chain(sampled)
+            .find(|f| f.iter().any(|&b| usize::from(b) >= FEATURE_BUCKETS))
+        {
+            return Err(drishti_noc::snap::SnapError::Invalid {
+                what: "glider feature",
+                detail: format!("buckets {f:?} are not all below {FEATURE_BUCKETS}"),
+            });
+        }
         self.fabric.load_state(r)?;
         self.trainings.load(r)
     }
@@ -377,50 +284,18 @@ impl LlcPolicy for Glider {
     }
 
     fn diagnostics(&self) -> Vec<(String, u64)> {
-        let fc = self.fabric.counters();
-        vec![
-            ("isvm_trainings".into(), self.trainings),
-            ("fabric_fallbacks".into(), fc.fallback_decisions),
-            ("fabric_dropped_predictions".into(), fc.dropped_predictions),
-            ("fabric_dropped_trainings".into(), fc.dropped_trainings),
-            ("fabric_retried_trainings".into(), fc.retried_trainings),
-        ]
+        self.fabric
+            .counters()
+            .fault_diagnostics(&[("isvm_trainings", self.trainings)])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::{cfg, geom, run};
     use drishti_mem::llc::SlicedLlc;
     use drishti_noc::slicehash::ModuloHash;
-
-    fn geom() -> LlcGeometry {
-        LlcGeometry {
-            slices: 1,
-            sets_per_slice: 16,
-            ways: 4,
-            latency: 20,
-        }
-    }
-
-    fn cfg() -> DrishtiConfig {
-        let mut c = DrishtiConfig::baseline(1);
-        c.sampled_sets_override = Some(16);
-        c
-    }
-
-    fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
-        let mut hits = 0;
-        for (i, &(pc, line)) in trace.iter().enumerate() {
-            let a = Access::load(0, pc, line);
-            if llc.lookup(&a, i as u64).hit {
-                hits += 1;
-            } else {
-                llc.fill(&a, i as u64);
-            }
-        }
-        hits
-    }
 
     #[test]
     fn names() {
@@ -477,5 +352,45 @@ mod tests {
         let f = gl.features(0);
         assert_eq!(f[0], Glider::bucket(0x20));
         assert_eq!(f[1], Glider::bucket(0x10));
+    }
+
+    /// A feature bucket indexes an ISVM weight vector: a restored PC
+    /// history or valid sampler entry holding a bucket not below
+    /// `FEATURE_BUCKETS` is refused at load instead of panicking at the
+    /// next prediction or training.
+    #[test]
+    fn restored_feature_buckets_are_cross_checked() {
+        use drishti_noc::snap::{SnapError, StateReader, StateWriter};
+        let g = geom();
+        let mut live = Glider::new(&g, &cfg());
+        for i in 0..200u64 {
+            let loc = LlcLoc {
+                slice: 0,
+                set: (i % 16) as usize,
+            };
+            live.on_miss(loc, &Access::load(0, 0x40 + i % 3, i % 40), i);
+        }
+        let mutations: [fn(&mut Glider); 2] = [
+            |gl| gl.pchr[0][2] = FEATURE_BUCKETS as u8,
+            |gl| {
+                let set0 = LlcLoc { slice: 0, set: 0 };
+                let set = gl.sampler.observe(set0, &Access::load(0, 1, 0), true);
+                let e = set.unwrap().entries.iter_mut().find(|e| e.valid);
+                e.expect("a trained sampled set").extra[4] = u8::MAX;
+            },
+        ];
+        for (i, mutate) in mutations.into_iter().enumerate() {
+            let mut gl = Glider::new(&g, &cfg());
+            let mut w = StateWriter::new();
+            live.save_state(&mut w);
+            gl.load_state(&mut StateReader::new(w.bytes())).unwrap();
+            mutate(&mut gl);
+            let mut w = StateWriter::new();
+            gl.save_state(&mut w);
+            match Glider::new(&g, &cfg()).load_state(&mut StateReader::new(w.bytes())) {
+                Err(SnapError::Invalid { what, .. }) => assert_eq!(what, "glider feature"),
+                other => panic!("mutation {i}: expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 }

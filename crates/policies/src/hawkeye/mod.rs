@@ -16,11 +16,10 @@
 
 pub mod optgen;
 
-use crate::common::{line_tag, Installer, Installers, PerLine};
+use crate::common::{label, Installer, Installers, PerLine};
+use crate::sampler::{Entry, Sampler};
 use drishti_core::config::DrishtiConfig;
-use drishti_core::dsc::DscEvent;
 use drishti_core::fabric::PredictorFabric;
-use drishti_core::select::SetSelector;
 use drishti_mem::access::{Access, AccessKind};
 use drishti_mem::llc::LlcGeometry;
 use drishti_mem::policy::{
@@ -45,46 +44,6 @@ const HISTORY_FACTOR: usize = 8;
 /// Default sampled sets per slice: conventional random / Drishti dynamic.
 pub const STATIC_SAMPLED_SETS: usize = 64;
 pub const DYNAMIC_SAMPLED_SETS: usize = 8;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct SamplerEntry {
-    valid: bool,
-    tag: u32,
-    signature: u64,
-    core: u32,
-    last: u64,
-}
-
-drishti_noc::impl_persist_fields!(SamplerEntry {
-    valid,
-    tag,
-    signature,
-    core,
-    last,
-});
-
-/// State of one sampled set: its reuse history and OPT emulator.
-#[derive(Debug, Clone, Default)]
-struct SampledSet {
-    entries: Vec<SamplerEntry>,
-    optgen: OptGen,
-}
-
-drishti_noc::impl_persist_fields!(SampledSet { entries, optgen });
-
-impl SampledSet {
-    fn new(ways: usize) -> Self {
-        SampledSet {
-            entries: vec![SamplerEntry::default(); HISTORY_FACTOR * ways],
-            optgen: OptGen::new(ways, HISTORY_FACTOR * ways),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.entries.fill(SamplerEntry::default());
-        self.optgen.reset();
-    }
-}
 
 /// Aggregated diagnostics counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -113,8 +72,8 @@ pub struct Hawkeye {
     /// Who installed each line: the predictor entry a friendly victim
     /// detrains.
     installers: Installers,
-    selectors: Vec<SetSelector>,
-    samplers: Vec<Vec<SampledSet>>,
+    /// Sampled sets with their OPT emulators.
+    sampler: Sampler<(), OptGen>,
     /// 3-bit saturating counters per predictor bank.
     predictors: Vec<Vec<u8>>,
     fabric: PredictorFabric,
@@ -127,35 +86,18 @@ impl Hawkeye {
     /// Build Hawkeye for `geom` under the organisation `cfg`.
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
         let fabric = cfg.build_fabric();
-        let selectors: Vec<SetSelector> = (0..geom.slices)
-            .map(|s| {
-                cfg.build_selector(
-                    s,
-                    geom.sets_per_slice,
-                    STATIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                    DYNAMIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                )
-            })
-            .collect();
-        let samplers = selectors
-            .iter()
-            .map(|sel| {
-                (0..sel.n_sampled())
-                    .map(|_| SampledSet::new(geom.ways))
-                    .collect()
-            })
-            .collect();
-        let label = match cfg.label().as_str() {
-            "baseline" => "hawkeye".to_string(),
-            "drishti" => "d-hawkeye".to_string(),
-            other => format!("hawkeye:{other}"),
-        };
+        let history = HISTORY_FACTOR * geom.ways;
         Hawkeye {
-            label,
+            label: label("hawkeye", cfg),
             rrpv: PerLine::new(geom),
             installers: Installers::new(geom, cfg.cores, INDEX_BITS),
-            selectors,
-            samplers,
+            sampler: Sampler::new(
+                geom,
+                cfg,
+                (STATIC_SAMPLED_SETS, DYNAMIC_SAMPLED_SETS),
+                history,
+                OptGen::new(geom.ways, history),
+            ),
             predictors: vec![vec![COUNTER_INIT; 1 << INDEX_BITS]; fabric.banks()],
             fabric,
             diag: HawkeyeDiag::default(),
@@ -207,70 +149,33 @@ impl Hawkeye {
 
     /// Sampler bookkeeping for one access to a (possibly) sampled set.
     fn sample_access(&mut self, loc: LlcLoc, acc: &Access, llc_hit: bool, cycle: u64) {
-        if self.selectors[loc.slice].observe(loc.set, llc_hit) == DscEvent::Reselected {
-            // Only slots whose set changed lose their history; retained
-            // sets keep training across the reselection.
-            let changed: Vec<usize> = self.selectors[loc.slice].changed_slots().to_vec();
-            for slot in changed {
-                self.samplers[loc.slice][slot].reset();
-            }
-        }
-        if !acc.kind.has_pc() {
-            return;
-        }
-        let Some(slot) = self.selectors[loc.slice].slot_of(loc.set) else {
+        let Some(set) = self.sampler.observe(loc, acc, llc_hit) else {
             return;
         };
-        let tag = line_tag(acc.line, 16);
-        let sig = acc.signature();
-
-        let sampler = &mut self.samplers[loc.slice][slot];
-        sampler.optgen.advance();
-        let now = sampler.optgen.now();
-
-        if let Some(i) = sampler.entries.iter().position(|e| e.valid && e.tag == tag) {
-            let prev = sampler.entries[i].last;
-            let prev_sig = sampler.entries[i].signature;
-            let prev_core = sampler.entries[i].core as usize;
-            let opt_hit = sampler.optgen.decide(prev);
-            if opt_hit {
-                self.diag.opt_hits += 1;
-            } else {
-                self.diag.opt_misses += 1;
+        set.clock.advance();
+        let entry = Entry::new(acc, set.clock.now(), ());
+        let (trained, opt_hit) = match set.find(entry.tag) {
+            Some(i) => {
+                let prev = std::mem::replace(&mut set.entries[i], entry);
+                let opt_hit = set.clock.decide(prev.stamp);
+                if opt_hit {
+                    self.diag.opt_hits += 1;
+                } else {
+                    self.diag.opt_misses += 1;
+                }
+                (prev, opt_hit)
             }
-            let by = Installer::new(prev_sig, prev_core, INDEX_BITS);
-            self.train(loc.slice, by, opt_hit, cycle);
-            let sampler = &mut self.samplers[loc.slice][slot];
-            sampler.entries[i] = SamplerEntry {
-                valid: true,
-                tag,
-                signature: sig,
-                core: acc.core as u32,
-                last: now,
-            };
-        } else {
             // Insert; evict the stalest entry and detrain it (never reused).
-            let victim = sampler
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| if e.valid { e.last } else { 0 })
-                .map(|(i, _)| i)
-                .expect("sampler nonempty");
-            let old = sampler.entries[victim];
-            sampler.entries[victim] = SamplerEntry {
-                valid: true,
-                tag,
-                signature: sig,
-                core: acc.core as u32,
-                last: now,
-            };
-            if old.valid {
-                self.diag.detrains += 1;
-                let by = Installer::new(old.signature, old.core as usize, INDEX_BITS);
-                self.train(loc.slice, by, false, cycle);
-            }
-        }
+            None => match set.insert(entry) {
+                Some(old) => {
+                    self.diag.detrains += 1;
+                    (old, false)
+                }
+                None => return,
+            },
+        };
+        let by = Installer::new(trained.signature, trained.core as usize, INDEX_BITS);
+        self.train(loc.slice, by, opt_hit, cycle);
     }
 
     /// Histogram of RRIP values assigned at fill time (Fig 4 style).
@@ -281,18 +186,11 @@ impl Hawkeye {
 
 impl PolicyProbe for Hawkeye {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: 0,
-                max: MAX_RRPV as i64,
-            },
-            values: self
-                .rrpv
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: 0,
+            max: MAX_RRPV as i64,
+        };
+        self.rrpv.probe(loc, kind)
     }
 }
 
@@ -307,8 +205,7 @@ impl LlcPolicy for Hawkeye {
         use drishti_noc::snap::Persist;
         self.rrpv.save(w);
         self.installers.save(w);
-        self.selectors.save(w);
-        self.samplers.save(w);
+        self.sampler.save(w);
         self.predictors.save(w);
         self.fabric.save_state(w);
         self.diag.save(w);
@@ -322,28 +219,7 @@ impl LlcPolicy for Hawkeye {
         use drishti_noc::snap::Persist;
         self.rrpv.load(r)?;
         self.installers.load(r)?;
-        self.selectors.load(r)?;
-        self.samplers.load(r)?;
-        // Like the installers, a valid sampler entry trains on its core's
-        // predictor bank, so a restored core must be on the machine.
-        let cores = self.installers.cores();
-        for (slice, sets) in self.samplers.iter().enumerate() {
-            for (slot, set) in sets.iter().enumerate() {
-                if let Some(e) = set
-                    .entries
-                    .iter()
-                    .find(|e| e.valid && e.core as usize >= cores)
-                {
-                    return Err(drishti_noc::snap::SnapError::Invalid {
-                        what: "hawkeye sampler entry",
-                        detail: format!(
-                            "slice {slice} sampled set {slot}: core {} is not below {cores}",
-                            e.core
-                        ),
-                    });
-                }
-            }
-        }
+        self.sampler.load(r)?;
         self.predictors.load(r)?;
         self.fabric.load_state(r)?;
         self.diag.load(r)?;
@@ -424,61 +300,22 @@ impl LlcPolicy for Hawkeye {
     }
 
     fn diagnostics(&self) -> Vec<(String, u64)> {
-        vec![
-            ("opt_hits".into(), self.diag.opt_hits),
-            ("opt_misses".into(), self.diag.opt_misses),
-            ("detrains".into(), self.diag.detrains),
-            ("fills_friendly".into(), self.diag.fills_friendly),
-            ("fills_averse".into(), self.diag.fills_averse),
-            (
-                "predictor_train".into(),
-                self.fabric.counters().train_accesses,
-            ),
-            (
-                "predictor_predict".into(),
-                self.fabric.counters().predict_accesses,
-            ),
-            (
-                "fabric_fallbacks".into(),
-                self.fabric.counters().fallback_decisions,
-            ),
-            (
-                "fabric_dropped_predictions".into(),
-                self.fabric.counters().dropped_predictions,
-            ),
-            (
-                "fabric_dropped_trainings".into(),
-                self.fabric.counters().dropped_trainings,
-            ),
-            (
-                "fabric_retried_trainings".into(),
-                self.fabric.counters().retried_trainings,
-            ),
-        ]
+        self.fabric.counters().diagnostics(&[
+            ("opt_hits", self.diag.opt_hits),
+            ("opt_misses", self.diag.opt_misses),
+            ("detrains", self.diag.detrains),
+            ("fills_friendly", self.diag.fills_friendly),
+            ("fills_averse", self.diag.fills_averse),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::{cfg, geom, run};
     use drishti_mem::llc::SlicedLlc;
     use drishti_noc::slicehash::ModuloHash;
-
-    fn small_geom() -> LlcGeometry {
-        LlcGeometry {
-            slices: 1,
-            sets_per_slice: 16,
-            ways: 4,
-            latency: 20,
-        }
-    }
-
-    fn cfg_all_sampled() -> DrishtiConfig {
-        // Sample every set so the tiny tests always train.
-        let mut c = DrishtiConfig::baseline(1);
-        c.sampled_sets_override = Some(16);
-        c
-    }
 
     fn llc_with(geom: LlcGeometry, cfg: &DrishtiConfig) -> SlicedLlc {
         SlicedLlc::with_hasher(
@@ -488,23 +325,9 @@ mod tests {
         )
     }
 
-    /// Run a trace of (pc, line) pairs, returning demand hit count.
-    fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
-        let mut hits = 0;
-        for (i, &(pc, line)) in trace.iter().enumerate() {
-            let a = Access::load(0, pc, line);
-            if llc.lookup(&a, i as u64).hit {
-                hits += 1;
-            } else {
-                llc.fill(&a, i as u64);
-            }
-        }
-        hits
-    }
-
     #[test]
     fn names_follow_configuration() {
-        let g = small_geom();
+        let g = geom();
         assert_eq!(
             Hawkeye::new(&g, &DrishtiConfig::baseline(1)).name(),
             "hawkeye"
@@ -522,7 +345,7 @@ mod tests {
     fn protects_reused_lines_from_streaming_pc() {
         // One PC re-loops over a small set (friendly); another PC streams
         // (averse). Hawkeye must keep the friendly working set resident.
-        let mut llc = llc_with(small_geom(), &cfg_all_sampled());
+        let mut llc = llc_with(geom(), &cfg());
         let mut trace = Vec::new();
         let mut stream = 10_000u64;
         for _ in 0..400 {
@@ -536,7 +359,7 @@ mod tests {
         }
         let hits = run(&mut llc, &trace);
         // LRU reference: the scan flushes everything every iteration.
-        let geom = small_geom();
+        let geom = geom();
         let mut lru = SlicedLlc::with_hasher(
             geom,
             Box::new(crate::lru::Lru::new(&geom)),
@@ -551,7 +374,7 @@ mod tests {
 
     #[test]
     fn averse_fills_use_max_rrpv() {
-        let mut llc = llc_with(small_geom(), &cfg_all_sampled());
+        let mut llc = llc_with(geom(), &cfg());
         // Pure streaming: PC never reuses ⇒ becomes averse after detraining.
         let trace: Vec<(u64, u64)> = (0..3000u64).map(|i| (0xCCCC, i)).collect();
         run(&mut llc, &trace);
@@ -613,8 +436,8 @@ mod tests {
 
     #[test]
     fn baseline_variant_generates_no_fabric_traffic() {
-        let g = small_geom();
-        let mut llc = llc_with(g, &cfg_all_sampled());
+        let g = geom();
+        let mut llc = llc_with(g, &cfg());
         let trace: Vec<(u64, u64)> = (0..5000u64).map(|i| (0x1, i % 100)).collect();
         run(&mut llc, &trace);
         assert_eq!(llc.policy().fabric_stats().messages, 0);

@@ -85,12 +85,6 @@ impl OptGen {
         }
         true
     }
-
-    /// Clear all state (used when the dynamic sampled cache reselects).
-    pub fn reset(&mut self) {
-        self.occupancy.fill(0);
-        self.time = 0;
-    }
 }
 
 #[cfg(test)]
@@ -275,15 +269,5 @@ mod tests {
         assert!(g.decide(t_a));
         g.advance(); // t=4 — reuse of B: interval [2,4) overlaps claimed q2
         assert!(!g.decide(t_b), "capacity-1 set cannot hold both intervals");
-    }
-
-    #[test]
-    fn reset_clears_time_and_occupancy() {
-        let mut g = OptGen::new(2, 8);
-        g.advance();
-        g.advance();
-        g.reset();
-        assert_eq!(g.now(), 0);
-        assert!(!g.decide(0));
     }
 }

@@ -27,6 +27,14 @@
 //! cache — so `D-Hawkeye` is simply `Hawkeye` built with
 //! `DrishtiConfig::drishti(cores)`.
 //!
+//! SDBP, Hawkeye, Mockingjay and Glider train on one sampled cache, the
+//! crate-private `sampler` module: each slice's set selector and sampled
+//! sets, the reselection flush, the tag lookup, stalest-entry eviction
+//! and the restore check on entry cores. [`common`] holds the rest of
+//! the scaffold every policy shares: per-line metadata
+//! ([`common::PerLine`], which also answers conformance probes),
+//! selector construction, the `d-` naming and the RRIP victim search.
+//!
 //! [`factory::PolicyKind`] gives a uniform way to construct any of them.
 //!
 //! # Example
@@ -51,6 +59,7 @@ pub mod hawkeye;
 pub mod lru;
 pub mod mockingjay;
 pub mod opt;
+pub(crate) mod sampler;
 pub mod sdbp;
 pub mod ship;
 pub mod srrip;

@@ -28,15 +28,7 @@ drishti_noc::impl_persist_fields!(Lru { stamp, clock });
 
 impl PolicyProbe for Lru {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::RecencyStamp,
-            values: self
-                .stamp
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        self.stamp.probe(loc, ProbeKind::RecencyStamp)
     }
 }
 

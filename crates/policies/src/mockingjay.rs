@@ -15,11 +15,10 @@
 //! per-core-yet-global banks) and the sampled-set selection (random
 //! 32/slice vs. dynamic 16/slice), yielding D-Mockingjay.
 
-use crate::common::{line_tag, predictor_index, PerLine};
+use crate::common::{label, predictor_index, PerLine};
+use crate::sampler::{Entry, Sampler};
 use drishti_core::config::DrishtiConfig;
-use drishti_core::dsc::DscEvent;
 use drishti_core::fabric::PredictorFabric;
-use drishti_core::select::SetSelector;
 use drishti_mem::access::{Access, AccessKind};
 use drishti_mem::llc::LlcGeometry;
 use drishti_mem::policy::{
@@ -67,45 +66,6 @@ pub struct EtrSample {
 }
 
 #[derive(Debug, Clone, Copy, Default)]
-struct SamplerEntry {
-    valid: bool,
-    tag: u32,
-    signature: u64,
-    core: u32,
-    stamp: u64,
-}
-
-drishti_noc::impl_persist_fields!(SamplerEntry {
-    valid,
-    tag,
-    signature,
-    core,
-    stamp,
-});
-
-#[derive(Debug, Clone, Default)]
-struct SampledSet {
-    entries: Vec<SamplerEntry>,
-    clock: u64,
-}
-
-drishti_noc::impl_persist_fields!(SampledSet { entries, clock });
-
-impl SampledSet {
-    fn new(ways: usize) -> Self {
-        SampledSet {
-            entries: vec![SamplerEntry::default(); SAMPLER_FACTOR * ways],
-            clock: 0,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.entries.fill(SamplerEntry::default());
-        self.clock = 0;
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
 struct MockingjayDiag {
     sampler_hits: u64,
     sampler_evictions: u64,
@@ -129,8 +89,8 @@ pub struct Mockingjay {
     /// Predicted units stored at fill, re-armed on hits.
     pred: PerLine<u8>,
     set_clock: Vec<Vec<u8>>,
-    selectors: Vec<SetSelector>,
-    samplers: Vec<Vec<SampledSet>>,
+    /// Sampled sets, each stamping its entries with its own access count.
+    sampler: Sampler<(), u64>,
     predictors: Vec<Vec<u8>>,
     fabric: PredictorFabric,
     pending: Option<(u8, u64)>,
@@ -144,36 +104,18 @@ impl Mockingjay {
     /// Build Mockingjay for `geom` under the organisation `cfg`.
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
         let fabric = cfg.build_fabric();
-        let selectors: Vec<SetSelector> = (0..geom.slices)
-            .map(|s| {
-                cfg.build_selector(
-                    s,
-                    geom.sets_per_slice,
-                    STATIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                    DYNAMIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                )
-            })
-            .collect();
-        let samplers = selectors
-            .iter()
-            .map(|sel| {
-                (0..sel.n_sampled())
-                    .map(|_| SampledSet::new(geom.ways))
-                    .collect()
-            })
-            .collect();
-        let label = match cfg.label().as_str() {
-            "baseline" => "mockingjay".to_string(),
-            "drishti" => "d-mockingjay".to_string(),
-            other => format!("mockingjay:{other}"),
-        };
         Mockingjay {
-            label,
+            label: label("mockingjay", cfg),
             etr: PerLine::new(geom),
             pred: PerLine::new(geom),
             set_clock: vec![vec![0; geom.sets_per_slice]; geom.slices],
-            selectors,
-            samplers,
+            sampler: Sampler::new(
+                geom,
+                cfg,
+                (STATIC_SAMPLED_SETS, DYNAMIC_SAMPLED_SETS),
+                SAMPLER_FACTOR * geom.ways,
+                0,
+            ),
             predictors: vec![vec![UNTRAINED; 1 << INDEX_BITS]; fabric.banks()],
             fabric,
             pending: None,
@@ -270,79 +212,45 @@ impl Mockingjay {
     }
 
     fn sample_access(&mut self, loc: LlcLoc, acc: &Access, llc_hit: bool, cycle: u64) {
-        if self.selectors[loc.slice].observe(loc.set, llc_hit) == DscEvent::Reselected {
-            // Only slots whose set changed lose their history; retained
-            // sets keep training across the reselection.
-            let changed: Vec<usize> = self.selectors[loc.slice].changed_slots().to_vec();
-            for slot in changed {
-                self.samplers[loc.slice][slot].reset();
-            }
-        }
-        if !acc.kind.has_pc() {
-            return;
-        }
-        let Some(slot) = self.selectors[loc.slice].slot_of(loc.set) else {
+        let Some(set) = self.sampler.observe(loc, acc, llc_hit) else {
             return;
         };
-        let tag = line_tag(acc.line, 16);
-        let sig = acc.signature();
-
-        let sampler = &mut self.samplers[loc.slice][slot];
-        sampler.clock += 1;
-        let now = sampler.clock;
+        set.clock += 1;
+        let now = set.clock;
 
         // Entries older than the maximum representable reuse distance are
         // effectively never-reused: train their PC toward INFINITE and free
         // the slot (the hardware analogue is the 8-bit timestamp wrapping).
         let horizon = u64::from(INF_RD) * u64::from(GRANULARITY) / 2;
         let mut expired: Vec<(u64, u32)> = Vec::new();
-        for e in &mut self.samplers[loc.slice][slot].entries {
+        for e in &mut set.entries {
             if e.valid && now - e.stamp >= horizon {
                 e.valid = false;
                 expired.push((e.signature, e.core));
             }
         }
+
+        let entry = Entry::new(acc, now, ());
+        let trained = match set.find(entry.tag) {
+            Some(i) => {
+                let prev = std::mem::replace(&mut set.entries[i], entry);
+                let distance = now - prev.stamp;
+                let units = (distance / u64::from(GRANULARITY)).min(u64::from(INF_RD) - 1) as u8;
+                self.diag.sampler_hits += 1;
+                Some((prev, units))
+            }
+            // Evicted unreused: its PC trains toward INFINITE reuse.
+            None => set.insert(entry).map(|old| {
+                self.diag.sampler_evictions += 1;
+                (old, INF_RD)
+            }),
+        };
         for (sig_e, core_e) in expired {
             self.diag.sampler_evictions += 1;
             self.train(loc.slice, sig_e, core_e as usize, INF_RD, cycle);
         }
-
-        let sampler = &mut self.samplers[loc.slice][slot];
-        if let Some(i) = sampler.entries.iter().position(|e| e.valid && e.tag == tag) {
-            let prev = sampler.entries[i];
-            let distance = now - prev.stamp;
-            let units = (distance / u64::from(GRANULARITY)).min(u64::from(INF_RD) - 1) as u8;
-            self.diag.sampler_hits += 1;
-            self.train(loc.slice, prev.signature, prev.core as usize, units, cycle);
-            let sampler = &mut self.samplers[loc.slice][slot];
-            sampler.entries[i] = SamplerEntry {
-                valid: true,
-                tag,
-                signature: sig,
-                core: acc.core as u32,
-                stamp: now,
-            };
-        } else {
-            let victim = sampler
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| if e.valid { e.stamp } else { 0 })
-                .map(|(i, _)| i)
-                .expect("sampler nonempty");
-            let old = sampler.entries[victim];
-            sampler.entries[victim] = SamplerEntry {
-                valid: true,
-                tag,
-                signature: sig,
-                core: acc.core as u32,
-                stamp: now,
-            };
-            if old.valid {
-                // Evicted unreused: its PC trains toward INFINITE reuse.
-                self.diag.sampler_evictions += 1;
-                self.train(loc.slice, old.signature, old.core as usize, INF_RD, cycle);
-            }
+        if let Some((e, units)) = trained {
+            self.train(loc.slice, e.signature, e.core as usize, units, cycle);
         }
     }
 
@@ -353,18 +261,11 @@ impl Mockingjay {
 
 impl PolicyProbe for Mockingjay {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: ETR_MIN as i64,
-                max: ETR_MAX as i64,
-            },
-            values: self
-                .etr
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: ETR_MIN as i64,
+            max: ETR_MAX as i64,
+        };
+        self.etr.probe(loc, kind)
     }
 }
 
@@ -381,8 +282,7 @@ impl LlcPolicy for Mockingjay {
         self.etr.save(w);
         self.pred.save(w);
         self.set_clock.save(w);
-        self.selectors.save(w);
-        self.samplers.save(w);
+        self.sampler.save(w);
         self.predictors.save(w);
         self.fabric.save_state(w);
         self.pending.save(w);
@@ -398,8 +298,7 @@ impl LlcPolicy for Mockingjay {
         self.etr.load(r)?;
         self.pred.load(r)?;
         self.set_clock.load(r)?;
-        self.selectors.load(r)?;
-        self.samplers.load(r)?;
+        self.sampler.load(r)?;
         self.predictors.load(r)?;
         self.fabric.load_state(r)?;
         self.pending.load(r)?;
@@ -493,63 +392,25 @@ impl LlcPolicy for Mockingjay {
         // Quartile buckets over the predicted reuse-distance classes
         // assigned at fill — the Fig 4a/b distribution in coarse form.
         let bucket = |lo: usize, hi: usize| self.pred_histogram[lo..hi].iter().sum::<u64>();
-        vec![
-            ("sampler_hits".into(), self.diag.sampler_hits),
-            ("sampler_evictions".into(), self.diag.sampler_evictions),
-            ("bypasses".into(), self.diag.bypasses),
-            ("fills".into(), self.diag.fills),
-            ("pred_q0".into(), bucket(0, 16)),
-            ("pred_q1".into(), bucket(16, 48)),
-            ("pred_q2".into(), bucket(48, 112)),
-            ("pred_q3".into(), bucket(112, 128)),
-            (
-                "predictor_train".into(),
-                self.fabric.counters().train_accesses,
-            ),
-            (
-                "predictor_predict".into(),
-                self.fabric.counters().predict_accesses,
-            ),
-            (
-                "fabric_fallbacks".into(),
-                self.fabric.counters().fallback_decisions,
-            ),
-            (
-                "fabric_dropped_predictions".into(),
-                self.fabric.counters().dropped_predictions,
-            ),
-            (
-                "fabric_dropped_trainings".into(),
-                self.fabric.counters().dropped_trainings,
-            ),
-            (
-                "fabric_retried_trainings".into(),
-                self.fabric.counters().retried_trainings,
-            ),
-        ]
+        self.fabric.counters().diagnostics(&[
+            ("sampler_hits", self.diag.sampler_hits),
+            ("sampler_evictions", self.diag.sampler_evictions),
+            ("bypasses", self.diag.bypasses),
+            ("fills", self.diag.fills),
+            ("pred_q0", bucket(0, 16)),
+            ("pred_q1", bucket(16, 48)),
+            ("pred_q2", bucket(48, 112)),
+            ("pred_q3", bucket(112, 128)),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::{cfg, geom, run};
     use drishti_mem::llc::SlicedLlc;
     use drishti_noc::slicehash::ModuloHash;
-
-    fn small_geom() -> LlcGeometry {
-        LlcGeometry {
-            slices: 1,
-            sets_per_slice: 16,
-            ways: 4,
-            latency: 20,
-        }
-    }
-
-    fn cfg_all_sampled() -> DrishtiConfig {
-        let mut c = DrishtiConfig::baseline(1);
-        c.sampled_sets_override = Some(16);
-        c
-    }
 
     fn llc_with(geom: LlcGeometry, cfg: &DrishtiConfig) -> SlicedLlc {
         SlicedLlc::with_hasher(
@@ -559,22 +420,9 @@ mod tests {
         )
     }
 
-    fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
-        let mut hits = 0;
-        for (i, &(pc, line)) in trace.iter().enumerate() {
-            let a = Access::load(0, pc, line);
-            if llc.lookup(&a, i as u64).hit {
-                hits += 1;
-            } else {
-                llc.fill(&a, i as u64);
-            }
-        }
-        hits
-    }
-
     #[test]
     fn names_follow_configuration() {
-        let g = small_geom();
+        let g = geom();
         assert_eq!(
             Mockingjay::new(&g, &DrishtiConfig::baseline(1)).name(),
             "mockingjay"
@@ -587,7 +435,7 @@ mod tests {
 
     #[test]
     fn beats_lru_on_mixed_reuse_scan() {
-        let mut llc = llc_with(small_geom(), &cfg_all_sampled());
+        let mut llc = llc_with(geom(), &cfg());
         let mut trace = Vec::new();
         let mut stream = 100_000u64;
         for _ in 0..400 {
@@ -600,7 +448,7 @@ mod tests {
             }
         }
         let hits = run(&mut llc, &trace);
-        let geom = small_geom();
+        let geom = geom();
         let mut lru = SlicedLlc::with_hasher(
             geom,
             Box::new(crate::lru::Lru::new(&geom)),
@@ -615,7 +463,7 @@ mod tests {
 
     #[test]
     fn streaming_pc_trains_infinite_and_bypasses() {
-        let mut llc = llc_with(small_geom(), &cfg_all_sampled());
+        let mut llc = llc_with(geom(), &cfg());
         let trace: Vec<(u64, u64)> = (0..20_000u64).map(|i| (0xDEAD, i)).collect();
         run(&mut llc, &trace);
         let diags = llc.policy().diagnostics();
@@ -626,7 +474,7 @@ mod tests {
 
     #[test]
     fn short_reuse_trains_small_distances() {
-        let mut llc = llc_with(small_geom(), &cfg_all_sampled());
+        let mut llc = llc_with(geom(), &cfg());
         // Tight loop: reuse distance far below INF.
         let trace: Vec<(u64, u64)> = (0..30_000u64).map(|i| (0xF00D, i % 16)).collect();
         run(&mut llc, &trace);
@@ -638,8 +486,8 @@ mod tests {
 
     #[test]
     fn etr_log_captures_target_pc_only() {
-        let geom = small_geom();
-        let mut mj = Mockingjay::new(&geom, &cfg_all_sampled());
+        let geom = geom();
+        let mut mj = Mockingjay::new(&geom, &cfg());
         let handle = mj.enable_etr_log(0x42);
         let mut llc = SlicedLlc::with_hasher(geom, Box::new(mj), Box::new(ModuloHash::new()));
         for i in 0..2000u64 {
@@ -676,16 +524,16 @@ mod tests {
 
     #[test]
     fn pred_histogram_populates() {
-        let geom = small_geom();
-        let mut llc = llc_with(geom, &cfg_all_sampled());
+        let geom = geom();
+        let mut llc = llc_with(geom, &cfg());
         let trace: Vec<(u64, u64)> = (0..5000u64).map(|i| (0x7, i % 200)).collect();
         run(&mut llc, &trace);
         // Reconstruct: the histogram lives on the concrete type; drive one
         // directly for visibility.
-        let mut mj = Mockingjay::new(&geom, &cfg_all_sampled());
+        let mut mj = Mockingjay::new(&geom, &cfg());
         let mut container = SlicedLlc::with_hasher(
             geom,
-            Box::new(Mockingjay::new(&geom, &cfg_all_sampled())),
+            Box::new(Mockingjay::new(&geom, &cfg())),
             Box::new(ModuloHash::new()),
         );
         for i in 0..5000u64 {

@@ -12,11 +12,10 @@
 //! its predictor tables can be per-core-yet-global and its sampler sets
 //! dynamic (D-SDBP).
 
-use crate::common::{line_tag, PerLine};
+use crate::common::{label, PerLine};
+use crate::sampler::{Entry, Sampler};
 use drishti_core::config::DrishtiConfig;
-use drishti_core::dsc::DscEvent;
 use drishti_core::fabric::PredictorFabric;
-use drishti_core::select::SetSelector;
 use drishti_mem::access::{Access, AccessKind};
 use drishti_mem::llc::LlcGeometry;
 use drishti_mem::policy::{
@@ -37,33 +36,15 @@ const SAMPLER_WAYS: usize = 12;
 pub const STATIC_SAMPLED_SETS: usize = 64;
 pub const DYNAMIC_SAMPLED_SETS: usize = 16;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct SamplerEntry {
-    valid: bool,
-    tag: u32,
-    signature: u64,
-    core: u32,
-    lru: u64,
-    referenced: bool,
-}
-
-drishti_noc::impl_persist_fields!(SamplerEntry {
-    valid,
-    tag,
-    signature,
-    core,
-    lru,
-    referenced,
-});
-
 #[derive(Debug)]
 pub struct Sdbp {
     label: String,
     stamp: PerLine<u64>,
     dead: PerLine<bool>,
     clock: u64,
-    selectors: Vec<SetSelector>,
-    samplers: Vec<Vec<Vec<SamplerEntry>>>,
+    /// Small LRU tag arrays stamped from `clock`; each entry notes whether
+    /// its line was re-referenced.
+    sampler: Sampler<bool, ()>,
     /// `tables[bank][table][index]`.
     tables: Vec<[Vec<u8>; N_TABLES]>,
     fabric: PredictorFabric,
@@ -76,36 +57,18 @@ impl Sdbp {
     /// Build SDBP for `geom` under the organisation `cfg`.
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
         let fabric = cfg.build_fabric();
-        let selectors: Vec<SetSelector> = (0..geom.slices)
-            .map(|s| {
-                cfg.build_selector(
-                    s,
-                    geom.sets_per_slice,
-                    STATIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                    DYNAMIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                )
-            })
-            .collect();
-        let samplers = selectors
-            .iter()
-            .map(|sel| {
-                (0..sel.n_sampled())
-                    .map(|_| vec![SamplerEntry::default(); SAMPLER_WAYS])
-                    .collect()
-            })
-            .collect();
-        let label = match cfg.label().as_str() {
-            "baseline" => "sdbp".to_string(),
-            "drishti" => "d-sdbp".to_string(),
-            other => format!("sdbp:{other}"),
-        };
         Sdbp {
-            label,
+            label: label("sdbp", cfg),
             stamp: PerLine::new(geom),
             dead: PerLine::new(geom),
             clock: 0,
-            selectors,
-            samplers,
+            sampler: Sampler::new(
+                geom,
+                cfg,
+                (STATIC_SAMPLED_SETS, DYNAMIC_SAMPLED_SETS),
+                SAMPLER_WAYS,
+                (),
+            ),
             tables: (0..fabric.banks())
                 .map(|_| std::array::from_fn(|_| vec![0u8; 1 << TABLE_BITS]))
                 .collect(),
@@ -169,68 +132,39 @@ impl Sdbp {
     }
 
     fn sample_access(&mut self, loc: LlcLoc, acc: &Access, llc_hit: bool, cycle: u64) {
-        if self.selectors[loc.slice].observe(loc.set, llc_hit) == DscEvent::Reselected {
-            let changed: Vec<usize> = self.selectors[loc.slice].changed_slots().to_vec();
-            for slot in changed {
-                self.samplers[loc.slice][slot].fill(SamplerEntry::default());
-            }
-        }
-        if !acc.kind.has_pc() {
-            return;
-        }
-        let Some(slot) = self.selectors[loc.slice].slot_of(loc.set) else {
+        let Some(set) = self.sampler.observe(loc, acc, llc_hit) else {
             return;
         };
         self.clock += 1;
-        let clock = self.clock;
-        let tag = line_tag(acc.line, 16);
-        let sig = acc.signature();
-        let sampler = &mut self.samplers[loc.slice][slot];
-
-        if let Some(e) = sampler.iter_mut().find(|e| e.valid && e.tag == tag) {
+        let entry = Entry::new(acc, self.clock, false);
+        let (trained, dead) = match set.find(entry.tag) {
             // Re-reference in the sampler: the previous signature was live.
-            e.referenced = true;
-            e.lru = clock;
-            let prev_sig = e.signature;
-            let prev_core = e.core as usize;
-            e.signature = sig;
-            e.core = acc.core as u32;
-            self.train(loc.slice, prev_sig, prev_core, false, cycle);
-            return;
-        }
-        // Miss in the sampler: evict its LRU entry; unreferenced ⇒ dead.
-        let victim = sampler
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("sampler nonempty");
-        let old = sampler[victim];
-        sampler[victim] = SamplerEntry {
-            valid: true,
-            tag,
-            signature: sig,
-            core: acc.core as u32,
-            lru: clock,
-            referenced: false,
+            Some(i) => {
+                let referenced = Entry {
+                    extra: true,
+                    ..entry
+                };
+                (std::mem::replace(&mut set.entries[i], referenced), false)
+            }
+            // Miss in the sampler: evict its LRU entry; unreferenced ⇒ dead.
+            None => match set.insert(entry) {
+                Some(old) if !old.extra => (old, true),
+                _ => return,
+            },
         };
-        if old.valid && !old.referenced {
-            self.train(loc.slice, old.signature, old.core as usize, true, cycle);
-        }
+        self.train(
+            loc.slice,
+            trained.signature,
+            trained.core as usize,
+            dead,
+            cycle,
+        );
     }
 }
 
 impl PolicyProbe for Sdbp {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::RecencyStamp,
-            values: self
-                .stamp
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        self.stamp.probe(loc, ProbeKind::RecencyStamp)
     }
 }
 
@@ -246,8 +180,7 @@ impl LlcPolicy for Sdbp {
         self.stamp.save(w);
         self.dead.save(w);
         self.clock.save(w);
-        self.selectors.save(w);
-        self.samplers.save(w);
+        self.sampler.save(w);
         self.tables.save(w);
         self.fabric.save_state(w);
         self.dead_trainings.save(w);
@@ -263,8 +196,7 @@ impl LlcPolicy for Sdbp {
         self.stamp.load(r)?;
         self.dead.load(r)?;
         self.clock.load(r)?;
-        self.selectors.load(r)?;
-        self.samplers.load(r)?;
+        self.sampler.load(r)?;
         self.tables.load(r)?;
         self.fabric.load_state(r)?;
         self.dead_trainings.load(r)?;
@@ -328,71 +260,20 @@ impl LlcPolicy for Sdbp {
     }
 
     fn diagnostics(&self) -> Vec<(String, u64)> {
-        vec![
-            ("dead_trainings".into(), self.dead_trainings),
-            ("live_trainings".into(), self.live_trainings),
-            ("dead_fills".into(), self.dead_fills),
-            (
-                "predictor_train".into(),
-                self.fabric.counters().train_accesses,
-            ),
-            (
-                "predictor_predict".into(),
-                self.fabric.counters().predict_accesses,
-            ),
-            (
-                "fabric_fallbacks".into(),
-                self.fabric.counters().fallback_decisions,
-            ),
-            (
-                "fabric_dropped_predictions".into(),
-                self.fabric.counters().dropped_predictions,
-            ),
-            (
-                "fabric_dropped_trainings".into(),
-                self.fabric.counters().dropped_trainings,
-            ),
-            (
-                "fabric_retried_trainings".into(),
-                self.fabric.counters().retried_trainings,
-            ),
-        ]
+        self.fabric.counters().diagnostics(&[
+            ("dead_trainings", self.dead_trainings),
+            ("live_trainings", self.live_trainings),
+            ("dead_fills", self.dead_fills),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::{cfg, geom, run};
     use drishti_mem::llc::SlicedLlc;
     use drishti_noc::slicehash::ModuloHash;
-
-    fn geom() -> LlcGeometry {
-        LlcGeometry {
-            slices: 1,
-            sets_per_slice: 16,
-            ways: 4,
-            latency: 20,
-        }
-    }
-
-    fn cfg() -> DrishtiConfig {
-        let mut c = DrishtiConfig::baseline(1);
-        c.sampled_sets_override = Some(16);
-        c
-    }
-
-    fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
-        let mut hits = 0;
-        for (i, &(pc, line)) in trace.iter().enumerate() {
-            let a = Access::load(0, pc, line);
-            if llc.lookup(&a, i as u64).hit {
-                hits += 1;
-            } else {
-                llc.fill(&a, i as u64);
-            }
-        }
-        hits
-    }
 
     #[test]
     fn names() {

@@ -14,7 +14,7 @@
 //! (myopic), centralized, or per-core-yet-global, and sampled sets can be
 //! random or dynamic.
 
-use crate::common::{Installer, Installers, PerLine};
+use crate::common::{label, rrip_victim, selectors, Installer, Installers, PerLine};
 use drishti_core::config::DrishtiConfig;
 use drishti_core::fabric::PredictorFabric;
 use drishti_core::select::SetSelector;
@@ -53,29 +53,14 @@ impl ShipPp {
     /// Build SHiP++ for `geom` under the organisation `cfg`.
     pub fn new(geom: &LlcGeometry, cfg: &DrishtiConfig) -> Self {
         let fabric = cfg.build_fabric();
-        let selectors = (0..geom.slices)
-            .map(|s| {
-                cfg.build_selector(
-                    s,
-                    geom.sets_per_slice,
-                    STATIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                    DYNAMIC_SAMPLED_SETS.min(geom.sets_per_slice),
-                )
-            })
-            .collect();
-        let label = match cfg.label().as_str() {
-            "baseline" => "ship++".to_string(),
-            "drishti" => "d-ship++".to_string(),
-            other => format!("ship++:{other}"),
-        };
         ShipPp {
-            label,
+            label: label("ship++", cfg),
             rrpv: PerLine::new(geom),
             outcome: PerLine::new(geom),
             installers: Installers::new(geom, cfg.cores, SHCT_BITS),
             shct: vec![vec![SHCT_INIT; 1 << SHCT_BITS]; fabric.banks()],
             fabric,
-            selectors,
+            selectors: selectors(geom, cfg, (STATIC_SAMPLED_SETS, DYNAMIC_SAMPLED_SETS)),
             trains_up: 0,
             trains_down: 0,
         }
@@ -99,18 +84,11 @@ impl ShipPp {
 
 impl PolicyProbe for ShipPp {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: 0,
-                max: MAX_RRPV as i64,
-            },
-            values: self
-                .rrpv
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: 0,
+            max: MAX_RRPV as i64,
+        };
+        self.rrpv.probe(loc, kind)
     }
 }
 
@@ -175,15 +153,7 @@ impl LlcPolicy for ShipPp {
     }
 
     fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
-        loop {
-            let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
-                return Decision::Evict(w);
-            }
-            for r in set.iter_mut() {
-                *r += 1;
-            }
-        }
+        Decision::Evict(rrip_victim(self.rrpv.set_mut(loc.slice, loc.set), MAX_RRPV))
     }
 
     fn on_fill(
@@ -237,51 +207,19 @@ impl LlcPolicy for ShipPp {
     }
 
     fn diagnostics(&self) -> Vec<(String, u64)> {
-        let fc = self.fabric.counters();
-        vec![
-            ("trains_up".into(), self.trains_up),
-            ("trains_down".into(), self.trains_down),
-            ("fabric_fallbacks".into(), fc.fallback_decisions),
-            ("fabric_dropped_predictions".into(), fc.dropped_predictions),
-            ("fabric_dropped_trainings".into(), fc.dropped_trainings),
-            ("fabric_retried_trainings".into(), fc.retried_trainings),
-        ]
+        self.fabric.counters().fault_diagnostics(&[
+            ("trains_up", self.trains_up),
+            ("trains_down", self.trains_down),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testing::{cfg, geom, run};
     use drishti_mem::llc::SlicedLlc;
     use drishti_noc::slicehash::ModuloHash;
-
-    fn geom() -> LlcGeometry {
-        LlcGeometry {
-            slices: 1,
-            sets_per_slice: 16,
-            ways: 4,
-            latency: 20,
-        }
-    }
-
-    fn cfg() -> DrishtiConfig {
-        let mut c = DrishtiConfig::baseline(1);
-        c.sampled_sets_override = Some(16);
-        c
-    }
-
-    fn run(llc: &mut SlicedLlc, trace: &[(u64, u64)]) -> u64 {
-        let mut hits = 0;
-        for (i, &(pc, line)) in trace.iter().enumerate() {
-            let a = Access::load(0, pc, line);
-            if llc.lookup(&a, i as u64).hit {
-                hits += 1;
-            } else {
-                llc.fill(&a, i as u64);
-            }
-        }
-        hits
-    }
 
     #[test]
     fn names() {

@@ -4,7 +4,7 @@
 //! (paper ref 28). 2-bit RRPVs: insert at `max−1` (long re-reference),
 //! promote to 0 on hit, evict the first line with RRPV `max` after aging.
 
-use crate::common::PerLine;
+use crate::common::{rrip_victim, PerLine};
 use drishti_mem::access::{Access, AccessKind};
 use drishti_mem::llc::LlcGeometry;
 use drishti_mem::policy::{
@@ -32,18 +32,11 @@ drishti_noc::impl_persist_fields!(Srrip { rrpv });
 
 impl PolicyProbe for Srrip {
     fn probe_set(&self, loc: LlcLoc) -> SetProbe {
-        SetProbe {
-            kind: ProbeKind::Bounded {
-                min: 0,
-                max: MAX_RRPV as i64,
-            },
-            values: self
-                .rrpv
-                .set(loc.slice, loc.set)
-                .iter()
-                .map(|&v| v as i64)
-                .collect(),
-        }
+        let kind = ProbeKind::Bounded {
+            min: 0,
+            max: MAX_RRPV as i64,
+        };
+        self.rrpv.probe(loc, kind)
     }
 }
 
@@ -75,15 +68,7 @@ impl LlcPolicy for Srrip {
     fn on_miss(&mut self, _loc: LlcLoc, _acc: &Access, _cycle: u64) {}
 
     fn choose_victim(&mut self, loc: LlcLoc, _acc: &Access, _cycle: u64) -> Decision {
-        loop {
-            let set = self.rrpv.set_mut(loc.slice, loc.set);
-            if let Some(w) = set.iter().position(|&r| r >= MAX_RRPV) {
-                return Decision::Evict(w);
-            }
-            for r in set.iter_mut() {
-                *r += 1;
-            }
-        }
+        Decision::Evict(rrip_victim(self.rrpv.set_mut(loc.slice, loc.set), MAX_RRPV))
     }
 
     fn on_fill(

@@ -67,7 +67,7 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
   crash recovery: sweeps with --report journal completed cells to
   PATH.journal; after a crash, re-running with --resume simulates only the
   unfinished cells and produces a byte-identical report. Single runs take
-  --save PATH to write a drishti-ckpt/v4 engine checkpoint at completion
+  --save PATH to write a drishti-ckpt/v5 engine checkpoint at completion
   (with --checkpoint-every N, also every N engine steps, atomically), and
   --restore PATH to continue a checkpointed run; a restored run's results
   are bit-identical to an uninterrupted one.

@@ -1,4 +1,4 @@
-//! The `drishti-ckpt/v4` on-disk checkpoint container.
+//! The `drishti-ckpt/v5` on-disk checkpoint container.
 //!
 //! A checkpoint is the engine's *complete* simulation state — core clocks
 //! and private caches, prefetcher tables, LLC tags and policy predictor
@@ -28,7 +28,7 @@
 //!
 //! Each section holds its components' live layout (the LLC and private
 //! caches write their struct-of-arrays planes directly). Files of any
-//! other container version, `drishti-ckpt/v1` to `/v3` included, are
+//! other container version, `drishti-ckpt/v1` to `/v4` included, are
 //! refused by version before any section is decoded.
 //!
 //! Every malformed input surfaces as a typed [`CkptError`] naming the
@@ -42,13 +42,13 @@ use std::io::Write;
 use std::path::Path;
 
 /// Schema identifier of the container format.
-pub const SCHEMA: &str = "drishti-ckpt/v4";
+pub const SCHEMA: &str = "drishti-ckpt/v5";
 
 /// File magic (first 8 bytes of every checkpoint file).
 pub const MAGIC: [u8; 8] = *b"drckpt01";
 
 /// Container version written by this code.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// File extension used by convention (`<run>.drck`).
 pub const EXTENSION: &str = "drck";
@@ -175,7 +175,7 @@ pub fn config_hash(engine: &Engine) -> u64 {
     fnv1a64(engine.config_descriptor().as_bytes())
 }
 
-/// Serialize the engine's complete state into `drishti-ckpt/v4` bytes.
+/// Serialize the engine's complete state into `drishti-ckpt/v5` bytes.
 pub fn save_engine_bytes(engine: &Engine) -> Vec<u8> {
     use drishti_noc::snap::StateWriter;
     let mut out = Vec::with_capacity(1 << 16);
@@ -312,7 +312,7 @@ fn parse_sections(bytes: &[u8], expected_hash: u64) -> Result<Vec<(String, &[u8]
     Ok(sections)
 }
 
-/// Restore the engine's complete state from `drishti-ckpt/v4` bytes.
+/// Restore the engine's complete state from `drishti-ckpt/v5` bytes.
 ///
 /// The engine must be freshly built from the *same* configuration the
 /// snapshot was saved under (same mix, policy, geometry, budgets,
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn unsupported_version_is_refused() {
         let (mut e, mut bytes) = mid_run_checkpoint(PolicyKind::Lru);
-        for version in [1u32, 2, 3, 99] {
+        for version in [1u32, 2, 3, 4, 99] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             match restore_engine_bytes(&mut e, &bytes) {
                 Err(err @ CkptError::UnsupportedVersion(v)) => {

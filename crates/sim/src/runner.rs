@@ -239,7 +239,7 @@ fn run_engine(
 /// Checkpoint behaviour of one [`run_with_workloads_checkpointed`] run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunCkpt<'a> {
-    /// Restore the engine from this `drishti-ckpt/v4` file before running
+    /// Restore the engine from this `drishti-ckpt/v5` file before running
     /// (the run then covers only the remaining accesses).
     pub restore: Option<&'a std::path::Path>,
     /// Write checkpoints to this path (atomically, via a `.tmp` sibling).
@@ -250,7 +250,7 @@ pub struct RunCkpt<'a> {
 }
 
 /// Like [`run_with_workloads`], with crash-recovery checkpointing: the
-/// engine can start from a `drishti-ckpt/v4` file and/or write one
+/// engine can start from a `drishti-ckpt/v5` file and/or write one
 /// periodically and at completion. A restored run is bit-identical to an
 /// uninterrupted one (the workloads must be built from the same mix or
 /// trace files — the checkpoint stores the stream *position*, not the

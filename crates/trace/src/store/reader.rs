@@ -148,6 +148,8 @@ pub struct StreamingTrace {
     first_frame: u64,
     /// Decoded records of the current frame.
     frame: Vec<TraceRecord>,
+    /// Index of the current frame's first record.
+    frame_start: u64,
     /// Scratch buffer holding the current frame's raw payload.
     payload: Vec<u8>,
     /// Next index to serve out of `frame`.
@@ -189,6 +191,7 @@ impl StreamingTrace {
             meta,
             first_frame,
             frame: Vec::new(),
+            frame_start: 0,
             payload: Vec::new(),
             cursor: 0,
             next_frame: 0,
@@ -212,6 +215,7 @@ impl StreamingTrace {
     /// I/O/corruption errors (the open-time validation pass already
     /// proved the file clean; see type docs).
     fn load_next_frame(&mut self) {
+        self.frame_start += self.frame.len() as u64;
         let loaded = read_frame(
             &mut self.reader,
             self.next_frame,
@@ -224,14 +228,21 @@ impl StreamingTrace {
             self.next_frame += 1;
         } else {
             // Wrap around: the per-frame delta reset makes this exact.
-            self.reader
-                .seek(SeekFrom::Start(self.first_frame))
-                .unwrap_or_else(|e| panic!("trace {} rewind failed: {e}", self.path.display()));
-            self.next_frame = 0;
+            self.rewind();
             self.load_next_frame();
             return;
         }
         self.cursor = 0;
+    }
+
+    /// Rewind to frame 0, as a fresh open would be.
+    fn rewind(&mut self) {
+        self.reader
+            .seek(SeekFrom::Start(self.first_frame))
+            .unwrap_or_else(|e| panic!("trace {} rewind failed: {e}", self.path.display()));
+        self.next_frame = 0;
+        self.frame.clear();
+        self.frame_start = 0;
     }
 }
 
@@ -250,17 +261,16 @@ impl WorkloadGen for StreamingTrace {
     }
 
     /// Seek past `n` records via frame arithmetic rather than replay: the
-    /// stream wraps every `meta.records`, so only `n % records` matters,
-    /// and whole frames before the target are skipped without decoding
-    /// their deltas one record at a time.
+    /// stream wraps every `meta.records`, so the target is the current
+    /// position plus `n`, modulo `records`, and whole frames before it
+    /// are skipped without decoding their deltas one record at a time.
     fn skip_records(&mut self, n: u64) {
-        let mut remaining = n % self.meta.records;
+        let records = self.meta.records;
+        let position = self.frame_start + self.cursor as u64;
+        let mut remaining = (position % records + n % records) % records;
         // Restart from frame 0; the per-frame delta reset makes any frame
         // boundary an exact re-entry point.
-        self.reader
-            .seek(SeekFrom::Start(self.first_frame))
-            .unwrap_or_else(|e| panic!("trace {} rewind failed: {e}", self.path.display()));
-        self.next_frame = 0;
+        self.rewind();
         self.load_next_frame();
         while remaining >= self.frame.len() as u64 {
             remaining -= self.frame.len() as u64;

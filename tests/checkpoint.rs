@@ -1,5 +1,5 @@
 //! Integration tests for crash-resumable simulation (see DESIGN.md §14):
-//! the `drishti-ckpt/v4` engine checkpoint restores bit-identically across
+//! the `drishti-ckpt/v5` engine checkpoint restores bit-identically across
 //! every policy × organisation, the RefCache conformance contracts keep
 //! holding through a save/restore seam, telemetry timelines survive the
 //! seam, a checkpoint whose state is shaped for another configuration or
@@ -309,19 +309,32 @@ fn out_of_range_dsc_slot_is_refused_at_restore() {
 }
 
 /// A checkpoint with valid checksums and config hash whose Hawkeye or
-/// SHiP++ installer plane, or whose Hawkeye sampler, names a core past the
-/// machine is refused as an `llc` decode error. Restored, the first
-/// detrain of such a line, or the next training on such a sampler entry,
-/// would index past the predictor banks.
+/// SHiP++ installer plane, or whose Hawkeye, Mockingjay, Glider or SDBP
+/// sampler, names a core past the machine is refused as an `llc` decode
+/// error. Restored, the first detrain of such a line, or the next training
+/// on such a sampler entry, would index past the predictor banks or the
+/// fabric's tiles.
 #[test]
 fn out_of_range_installer_is_refused_at_restore() {
-    // Per-line byte planes ahead of the installers: Hawkeye's RRPVs;
-    // SHiP++'s RRPVs and outcome bits. The last input crafts Hawkeye's
-    // first sampler entry instead of the installers.
-    for (policy, planes_before, sampler, what) in [
-        (PolicyKind::Hawkeye, 1, false, "llc installer"),
-        (PolicyKind::ShipPp, 2, false, "llc installer"),
-        (PolicyKind::Hawkeye, 1, true, "hawkeye sampler entry"),
+    // Each input skips the policy's per-slice planes (`Vec<Vec<_>>` of
+    // elements of the listed sizes) and then `fixed` bytes to reach its
+    // target. Installer targets: Hawkeye's RRPVs; SHiP++'s RRPVs and
+    // outcome bits. Sampler targets: Hawkeye's RRPVs and installers;
+    // Mockingjay's ETRs, predictions and set clocks; Glider's RRPVs;
+    // SDBP's stamps and dead bits, then its clock.
+    for (policy, planes, fixed, sampler, what) in [
+        (PolicyKind::Hawkeye, &[1][..], 0, false, "llc installer"),
+        (PolicyKind::ShipPp, &[1, 1][..], 0, false, "llc installer"),
+        (PolicyKind::Hawkeye, &[1, 4][..], 0, true, "sampler entry"),
+        (
+            PolicyKind::Mockingjay,
+            &[1, 1, 1][..],
+            0,
+            true,
+            "sampler entry",
+        ),
+        (PolicyKind::Glider, &[1][..], 0, true, "sampler entry"),
+        (PolicyKind::Sdbp, &[8, 1][..], 8, true, "sampler entry"),
     ] {
         let org = DrishtiConfig::baseline(CORES);
         let mut first = engine(policy, org.clone());
@@ -333,23 +346,19 @@ fn out_of_range_installer_is_refused_at_restore() {
         let crafted = with_section(&bytes, "llc", |payload| {
             let mut p = payload.to_vec();
             let mut pos = p.len() - policy_tail.len();
-            for _ in 0..planes_before {
+            for &elem in planes {
                 let slices = u64_at(&p, pos);
                 pos += 8;
                 for _ in 0..slices {
-                    pos = skip_vec(&p, pos, 1);
+                    pos = skip_vec(&p, pos, elem);
                 }
             }
+            pos += fixed;
             if sampler {
-                // Past the installers (4 B per line) and the baseline's
-                // fixed selectors (a 0 tag each), the samplers open with
-                // slice 0's first sampled set: its entries `Vec` of
-                // (valid u8, tag u32, signature u64, core u32, last u64).
-                let slices = u64_at(&p, pos);
-                pos += 8;
-                for _ in 0..slices {
-                    pos = skip_vec(&p, pos, 4);
-                }
+                // Past the baseline's fixed selectors (a 0 tag each), the
+                // samplers open with slice 0's first sampled set: its
+                // entries `Vec` of (valid u8, tag u32, signature u64, core
+                // u32, stamp u64, then the policy's own fields).
                 let selectors = skip_vec(&p, pos, 1);
                 assert!(p[pos + 8..selectors].iter().all(|&tag| tag == 0));
                 let entry = selectors + 24;

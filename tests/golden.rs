@@ -11,6 +11,11 @@
 //! `SlicedLlc` that is under pressure, where the 4-core table's 8 MB LLC
 //! is not (SHiP++ reads the same there as LRU).
 //!
+//! `tests/golden/policy_state.txt` pins every policy's saved state after
+//! that stream: the byte length and FNV-1a 64 hash of each policy ×
+//! organisation `save_state`. Checkpoints carry these bytes, so a layout
+//! change belongs with a `drishti-ckpt` version bump.
+//!
 //! # Blessing a new snapshot
 //!
 //! When a change intentionally moves the numbers (new policy tuning,
@@ -27,6 +32,7 @@
 use drishti::core::config::DrishtiConfig;
 use drishti::mem::access::Access;
 use drishti::mem::llc::{LlcGeometry, SlicedLlc};
+use drishti::noc::snap::StateWriter;
 use drishti::policies::factory::PolicyKind;
 use drishti::sim::config::SystemConfig;
 use drishti::sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig};
@@ -43,6 +49,7 @@ use std::path::Path;
 const SNAPSHOT: &str = "tests/golden/metrics_4core.txt";
 const COVERAGE_SNAPSHOT: &str = "tests/golden/scenario_coverage.txt";
 const DECISIONS_SNAPSHOT: &str = "tests/golden/llc_decisions.txt";
+const STATE_SNAPSHOT: &str = "tests/golden/policy_state.txt";
 
 fn rc() -> RunConfig {
     RunConfig {
@@ -228,49 +235,73 @@ fn decision_stream(len: usize) -> Vec<Access> {
     out
 }
 
+/// Requests in the decisions stream.
+const DECISIONS_LEN: usize = 30_000;
+
+/// Every policy × organisation of the decisions table, in row order.
+fn decision_cells() -> Vec<(PolicyKind, &'static str, DrishtiConfig)> {
+    let slices = DECISIONS_GEOM.slices;
+    PolicyKind::all()
+        .into_iter()
+        .flat_map(|kind| {
+            [
+                (kind, "baseline", DrishtiConfig::baseline(slices)),
+                (kind, "drishti", DrishtiConfig::drishti(slices)),
+            ]
+        })
+        .collect()
+}
+
+/// Drive `stream` through a decisions-geometry LLC under `kind` and
+/// `cfg`; returns the LLC with its hit and miss counts and the summed
+/// policy-charged latency.
+fn replay_decisions(
+    kind: PolicyKind,
+    cfg: DrishtiConfig,
+    stream: &[Access],
+) -> (SlicedLlc, u64, u64, u64) {
+    let geom = DECISIONS_GEOM;
+    let mut llc = SlicedLlc::new(geom, kind.build(&geom, cfg));
+    let (mut hits, mut misses, mut extra) = (0u64, 0u64, 0u64);
+    for (i, acc) in stream.iter().enumerate() {
+        let cycle = i as u64 * 8;
+        let r = llc.lookup(acc, cycle);
+        extra += r.extra_latency;
+        if r.hit {
+            hits += 1;
+        } else {
+            misses += 1;
+            extra += llc.fill(acc, cycle).extra_latency;
+        }
+    }
+    (llc, hits, misses, extra)
+}
+
 /// The decisions table, freshly computed: one line per (policy, org) with
 /// the hit, miss, fill, bypass and DRAM write-back counts, the summed
 /// policy-charged latency and the policy's diagnostics.
 fn compute_decisions() -> String {
-    const LEN: usize = 30_000;
-    let stream = decision_stream(LEN);
+    let stream = decision_stream(DECISIONS_LEN);
     let geom = DECISIONS_GEOM;
     let mut out = format!(
-        "# stream=paper_mixes(2,3,3)[3] accesses={LEN} slices={} sets={} ways={}\n",
+        "# stream=paper_mixes(2,3,3)[3] accesses={DECISIONS_LEN} slices={} sets={} ways={}\n",
         geom.slices, geom.sets_per_slice, geom.ways
     );
     out.push_str(
         "# policy/org hits misses fills bypasses dram_writebacks extra_latency diagnostics...\n",
     );
-    for kind in PolicyKind::all() {
-        for (org_label, cfg) in [
-            ("baseline", DrishtiConfig::baseline(geom.slices)),
-            ("drishti", DrishtiConfig::drishti(geom.slices)),
-        ] {
-            let mut llc = SlicedLlc::new(geom, kind.build(&geom, cfg));
-            let (mut hits, mut misses, mut extra) = (0u64, 0u64, 0u64);
-            for (i, acc) in stream.iter().enumerate() {
-                let cycle = i as u64 * 8;
-                let r = llc.lookup(acc, cycle);
-                extra += r.extra_latency;
-                if r.hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    extra += llc.fill(acc, cycle).extra_latency;
-                }
-            }
-            let s = llc.stats();
-            out.push_str(&format!(
-                "{kind}/{org_label} hits={hits} misses={misses} fills={} bypasses={} \
-                 dram_writebacks={} extra_latency={extra}",
-                s.fills, s.bypasses, s.dram_writebacks
-            ));
-            for (name, v) in llc.policy().diagnostics() {
-                out.push_str(&format!(" {name}={v}"));
-            }
-            out.push('\n');
+    for (kind, org_label, cfg) in decision_cells() {
+        let (llc, hits, misses, extra) = replay_decisions(kind, cfg, &stream);
+        let s = llc.stats();
+        out.push_str(&format!(
+            "{kind}/{org_label} hits={hits} misses={misses} fills={} bypasses={} \
+             dram_writebacks={} extra_latency={extra}",
+            s.fills, s.bypasses, s.dram_writebacks
+        ));
+        for (name, v) in llc.policy().diagnostics() {
+            out.push_str(&format!(" {name}={v}"));
         }
+        out.push('\n');
     }
     out
 }
@@ -292,4 +323,31 @@ fn golden_llc_decisions_match_snapshot() {
         "the stream must put SHiP++'s training in play"
     );
     check_snapshot(&table, DECISIONS_SNAPSHOT);
+}
+
+/// FNV-1a 64, the checkpoint container's section checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins every policy's saved state under both organisations after the
+/// decisions stream: its byte length and FNV-1a 64 hash.
+#[test]
+fn golden_policy_state_matches_snapshot() {
+    let stream = decision_stream(DECISIONS_LEN);
+    let mut table =
+        format!("# after the {DECISIONS_SNAPSHOT} stream\n# policy/org bytes fnv1a64\n");
+    for (kind, org_label, cfg) in decision_cells() {
+        let (llc, ..) = replay_decisions(kind, cfg, &stream);
+        let mut w = StateWriter::new();
+        llc.policy().save_state(&mut w);
+        table.push_str(&format!(
+            "{kind}/{org_label} {} {:016x}\n",
+            w.len(),
+            fnv1a64(w.bytes())
+        ));
+    }
+    check_snapshot(&table, STATE_SNAPSHOT);
 }

@@ -234,9 +234,11 @@ fn streaming_replay_matches_generation_and_wraps() {
 }
 
 /// Checkpoint restore repositions on-disk workloads with
-/// `skip_records`: after skipping `n`, the stream yields exactly what a
-/// fresh reader yields after `n` `next_record` calls — including skips
-/// that land mid-frame, on a frame boundary, and past the wrap point.
+/// `skip_records`: after reading `r` records and skipping `n`, the stream
+/// yields exactly what a fresh reader yields after `r + n` `next_record`
+/// calls — including skips that land mid-frame, on a frame boundary, and
+/// past the wrap point, from the start or from mid-stream (after 5
+/// records, skipping 3 yields record 8).
 #[test]
 fn skip_records_repositions_bit_exactly() {
     let file = TempTrace::new("skip");
@@ -246,19 +248,31 @@ fn skip_records_repositions_bit_exactly() {
         w.push(r).unwrap();
     }
     w.finish().unwrap();
-    // Mid-frame, exact frame boundary, last record, and wrapped skips.
-    for skip in [0u64, 7, 256, 300, 999, 1_000, 1_003, 2_511] {
+    // Mid-frame, exact frame boundary, last record, and wrapped skips,
+    // from a fresh reader and then from mid-stream.
+    let fresh = [0u64, 7, 256, 300, 999, 1_000, 1_003, 2_511].map(|n| (0, n));
+    let mid_stream = [
+        (5u64, 3u64),
+        (200, 100),
+        (300, 699),
+        (990, 15),
+        (1_001, 2_400),
+    ];
+    for (read, skip) in fresh.into_iter().chain(mid_stream) {
         let mut skipped = StreamingTrace::open(&file.0).unwrap();
+        for _ in 0..read {
+            skipped.next_record();
+        }
         skipped.skip_records(skip);
         let mut stepped = StreamingTrace::open(&file.0).unwrap();
-        for _ in 0..skip {
+        for _ in 0..read + skip {
             stepped.next_record();
         }
         for i in 0..600 {
             assert_eq!(
                 skipped.next_record(),
                 stepped.next_record(),
-                "skip {skip}, record {i}"
+                "read {read}, skip {skip}, record {i}"
             );
         }
     }
