@@ -16,6 +16,14 @@
 //! organisation `save_state`. Checkpoints carry these bytes, so a layout
 //! change belongs with a `drishti-ckpt` version bump.
 //!
+//! `tests/golden/uncore_faults.txt` pins the uncore under injected faults
+//! and across chips: Hawkeye and Mockingjay on an 8-core mix under every
+//! predictor-fabric organisation, fault-free on two chips and with drops,
+//! jitter, link outages and a DRAM outage on one and two chips. Each row
+//! holds the per-core instructions and cycles, the fabric and mesh
+//! traffic counters, the DRAM fault counters and the policy diagnostics,
+//! so a change that reorders fault draws shows here.
+//!
 //! # Blessing a new snapshot
 //!
 //! When a change intentionally moves the numbers (new policy tuning,
@@ -30,9 +38,14 @@
 //! Never bless to silence a diff you cannot explain.
 
 use drishti::core::config::DrishtiConfig;
+use drishti::core::fabric::FabricKind;
+use drishti::core::org::SamplerOrg;
 use drishti::mem::access::Access;
 use drishti::mem::llc::{LlcGeometry, SlicedLlc};
+use drishti::noc::faults::{FaultConfig, OutageWindow};
 use drishti::noc::snap::StateWriter;
+use drishti::noc::topology::TopologyConfig;
+use drishti::noc::NocStats;
 use drishti::policies::factory::PolicyKind;
 use drishti::sim::config::SystemConfig;
 use drishti::sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig};
@@ -50,6 +63,7 @@ const SNAPSHOT: &str = "tests/golden/metrics_4core.txt";
 const COVERAGE_SNAPSHOT: &str = "tests/golden/scenario_coverage.txt";
 const DECISIONS_SNAPSHOT: &str = "tests/golden/llc_decisions.txt";
 const STATE_SNAPSHOT: &str = "tests/golden/policy_state.txt";
+const UNCORE_SNAPSHOT: &str = "tests/golden/uncore_faults.txt";
 
 fn rc() -> RunConfig {
     RunConfig {
@@ -350,4 +364,130 @@ fn golden_policy_state_matches_snapshot() {
         ));
     }
     check_snapshot(&table, STATE_SNAPSHOT);
+}
+
+/// Cores of the uncore-faults table.
+const UNCORE_CORES: usize = 8;
+
+/// The uncore-faults table's LLC: 128 KiB 16-way slices, small enough
+/// that the sampled sets see enough reuse to train the predictors often.
+const UNCORE_LLC: LlcGeometry = LlcGeometry {
+    slices: UNCORE_CORES,
+    sets_per_slice: 128,
+    ways: 16,
+    latency: 20,
+};
+
+/// The uncore-faults table's fault set: a quarter of all messages
+/// dropped, up to 4 cycles of jitter, a 200-cycle link outage every
+/// 5 000 cycles and DRAM channel 1 down for the first 300 000 cycles.
+fn uncore_faults() -> FaultConfig {
+    FaultConfig {
+        seed: 0xfa17,
+        drop_pct: 25.0,
+        jitter: 4,
+        link_outage_period: 5_000,
+        link_outage_len: 200,
+        dram_outages: vec![OutageWindow {
+            channel: 1,
+            start: 0,
+            len: 300_000,
+        }],
+    }
+}
+
+/// Every predictor-fabric organisation of the uncore-faults table.
+fn uncore_orgs() -> Vec<(&'static str, DrishtiConfig)> {
+    let n = UNCORE_CORES;
+    let mut broadcast = DrishtiConfig::baseline(n);
+    broadcast.sampler_org = SamplerOrg::GlobalCentralized;
+    broadcast.fabric = FabricKind::Mesh;
+    vec![
+        ("baseline", DrishtiConfig::baseline(n)),
+        ("drishti", DrishtiConfig::drishti(n)),
+        ("global-view", DrishtiConfig::global_view_only(n)),
+        ("mesh", DrishtiConfig::drishti_without_nocstar(n)),
+        ("fixed20", DrishtiConfig::drishti_fixed_latency(n, 20)),
+        ("centralized", DrishtiConfig::centralized(n)),
+        ("global-sampler", broadcast),
+    ]
+}
+
+/// Every counter of a traffic block, space-separated.
+fn noc_fields(s: &NocStats) -> String {
+    format!(
+        "messages={} flits={} hops={} latency={} contention={} energy_pj={} dropped={} \
+         retries={} fault_delay={}",
+        s.messages,
+        s.flits,
+        s.hop_traversals,
+        s.total_latency,
+        s.contention_cycles,
+        s.energy_pj,
+        s.dropped,
+        s.retries,
+        s.fault_delay_cycles
+    )
+}
+
+/// The uncore-faults table, freshly computed: one block per policy ×
+/// organisation × setting.
+fn compute_uncore_faults() -> String {
+    let n = UNCORE_CORES;
+    let mix = Mix::heterogeneous(&Benchmark::spec_and_gap(), n, 2);
+    let settings = [
+        ("clean-2chip", FaultConfig::none(), 2),
+        ("faults-1chip", uncore_faults(), 1),
+        ("faults-2chip", uncore_faults(), 2),
+    ];
+    let mut out = format!(
+        "# mix={} cores={n} sets={} ways={} accesses=2000 warmup=500\n# faults: {:?}\n",
+        mix.name,
+        UNCORE_LLC.sets_per_slice,
+        UNCORE_LLC.ways,
+        uncore_faults()
+    );
+    for policy in [PolicyKind::Hawkeye, PolicyKind::Mockingjay] {
+        for (org_label, org) in uncore_orgs() {
+            for (setting, faults, chips) in &settings {
+                let rc = RunConfig {
+                    system: SystemConfig {
+                        llc: UNCORE_LLC,
+                        faults: faults.clone(),
+                        topology: TopologyConfig::multi(*chips),
+                        ..SystemConfig::paper_baseline(n)
+                    },
+                    accesses_per_core: 2_000,
+                    warmup_accesses: 500,
+                    record_llc_stream: false,
+                    sampling: SamplingSpec::off(),
+                    telemetry: TelemetrySpec::off(),
+                };
+                let org = org.clone().with_faults(faults.clone()).with_chips(*chips);
+                let r = run_mix(&mix, policy, org, &rc);
+                out.push_str(&format!("{policy}/{org_label}/{setting}\n  cores"));
+                for c in &r.per_core {
+                    out.push_str(&format!(" {}:{}", c.instructions, c.cycles));
+                }
+                out.push_str(&format!("\n  fabric {}\n", noc_fields(&r.fabric)));
+                out.push_str(&format!("  mesh {}\n", noc_fields(&r.mesh)));
+                out.push_str(&format!(
+                    "  dram resteered={} fault_delay={}\n  diag",
+                    r.dram.resteered, r.dram.fault_delay_cycles
+                ));
+                for (name, v) in &r.diagnostics {
+                    out.push_str(&format!(" {name}={v}"));
+                }
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+/// Pins fault-injected and multi-chip runs of every predictor-fabric
+/// organisation.
+#[test]
+fn golden_uncore_faults_match_snapshot() {
+    check_snapshot(&compute_uncore_faults(), UNCORE_SNAPSHOT);
 }
