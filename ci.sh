@@ -296,7 +296,9 @@ echo "ingest round-trip byte-identical; ingested sweep byte-identical at --jobs 
 
 # Sweep-smoke gate: one reduced all_experiments pass (every figure, its
 # cells planned as one deduplicated sweep) at --jobs 1 and --jobs 8, whose
-# reports must be byte-identical, the reduced resilience sweep, a
+# reports must be byte-identical — the main report and the resilience
+# report each pass writes beside it, so each pass gets its own
+# directory — the reduced resilience sweep, a
 # drishti-sim multi-policy sweep and the 1-to-4-chip scaling ladder must
 # each run every cell (a failed cell or figure exits 1). Their reports
 # stay in $out for upload if a step fails. Skipped under --quick, whose
@@ -305,18 +307,21 @@ if [[ $quick -eq 0 ]]; then
   step "sweep-smoke gate (all_experiments --jobs 1/8 byte-diff, resilience, CLI sweep, scaling ladder)"
   smoke_args=(--mixes 2 --cores 8 --accesses 20000)
   for jobs in 1 8; do
+    mkdir -p "$out/all_j${jobs}"
     target/release/all_experiments "${smoke_args[@]}" --jobs "$jobs" \
-      --report "$out/all_j${jobs}.json" >/dev/null
+      --report "$out/all_j${jobs}/all_experiments.json" >/dev/null
   done
-  if ! diff -u "$out/all_j1.json" "$out/all_j8.json"; then
-    echo "FAIL: all_experiments report differs between --jobs 1 and --jobs 8" >&2
-    exit 1
-  fi
+  for report in all_experiments resilience; do
+    if ! diff -u "$out/all_j1/$report.json" "$out/all_j8/$report.json"; then
+      echo "FAIL: the $report report differs between --jobs 1 and --jobs 8" >&2
+      exit 1
+    fi
+  done
   target/release/resilience --accesses 20000 --report "$out/resilience_smoke.json" >/dev/null
   "$sim" --cores 4 --mix homo:mcf --policy hawkeye,mockingjay --org baseline,drishti \
     --accesses 20000 --warmup 5000 --report "$out/cli_sweep_smoke.json" >/dev/null
   "$scaling" --mixes 1 --accesses 20000 --report "$out/scaling_ladder.json" >/dev/null
-  echo "all_experiments reports byte-identical; every sweep ran every cell"
+  echo "all_experiments and resilience reports byte-identical; every sweep ran every cell"
 fi
 
 if [[ $quick -eq 0 ]]; then

@@ -1,7 +1,8 @@
 //! Named Drishti configurations.
 //!
 //! A [`DrishtiConfig`] bundles the three independent knobs the paper's
-//! experiments turn:
+//! experiments turn, plus the injected faults and the chip count the
+//! predictor fabric runs under:
 //!
 //! * predictor organisation ([`PredictorOrg`]) — local / centralized /
 //!   per-core-global;
@@ -17,9 +18,9 @@
 
 use crate::dsc::DscConfig;
 use crate::fabric::{FabricKind, PredictorFabric};
-use crate::faults::{DegradeConfig, FaultConfig};
 use crate::org::{PredictorOrg, SamplerOrg};
 use crate::select::SetSelector;
+use drishti_noc::faults::FaultConfig;
 
 /// How sampled sets are chosen per slice.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +33,10 @@ pub enum SamplingMode {
     Explicit(Vec<Vec<usize>>),
 }
 
-/// A complete Drishti (or baseline) configuration.
+/// A complete Drishti (or baseline) configuration: the predictor and
+/// sampler organisations, the transport, the sampled-set selection, and
+/// the injected faults and chips the predictor fabric runs under.
+/// [`DrishtiConfig::build_fabric`] builds the one fabric it describes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrishtiConfig {
     /// Cores (= slices = tiles).
@@ -49,10 +53,9 @@ pub struct DrishtiConfig {
     pub sampled_sets_override: Option<usize>,
     /// Base seed for all randomized selections.
     pub seed: u64,
-    /// Injected faults for the predictor fabric (no-op by default).
+    /// Injected faults for the predictor fabric (no-op by default). The
+    /// fabric degrades under them as [`crate::fabric`] describes.
     pub faults: FaultConfig,
-    /// Degradation policy used when `faults` is active.
-    pub degrade: DegradeConfig,
     /// Chips the tiles are spread over (1 = the flat single-chip system).
     /// NOCSTAR is die-local, so on a multi-chip system cross-chip
     /// predictor traffic falls back to the hierarchical path (gateway legs
@@ -77,7 +80,6 @@ impl DrishtiConfig {
             sampled_sets_override: None,
             seed: 0xD815,
             faults: FaultConfig::none(),
-            degrade: DegradeConfig::resilient(),
             chips: 1,
             chip_link: drishti_noc::topology::ChipLinkConfig::default(),
         }
@@ -99,7 +101,8 @@ impl DrishtiConfig {
         self
     }
 
-    /// This configuration with injected faults (see [`crate::faults`]).
+    /// This configuration with injected faults (see
+    /// [`drishti_noc::faults`]).
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
         self
@@ -159,18 +162,14 @@ impl DrishtiConfig {
         }
     }
 
-    /// Build the predictor fabric for this configuration. A no-op fault
-    /// configuration yields a fabric bit-identical to the fault-free one.
+    /// Build the predictor fabric for this configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero, or `chips` is zero or does not divide
+    /// it.
     pub fn build_fabric(&self) -> PredictorFabric {
-        PredictorFabric::with_faults(
-            self.predictor_org,
-            self.sampler_org,
-            self.fabric,
-            self.cores,
-            &self.faults,
-            self.degrade,
-        )
-        .hierarchical(self.chips, self.chip_link)
+        PredictorFabric::new(self)
     }
 
     /// Sampled sets per slice, given the policy's conventional

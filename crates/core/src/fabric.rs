@@ -14,13 +14,31 @@
 //! Training and prediction lookups are counted separately because the
 //! paper's Fig 10 reports their sum per kilo-instruction for the
 //! centralized vs. per-core organisations.
+//!
+//! # Graceful degradation
+//!
+//! The fault primitives (seeded schedules, drop/jitter decisions, link and
+//! DRAM outage windows) live in [`drishti_noc::faults`]; the fabric owns
+//! how predictor traffic degrades when its transport misbehaves:
+//!
+//! * a prediction lookup that is dropped abandons the remote predictor and
+//!   falls back to the policy's local static insertion decision (its
+//!   untrained default — SRRIP-like middle-of-the-road insertion), so the
+//!   fill never blocks on a lost message. On a fault-injected fabric, a
+//!   lookup whose transport exceeds
+//!   [`PredictorFabric::PREDICTION_DEADLINE`] falls back too; a healthy
+//!   slow lookup (a cross-chip hop, say) is waited out;
+//! * a dropped training update is retried up to
+//!   [`PredictorFabric::TRAIN_RETRIES`] times with a linear backoff of
+//!   [`PredictorFabric::RETRY_BACKOFF`] cycles per attempt; training lost
+//!   after the last retry is simply skipped — predictors tolerate sparse
+//!   training, they merely converge slower.
 
-use crate::faults::{DegradeConfig, FaultConfig};
+use crate::config::DrishtiConfig;
 use crate::org::{PredictorOrg, SamplerOrg};
-use drishti_noc::link::{
-    FixedLatencyLink, HierarchicalLink, LocalLink, MeshLink, NocstarLink, PredictorLink,
-};
-use drishti_noc::topology::ChipLinkConfig;
+use drishti_noc::faults::FaultConfig;
+use drishti_noc::link::{FixedLatencyLink, HierarchicalLink, LocalLink, MeshLink, PredictorLink};
+use drishti_noc::nocstar::{Nocstar, NocstarPath};
 use drishti_noc::{NocStats, NodeId};
 
 /// Which transport carries predictor messages.
@@ -37,21 +55,12 @@ pub enum FabricKind {
 }
 
 impl FabricKind {
-    fn build(self, tiles: usize) -> Box<dyn PredictorLink> {
+    fn build(self, tiles: usize, faults: &FaultConfig) -> Box<dyn PredictorLink> {
         match self {
             FabricKind::Local => Box::new(LocalLink),
-            FabricKind::Mesh => Box::new(MeshLink::new(tiles)),
-            FabricKind::Nocstar => Box::new(NocstarLink::new(tiles)),
-            FabricKind::Fixed(lat) => Box::new(FixedLatencyLink::new(lat)),
-        }
-    }
-
-    fn build_with_faults(self, tiles: usize, faults: &FaultConfig) -> Box<dyn PredictorLink> {
-        match self {
-            FabricKind::Local => Box::new(LocalLink),
-            FabricKind::Mesh => Box::new(MeshLink::with_faults(tiles, faults)),
-            FabricKind::Nocstar => Box::new(NocstarLink::with_faults(tiles, faults)),
-            FabricKind::Fixed(lat) => Box::new(FixedLatencyLink::with_faults(lat, faults)),
+            FabricKind::Mesh => Box::new(MeshLink::new(tiles, faults)),
+            FabricKind::Nocstar => Box::new(Nocstar::new(tiles, faults)),
+            FabricKind::Fixed(lat) => Box::new(FixedLatencyLink::new(lat, faults)),
         }
     }
 }
@@ -154,86 +163,59 @@ pub struct PredictOutcome {
 pub struct PredictorFabric {
     org: PredictorOrg,
     sampler_org: SamplerOrg,
-    kind: FabricKind,
     link: Box<dyn PredictorLink>,
     tiles: usize,
     central: NodeId,
     counters: FabricCounters,
-    degrade: DegradeConfig,
-    /// Whether the link was built with an active fault schedule. Healthy
-    /// fabrics skip the degradation layer entirely, so fault-free runs are
-    /// bit-identical to builds that predate fault injection.
+    /// Whether faults are injected: only then does a slow but delivered
+    /// lookup fall back at [`Self::PREDICTION_DEADLINE`].
     faulty: bool,
 }
 
 impl PredictorFabric {
-    /// Build a fabric for `tiles` tiles (cores = slices = tiles).
+    /// One-way transport latency (cycles) above which a fault-injected
+    /// fabric stops waiting for a prediction lookup and falls back to the
+    /// local static decision. Also the latency charged for a lookup whose
+    /// request or response was dropped (the slice waits out the deadline
+    /// before giving up). It sits well above any healthy NOCSTAR access
+    /// (3 cycles) and typical contended mesh accesses (~20 cycles on 32
+    /// cores, paper Fig 11), so it only fires on pathological transports.
+    pub const PREDICTION_DEADLINE: u64 = 64;
+
+    /// Retransmissions attempted for a dropped training update.
+    pub const TRAIN_RETRIES: u32 = 2;
+
+    /// Backoff between training retries, cycles (linear: attempt `k` waits
+    /// `k × RETRY_BACKOFF`).
+    pub const RETRY_BACKOFF: u64 = 8;
+
+    /// Build the fabric `cfg` describes: its organisations and transport
+    /// for `cfg.cores` tiles, subject to `cfg.faults`, spread over
+    /// `cfg.chips` chips. On more than one chip the transport is wrapped in
+    /// a [`HierarchicalLink`], so intra-chip accesses are untouched while
+    /// cross-chip accesses pay gateway legs plus a serializing inter-chip
+    /// segment.
     ///
     /// # Panics
     ///
-    /// Panics if `tiles` is zero.
-    pub fn new(org: PredictorOrg, sampler_org: SamplerOrg, kind: FabricKind, tiles: usize) -> Self {
+    /// Panics if `cfg.cores` is zero, or `cfg.chips` is zero or does not
+    /// divide it.
+    pub(crate) fn new(cfg: &DrishtiConfig) -> Self {
+        let tiles = cfg.cores;
         assert!(tiles > 0, "fabric needs at least one tile");
+        let mut link = cfg.fabric.build(tiles, &cfg.faults);
+        if cfg.chips != 1 {
+            link = Box::new(HierarchicalLink::new(link, cfg.chips, tiles, cfg.chip_link));
+        }
         PredictorFabric {
-            org,
-            sampler_org,
-            kind,
-            link: kind.build(tiles),
+            org: cfg.predictor_org,
+            sampler_org: cfg.sampler_org,
+            link,
             tiles,
             central: tiles / 2, // a roughly central tile for the centralized bank
             counters: FabricCounters::default(),
-            degrade: DegradeConfig::resilient(),
-            faulty: false,
+            faulty: !cfg.faults.is_noop(),
         }
-    }
-
-    /// Build a fault-aware fabric. With a no-op `faults` configuration
-    /// this is bit-identical to [`PredictorFabric::new`]; otherwise the
-    /// transport may drop or delay messages and the fabric degrades per
-    /// `degrade` (timeout fallback on lookups, bounded retry on training).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles` is zero.
-    pub fn with_faults(
-        org: PredictorOrg,
-        sampler_org: SamplerOrg,
-        kind: FabricKind,
-        tiles: usize,
-        faults: &FaultConfig,
-        degrade: DegradeConfig,
-    ) -> Self {
-        let mut f = PredictorFabric::new(org, sampler_org, kind, tiles);
-        f.degrade = degrade;
-        if !faults.is_noop() {
-            f.link = kind.build_with_faults(tiles, faults);
-            f.faulty = true;
-        }
-        f
-    }
-
-    /// Spread this fabric's tiles over `chips` chips: the transport is
-    /// wrapped in a [`HierarchicalLink`], so intra-chip accesses are
-    /// untouched while cross-chip accesses pay gateway legs plus a
-    /// serializing inter-chip segment. `chips == 1` is the identity —
-    /// bit-identical to the unwrapped fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips` is zero or does not divide the tile count.
-    pub fn hierarchical(mut self, chips: usize, link: ChipLinkConfig) -> Self {
-        if chips > 1 {
-            let inner = std::mem::replace(&mut self.link, Box::new(LocalLink));
-            self.link = Box::new(HierarchicalLink::new(inner, chips, self.tiles, link));
-        } else {
-            assert!(chips == 1, "fabric needs at least one chip");
-        }
-        self
-    }
-
-    /// The degradation policy in force.
-    pub fn degrade(&self) -> DegradeConfig {
-        self.degrade
     }
 
     /// The predictor organisation.
@@ -244,11 +226,6 @@ impl PredictorFabric {
     /// The sampled-cache organisation.
     pub fn sampler_org(&self) -> SamplerOrg {
         self.sampler_org
-    }
-
-    /// The transport kind.
-    pub fn kind(&self) -> FabricKind {
-        self.kind
     }
 
     /// Number of predictor banks the governing policy must allocate.
@@ -297,11 +274,11 @@ impl PredictorFabric {
     /// Training is off the critical path, so the latency only matters for
     /// fabric occupancy, but it is returned for completeness.
     ///
-    /// On a fault-aware fabric a dropped update is retried up to
-    /// [`DegradeConfig::train_retries`] times with linear backoff; if every
-    /// attempt is lost the outcome reports `delivered: false` and the
-    /// caller must skip its table update (predictors tolerate sparse
-    /// training — they merely converge slower).
+    /// A dropped update is retried up to [`Self::TRAIN_RETRIES`] times
+    /// with linear backoff; if every attempt is lost the outcome reports
+    /// `delivered: false` and the caller must skip its table update
+    /// (predictors tolerate sparse training — they merely converge
+    /// slower).
     pub fn train(&mut self, slice: usize, core: usize, cycle: u64) -> TrainOutcome {
         self.counters.train_accesses += 1;
         let bank = self.bank_of(slice, core);
@@ -318,14 +295,16 @@ impl PredictorFabric {
                 let mut worst = 0;
                 if self.sampler_org.requires_broadcast() {
                     if self.sampler_org == SamplerOrg::GlobalCentralized {
-                        let d = self.link.send(slice, self.central, cycle);
+                        let d = self
+                            .link
+                            .send(slice, self.central, NocstarPath::Request, cycle);
                         if d.dropped {
                             self.counters.dropped_trainings += 1;
                         }
                         worst = d.latency;
                     }
                     for dest in 0..self.tiles {
-                        let d = self.link.send(slice, dest, cycle);
+                        let d = self.link.send(slice, dest, NocstarPath::Request, cycle);
                         if d.dropped {
                             self.counters.dropped_trainings += 1;
                         }
@@ -341,17 +320,11 @@ impl PredictorFabric {
             }
             _ => {
                 let dest = self.tile_of_bank(bank);
-                if !self.faulty {
-                    let lat = self.link.access(slice, dest, cycle);
-                    return TrainOutcome {
-                        bank,
-                        latency: lat,
-                        delivered: true,
-                    };
-                }
                 let mut elapsed = 0u64;
-                for attempt in 0..=self.degrade.train_retries {
-                    let d = self.link.send(slice, dest, cycle + elapsed);
+                for attempt in 0..=Self::TRAIN_RETRIES {
+                    let d = self
+                        .link
+                        .send(slice, dest, NocstarPath::Request, cycle + elapsed);
                     elapsed += d.latency;
                     if !d.dropped {
                         return TrainOutcome {
@@ -360,9 +333,9 @@ impl PredictorFabric {
                             delivered: true,
                         };
                     }
-                    if attempt < self.degrade.train_retries {
+                    if attempt < Self::TRAIN_RETRIES {
                         self.counters.retried_trainings += 1;
-                        elapsed += u64::from(attempt + 1) * self.degrade.retry_backoff;
+                        elapsed += u64::from(attempt + 1) * Self::RETRY_BACKOFF;
                     }
                 }
                 self.counters.dropped_trainings += 1;
@@ -388,10 +361,10 @@ impl PredictorFabric {
     /// latency the lookup adds to the fill path: the one-way transport
     /// latency minus the [`Self::OVERLAP_WINDOW`] hidden under the miss.
     ///
-    /// On a fault-aware fabric a lookup whose request or response is lost,
-    /// or whose transport exceeds [`DegradeConfig::prediction_deadline`],
-    /// is abandoned: the outcome reports `fallback: true` and the caller
-    /// must insert with its local static (untrained-default, SRRIP-like)
+    /// A lookup whose request or response is lost, or, on a fault-injected
+    /// fabric, whose transport exceeds [`Self::PREDICTION_DEADLINE`], is
+    /// abandoned: the outcome reports `fallback: true` and the caller must
+    /// insert with its local static (untrained-default, SRRIP-like)
     /// decision instead of blocking the fill on a message that may never
     /// arrive. The exposed cost of an abandoned lookup is the deadline
     /// itself (the slice waits that long before giving up), less the
@@ -412,29 +385,23 @@ impl PredictorFabric {
                 // messages wait for a reservation in their future, which
                 // destabilises an occupancy model (the same rule the demand
                 // mesh follows). Only the slower leg is exposed.
-                let req = self.link.send(slice, dest, cycle);
-                let resp = self.link.send_response(dest, slice, cycle);
+                let req = self.link.send(slice, dest, NocstarPath::Request, cycle);
+                let resp = self.link.send(dest, slice, NocstarPath::Response, cycle);
                 let raw = req.latency.max(resp.latency);
-                if self.faulty {
-                    let lost = req.dropped || resp.dropped;
-                    if lost {
-                        self.counters.dropped_predictions += 1;
-                    }
-                    if lost || raw > self.degrade.prediction_deadline {
-                        // The slice cannot distinguish "lost" from "late"
-                        // before the deadline expires, so every abandoned
-                        // lookup costs exactly the deadline.
-                        self.counters.fallback_decisions += 1;
-                        let exposed = self
-                            .degrade
-                            .prediction_deadline
-                            .saturating_sub(Self::OVERLAP_WINDOW);
-                        return PredictOutcome {
-                            bank,
-                            latency: exposed,
-                            fallback: true,
-                        };
-                    }
+                let lost = req.dropped || resp.dropped;
+                if lost {
+                    self.counters.dropped_predictions += 1;
+                }
+                if lost || (self.faulty && raw > Self::PREDICTION_DEADLINE) {
+                    // The slice cannot distinguish "lost" from "late"
+                    // before the deadline expires, so every abandoned
+                    // lookup costs exactly the deadline.
+                    self.counters.fallback_decisions += 1;
+                    return PredictOutcome {
+                        bank,
+                        latency: Self::PREDICTION_DEADLINE.saturating_sub(Self::OVERLAP_WINDOW),
+                        fallback: true,
+                    };
                 }
                 PredictOutcome {
                     bank,
@@ -462,8 +429,8 @@ impl PredictorFabric {
     }
 
     /// Serialize the fabric's mutable state: counters plus the transport's
-    /// own state (link occupancy, stats, fault cursor). Organisation and
-    /// kind are configuration and excluded.
+    /// own state (link occupancy, stats, fault cursor). Organisations and
+    /// transport kind are configuration and excluded.
     pub fn save_state(&self, w: &mut drishti_noc::snap::StateWriter) {
         use drishti_noc::snap::Persist;
         self.counters.save(w);
@@ -486,8 +453,16 @@ impl PredictorFabric {
 mod tests {
     use super::*;
 
+    fn config(org: PredictorOrg, kind: FabricKind) -> DrishtiConfig {
+        DrishtiConfig {
+            predictor_org: org,
+            fabric: kind,
+            ..DrishtiConfig::baseline(32)
+        }
+    }
+
     fn fabric(org: PredictorOrg, kind: FabricKind) -> PredictorFabric {
-        PredictorFabric::new(org, SamplerOrg::LocalPerSlice, kind, 32)
+        PredictorFabric::new(&config(org, kind))
     }
 
     #[test]
@@ -584,12 +559,11 @@ mod tests {
 
     #[test]
     fn global_sampler_broadcasts_to_all_tiles() {
-        let mut f = PredictorFabric::new(
-            PredictorOrg::LocalPerSlice,
-            SamplerOrg::GlobalDistributed,
-            FabricKind::Mesh,
-            16,
-        );
+        let mut f = PredictorFabric::new(&DrishtiConfig {
+            sampler_org: SamplerOrg::GlobalDistributed,
+            fabric: FabricKind::Mesh,
+            ..DrishtiConfig::baseline(16)
+        });
         assert!(f.global_view());
         f.train(0, 3, 0);
         assert_eq!(f.counters().broadcast_messages, 16);
@@ -605,22 +579,9 @@ mod tests {
     }
 
     #[test]
-    fn one_chip_hierarchical_is_the_identity() {
-        let mut plain = fabric(PredictorOrg::GlobalPerCore, FabricKind::Nocstar);
-        let mut wrapped = fabric(PredictorOrg::GlobalPerCore, FabricKind::Nocstar)
-            .hierarchical(1, ChipLinkConfig::default());
-        for i in 0..200u64 {
-            let (s, c) = ((i % 32) as usize, ((i * 5) % 32) as usize);
-            assert_eq!(plain.train(s, c, i), wrapped.train(s, c, i));
-            assert_eq!(plain.predict(s, c, i), wrapped.predict(s, c, i));
-        }
-        assert_eq!(plain.link_stats(), wrapped.link_stats());
-    }
-
-    #[test]
     fn cross_chip_lookups_expose_latency_nocstar_cannot_hide() {
-        let mut f = fabric(PredictorOrg::GlobalPerCore, FabricKind::Nocstar)
-            .hierarchical(2, ChipLinkConfig::default());
+        let cfg = config(PredictorOrg::GlobalPerCore, FabricKind::Nocstar).with_chips(2);
+        let mut f = PredictorFabric::new(&cfg);
         // Slice 1 looking up core 2's bank: both on chip 0 — still hidden.
         let intra = f.predict(1, 2, 0);
         assert_eq!(intra.latency, 0, "intra-chip NOCSTAR stays free");
@@ -634,47 +595,21 @@ mod tests {
         );
     }
 
-    fn faulty_fabric(drop_pct: f64, deadline: u64) -> PredictorFabric {
-        PredictorFabric::with_faults(
-            PredictorOrg::GlobalPerCore,
-            SamplerOrg::LocalPerSlice,
-            FabricKind::Nocstar,
-            32,
-            &FaultConfig::with_drops(42, drop_pct),
-            DegradeConfig {
-                prediction_deadline: deadline,
-                train_retries: 2,
-                retry_backoff: 8,
-            },
-        )
-    }
-
-    #[test]
-    fn noop_faults_leave_fabric_bit_identical() {
-        let mut plain = fabric(PredictorOrg::GlobalPerCore, FabricKind::Nocstar);
-        let mut faulty = PredictorFabric::with_faults(
-            PredictorOrg::GlobalPerCore,
-            SamplerOrg::LocalPerSlice,
-            FabricKind::Nocstar,
-            32,
-            &FaultConfig::none(),
-            DegradeConfig::resilient(),
-        );
-        for i in 0..200u64 {
-            let (s, c) = ((i % 32) as usize, ((i * 5) % 32) as usize);
-            assert_eq!(plain.train(s, c, i), faulty.train(s, c, i));
-            assert_eq!(plain.predict(s, c, i), faulty.predict(s, c, i));
-        }
-        assert_eq!(plain.counters(), faulty.counters());
-        assert_eq!(plain.link_stats(), faulty.link_stats());
+    fn faulty_fabric(drop_pct: f64) -> PredictorFabric {
+        let cfg = config(PredictorOrg::GlobalPerCore, FabricKind::Nocstar)
+            .with_faults(FaultConfig::with_drops(42, drop_pct));
+        PredictorFabric::new(&cfg)
     }
 
     #[test]
     fn dropped_lookup_falls_back_with_deadline_cost() {
-        let mut f = faulty_fabric(100.0, 64);
+        let mut f = faulty_fabric(100.0);
         let p = f.predict(0, 9, 0);
         assert!(p.fallback, "100% drops must force fallback");
-        assert_eq!(p.latency, 64 - PredictorFabric::OVERLAP_WINDOW);
+        assert_eq!(
+            p.latency,
+            PredictorFabric::PREDICTION_DEADLINE - PredictorFabric::OVERLAP_WINDOW
+        );
         let c = *f.counters();
         assert_eq!(c.dropped_predictions, 1);
         assert_eq!(c.fallback_decisions, 1);
@@ -682,45 +617,53 @@ mod tests {
 
     #[test]
     fn over_deadline_transport_falls_back_without_a_drop() {
-        // A 100-cycle fixed link with a 64-cycle deadline: every lookup is
-        // delivered but abandoned as too slow. Jitter-only fault config
-        // keeps the link fault-aware without dropping anything.
-        let cfg = FaultConfig {
+        // A 100-cycle fixed link against the 64-cycle deadline: every
+        // lookup is delivered but abandoned as too slow. A jitter-only
+        // fault config makes the fabric fault-injected without dropping
+        // anything.
+        let faults = FaultConfig {
             seed: 1,
             jitter: 1,
             ..FaultConfig::none()
         };
-        let mut f = PredictorFabric::with_faults(
-            PredictorOrg::GlobalPerCore,
-            SamplerOrg::LocalPerSlice,
-            FabricKind::Fixed(100),
-            32,
-            &cfg,
-            DegradeConfig {
-                prediction_deadline: 64,
-                train_retries: 0,
-                retry_backoff: 0,
-            },
-        );
+        let cfg = config(PredictorOrg::GlobalPerCore, FabricKind::Fixed(100)).with_faults(faults);
+        let mut f = PredictorFabric::new(&cfg);
         let p = f.predict(0, 9, 0);
         assert!(p.fallback);
-        assert_eq!(p.latency, 64 - PredictorFabric::OVERLAP_WINDOW);
+        assert_eq!(
+            p.latency,
+            PredictorFabric::PREDICTION_DEADLINE - PredictorFabric::OVERLAP_WINDOW
+        );
         assert_eq!(f.counters().dropped_predictions, 0, "nothing was lost");
         assert_eq!(f.counters().fallback_decisions, 1);
     }
 
     #[test]
+    fn healthy_slow_lookup_is_waited_out() {
+        // The same 100-cycle link without injected faults: the deadline
+        // does not apply, so the lookup's full latency is exposed.
+        let mut f = fabric(PredictorOrg::GlobalPerCore, FabricKind::Fixed(100));
+        let p = f.predict(0, 9, 0);
+        assert!(!p.fallback);
+        assert_eq!(p.latency, 100 - PredictorFabric::OVERLAP_WINDOW);
+        assert_eq!(f.counters().fallback_decisions, 0);
+    }
+
+    #[test]
     fn dropped_training_retries_then_gives_up() {
-        let mut f = faulty_fabric(100.0, 64);
+        let mut f = faulty_fabric(100.0);
         let t = f.train(0, 9, 0);
         assert!(!t.delivered, "100% drops exhaust every retry");
         assert!(t.latency > 0, "retries and backoff must cost cycles");
         let c = *f.counters();
-        assert_eq!(c.retried_trainings, 2);
+        assert_eq!(
+            c.retried_trainings,
+            u64::from(PredictorFabric::TRAIN_RETRIES)
+        );
         assert_eq!(c.dropped_trainings, 1);
 
         // At a moderate rate most trainings eventually land.
-        let mut f = faulty_fabric(30.0, 64);
+        let mut f = faulty_fabric(30.0);
         let delivered = (0..500u64)
             .filter(|&i| f.train(0, 9, i * 10).delivered)
             .count();
@@ -734,7 +677,7 @@ mod tests {
     #[test]
     fn fault_counters_are_deterministic() {
         let run = || {
-            let mut f = faulty_fabric(25.0, 64);
+            let mut f = faulty_fabric(25.0);
             for i in 0..400u64 {
                 f.train((i % 32) as usize, ((i * 3) % 32) as usize, i);
                 f.predict((i % 32) as usize, ((i * 7) % 32) as usize, i);

@@ -31,7 +31,10 @@
 //!
 //! [`budget`] reproduces the paper's per-core storage accounting (Table 3)
 //! and [`config`] bundles everything into named configurations
-//! (`baseline`, `drishti`, ablations).
+//! (`baseline`, `drishti`, ablations). Under the injected uncore faults of
+//! [`drishti_noc::faults`] the predictor fabric degrades gracefully: lost
+//! lookups fall back to a static insertion and lost trainings are retried
+//! a bounded number of times ([`fabric`]).
 //!
 //! # Example
 //!
@@ -48,6 +51,5 @@ pub mod budget;
 pub mod config;
 pub mod dsc;
 pub mod fabric;
-pub mod faults;
 pub mod org;
 pub mod select;

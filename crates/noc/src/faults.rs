@@ -21,8 +21,8 @@
 //! [`FaultConfig`] produce bit-identical fault streams, and the fault
 //! domains (mesh vs. NOCSTAR vs. DRAM) are decorrelated. A configuration
 //! for which [`FaultConfig::is_noop`] holds builds **no** schedule at all
-//! ([`FaultSchedule::for_domain`] returns `None`), so the zero-rate path
-//! is bit-identical to a build without fault injection.
+//! ([`FaultSchedule::for_domain`] returns `None`), so a zero-rate run
+//! draws no decision and is bit-identical to a fault-free one.
 
 /// Which uncore component a schedule is attached to. Each domain derives
 /// an independent decision stream from the shared seed.
@@ -179,6 +179,12 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Retransmissions before a packet that cannot be lost is force-delivered.
+/// Demand traffic carries cache lines, so after this many timeouts the
+/// packet goes through regardless: latency stays bounded and the system
+/// makes forward progress even at a 100% injected drop rate.
+pub(crate) const MAX_RETRANSMITS: u64 = 8;
+
 /// One domain's deterministic fault stream.
 ///
 /// The per-message counter makes repeated messages with identical
@@ -193,7 +199,7 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// Build the schedule for `domain`, or `None` when `cfg` injects
-    /// nothing (keeping the healthy fast path untouched).
+    /// nothing.
     pub fn for_domain(cfg: &FaultConfig, domain: FaultDomain) -> Option<FaultSchedule> {
         if cfg.is_noop() {
             return None;
@@ -266,6 +272,39 @@ impl FaultSchedule {
         } else {
             None
         }
+    }
+
+    /// Bounded retransmission of one demand packet from `from` to `to` at
+    /// `cycle`: the packet stalls behind an outage of `from`'s outgoing
+    /// link, each drop costs `timeout` cycles before the resend (at most
+    /// [`MAX_RETRANSMITS`] of them) and the attempt that gets through gains
+    /// its jitter. Charges the drops, retries and extra cycles to `stats`
+    /// and returns the extra cycles; the caller routes the packet that
+    /// much later and adds them to its latency.
+    pub(crate) fn retransmit(
+        &mut self,
+        from: usize,
+        to: usize,
+        cycle: u64,
+        timeout: u64,
+        stats: &mut crate::NocStats,
+    ) -> u64 {
+        let mut extra = self.link_outage_wait(from, cycle).unwrap_or(0);
+        let mut drops = 0u64;
+        loop {
+            let d = self.decide(from, to, cycle + extra);
+            if !d.dropped || drops >= MAX_RETRANSMITS {
+                extra += d.jitter;
+                break;
+            }
+            drops += 1;
+            extra += timeout;
+        }
+        stats.dropped += drops;
+        stats.retries += drops;
+        stats.fault_delay_cycles += extra;
+        stats.total_latency += extra;
+        extra
     }
 
     /// Whether DRAM `channel` is inside an outage window at `cycle`.

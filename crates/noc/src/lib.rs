@@ -23,7 +23,12 @@
 //!   PC-scattering the paper studies.
 //! * [`link::PredictorLink`] — the abstraction the replacement policies use
 //!   to reach a (possibly remote) reuse predictor, with implementations for
-//!   local (zero-cost), mesh-routed, NOCSTAR, and fixed-latency links.
+//!   local (zero-cost), mesh-routed, NOCSTAR, and fixed-latency links. Each
+//!   has one fault-aware delivery method and one constructor taking a
+//!   [`faults::FaultConfig`].
+//! * [`topology::ChipTopology`] — per-chip meshes joined by serializing
+//!   inter-chip links; its `ChipGrid` is the one chip-major geometry,
+//!   shared with [`link::HierarchicalLink`].
 //! * [`backlog::Backlog`] — the leaky-bucket queue model every contended
 //!   resource shares: mesh and inter-chip links here, DRAM banks and buses
 //!   in `drishti-mem`.
@@ -53,12 +58,12 @@ pub mod topology;
 /// one LLC slice and — with Drishti — that core's reuse predictor).
 pub type NodeId = usize;
 
-/// Outcome of sending one message over a fault-aware fabric.
+/// Outcome of sending one message over a predictor link.
 ///
-/// The healthy path always delivers; under an active [`faults::FaultSchedule`]
-/// a message may instead be lost, in which case `latency` is the number of
-/// cycles the sender spends before it can observe the loss (the fabric's
-/// base delivery latency plus any stall already paid).
+/// Without an active [`faults::FaultSchedule`] every message is delivered;
+/// with one a message may instead be lost, in which case `latency` is the
+/// number of cycles the sender spends before it can observe the loss (the
+/// fabric's base delivery latency plus any stall already paid).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     /// Cycles until delivery (or until the loss is observable).

@@ -98,12 +98,6 @@ pub struct Mesh {
     faults: Option<FaultSchedule>,
 }
 
-/// Retransmission attempts before a faulty mesh force-delivers a packet.
-/// Demand traffic carries cache lines and cannot be lost, so after this
-/// many timeouts the packet goes through regardless — this bounds latency
-/// and guarantees forward progress even at a 100% injected drop rate.
-const MAX_RETRANSMITS: u64 = 8;
-
 /// Fixed turnaround between a retransmission timeout and the resend.
 const RETRANSMIT_GAP: u64 = 4;
 
@@ -168,37 +162,18 @@ impl Mesh {
     /// latency jitter, or be dropped in flight. Demand packets carry cache
     /// lines and cannot be lost, so a drop triggers a retransmission: the
     /// sender waits one zero-load round plus a fixed turnaround, then
-    /// resends (bounded by `MAX_RETRANSMITS`, after which the packet is
-    /// force-delivered so the system always makes forward progress).
+    /// resends (`FaultSchedule::retransmit`, shared with the inter-chip links).
     pub fn traverse(&mut self, from: NodeId, to: NodeId, cycle: u64, flits: u32) -> u64 {
         if from == to || self.faults.is_none() {
             return self.route_once(from, to, cycle, flits);
         }
         let timeout = self.zero_load_latency(self.hops(from, to), flits) + RETRANSMIT_GAP;
-        let (extra, drops) = {
-            let sched = self.faults.as_mut().expect("checked above");
-            let mut extra = sched.link_outage_wait(from, cycle).unwrap_or(0);
-            let mut drops = 0u64;
-            loop {
-                let d = sched.decide(from, to, cycle + extra);
-                if !d.dropped || drops >= MAX_RETRANSMITS {
-                    extra += d.jitter;
-                    break;
-                }
-                drops += 1;
-                extra += timeout;
-            }
-            (extra, drops)
-        };
-        let lat = self.route_once(from, to, cycle + extra, flits) + extra;
-        self.stats.dropped += drops;
-        self.stats.retries += drops;
-        self.stats.fault_delay_cycles += extra;
-        self.stats.total_latency += extra;
-        lat
+        let sched = self.faults.as_mut().expect("checked above");
+        let extra = sched.retransmit(from, to, cycle, timeout, &mut self.stats);
+        self.route_once(from, to, cycle + extra, flits) + extra
     }
 
-    /// One healthy routing attempt (the pre-fault-injection `traverse`).
+    /// One routing attempt: the XY walk, occupying each link in order.
     fn route_once(&mut self, from: NodeId, to: NodeId, cycle: u64, flits: u32) -> u64 {
         let hops = self.hops(from, to);
         self.stats.messages += 1;
@@ -288,6 +263,7 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::MAX_RETRANSMITS;
 
     #[test]
     fn for_nodes_produces_expected_shapes() {

@@ -10,7 +10,7 @@
 //!
 //! We model exactly the properties the paper relies on:
 //!
-//! * fixed low base latency (3 cycles by default, 1 cycle for same-tile);
+//! * fixed low base latency (3 cycles, 1 cycle for same-tile);
 //! * two dedicated links (request path and response/fill path) so the two
 //!   directions never contend with each other;
 //! * per-destination arbitration — concurrent messages to the *same*
@@ -19,42 +19,33 @@
 //! * 50 pJ of dynamic energy per communication (20 pJ link + 10 pJ switch +
 //!   20 pJ control wires, paper §4.1.4).
 
-use crate::faults::{FaultConfig, FaultDomain, FaultSchedule};
+use crate::faults::{FaultConfig, FaultDecision, FaultDomain, FaultSchedule};
+use crate::link::PredictorLink;
 use crate::snap::SnapError;
 use crate::{Delivery, NocStats, NodeId};
 
-/// Which of NOCSTAR's two dedicated links a message uses.
+/// Which leg of a predictor access a message travels.
 ///
-/// The paper provisions one link for the request (training/lookup) path and
-/// one for the response (fill) path so they can proceed concurrently.
+/// The paper provisions NOCSTAR with one link for the request
+/// (training/lookup) path and one for the response (fill) path so they can
+/// proceed concurrently. Only [`Nocstar`] acts on the leg; every other
+/// [`PredictorLink`] carries both legs alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NocstarPath {
     /// Slice → predictor (training updates, prediction lookups).
-    Request,
+    Request = 0,
     /// Predictor → slice (prediction responses on the fill path).
-    Response,
+    Response = 1,
 }
 
-/// Configuration for [`Nocstar`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NocstarConfig {
-    /// Base slice-to-predictor latency in cycles (paper: 3).
-    pub base_latency: u64,
-    /// Latency when source and destination share a tile.
-    pub local_latency: u64,
-    /// Dynamic energy per communication, picojoules (paper: 50).
-    pub energy_per_message_pj: u64,
-}
+/// Base slice-to-predictor latency in cycles (paper: 3).
+pub const BASE_LATENCY: u64 = 3;
 
-impl Default for NocstarConfig {
-    fn default() -> Self {
-        NocstarConfig {
-            base_latency: 3,
-            local_latency: 1,
-            energy_per_message_pj: 50,
-        }
-    }
-}
+/// Latency when source and destination share a tile.
+pub const LOCAL_LATENCY: u64 = 1;
+
+/// Dynamic energy per communication, picojoules (paper: 50).
+pub const ENERGY_PER_MESSAGE_PJ: u64 = 50;
 
 /// Per-arbiter contention state: the latest timestamp the arbiter has
 /// seen (`horizon`) and the earliest cycle at which the circuit is free
@@ -100,90 +91,44 @@ impl Arbiter {
 /// The NOCSTAR side-band interconnect model.
 #[derive(Debug, Clone)]
 pub struct Nocstar {
-    cfg: NocstarConfig,
     /// Per-(path, destination) arbiter backlog.
     arbiters: [Vec<Arbiter>; 2],
     stats: NocStats,
-    /// Injected-fault stream (`None` on the healthy fast path).
+    /// Injected-fault stream (`None` unless `faults` injects something).
     faults: Option<FaultSchedule>,
 }
 
 impl Nocstar {
-    /// Create a NOCSTAR fabric connecting `nodes` tiles.
-    pub fn new(nodes: usize, cfg: NocstarConfig) -> Self {
+    /// Create a NOCSTAR fabric connecting `nodes` tiles, subject to
+    /// `faults` (a no-op configuration builds no fault schedule).
+    pub fn new(nodes: usize, faults: &FaultConfig) -> Self {
         Nocstar {
-            cfg,
             arbiters: [
                 vec![Arbiter::default(); nodes],
                 vec![Arbiter::default(); nodes],
             ],
             stats: NocStats::default(),
-            faults: None,
+            faults: FaultSchedule::for_domain(faults, FaultDomain::Nocstar),
         }
     }
+}
 
-    /// Create a fabric with the paper's default parameters.
-    pub fn with_defaults(nodes: usize) -> Self {
-        Nocstar::new(nodes, NocstarConfig::default())
-    }
-
-    /// Create a fault-aware fabric. With a no-op `faults` configuration
-    /// this is bit-identical to [`Nocstar::new`].
-    pub fn with_faults(nodes: usize, cfg: NocstarConfig, faults: &FaultConfig) -> Self {
-        let mut n = Nocstar::new(nodes, cfg);
-        n.faults = FaultSchedule::for_domain(faults, FaultDomain::Nocstar);
-        n
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &NocstarConfig {
-        &self.cfg
-    }
-
-    /// Send one message from tile `from` to tile `to` on `path` at `cycle`.
-    /// Returns the delivery latency in cycles.
+impl PredictorLink for Nocstar {
+    /// Send one message from tile `from` to tile `to` on `leg` at `cycle`.
+    /// Under injected faults it may stall behind a transient outage of its
+    /// arbiter, gain uniform latency jitter, or be dropped outright; a drop
+    /// still burns the message's energy, and its reported latency is how
+    /// long the sender waits before the loss is observable.
     ///
     /// # Panics
     ///
     /// Panics if `to` is not a valid tile for this fabric.
-    pub fn access(&mut self, from: NodeId, to: NodeId, path: NocstarPath, cycle: u64) -> u64 {
-        let lane = match path {
-            NocstarPath::Request => 0,
-            NocstarPath::Response => 1,
-        };
-        assert!(to < self.arbiters[lane].len(), "tile {to} out of range");
-        self.stats.messages += 1;
-        self.stats.flits += 1;
-        self.stats.energy_pj += self.cfg.energy_per_message_pj;
-
-        if from == to {
-            self.stats.total_latency += self.cfg.local_latency;
-            return self.cfg.local_latency;
-        }
-
-        // Circuit held for one cycle per message once granted.
-        let wait = self.arbiters[lane][to].occupy(cycle);
-        let lat = wait + self.cfg.base_latency;
-        self.stats.total_latency += lat;
-        self.stats.contention_cycles += wait;
-        self.stats.hop_traversals += 1; // as few as one hop if no contention
-        lat
-    }
-
-    /// Send one message subject to injected faults. On the healthy path
-    /// (no schedule) this is exactly [`Nocstar::access`]. Under faults a
-    /// message may stall behind a transient link outage, gain uniform
-    /// latency jitter, or be dropped outright — a drop still burns the
-    /// message's energy and arbitration slot, and its reported latency is
-    /// how long the sender waits before the loss is observable.
-    pub fn send(&mut self, from: NodeId, to: NodeId, path: NocstarPath, cycle: u64) -> Delivery {
-        let lane = match path {
-            NocstarPath::Request => 0,
-            NocstarPath::Response => 1,
-        };
-        let nodes = self.arbiters[0].len();
+    fn send(&mut self, from: NodeId, to: NodeId, leg: NocstarPath, cycle: u64) -> Delivery {
+        let lane = leg as usize;
+        let nodes = self.arbiters[lane].len();
+        assert!(to < nodes, "tile {to} out of range");
         let (outage, decision) = match self.faults.as_mut() {
-            None => return Delivery::delivered(self.access(from, to, path, cycle)),
+            None => (0, FaultDecision::CLEAN),
             Some(sched) => (
                 sched
                     .link_outage_wait(lane * nodes + to, cycle)
@@ -191,48 +136,56 @@ impl Nocstar {
                 sched.decide(from, to, cycle),
             ),
         };
+        self.stats.messages += 1;
+        self.stats.flits += 1;
+        self.stats.energy_pj += ENERGY_PER_MESSAGE_PJ;
         if decision.dropped {
             // The circuit was set up and the message launched before the
             // loss: account the attempt, then report the loss.
-            self.stats.messages += 1;
-            self.stats.flits += 1;
-            self.stats.energy_pj += self.cfg.energy_per_message_pj;
             self.stats.dropped += 1;
             self.stats.fault_delay_cycles += outage;
             return Delivery {
-                latency: outage + self.cfg.base_latency,
+                latency: outage + BASE_LATENCY,
                 dropped: true,
             };
         }
         let extra = outage + decision.jitter;
-        let lat = self.access(from, to, path, cycle + extra) + extra;
-        self.stats.total_latency += extra;
+        let lat = if from == to {
+            LOCAL_LATENCY
+        } else {
+            // Circuit held for one cycle per message once granted.
+            let wait = self.arbiters[lane][to].occupy(cycle + extra);
+            self.stats.contention_cycles += wait;
+            self.stats.hop_traversals += 1; // as few as one hop if no contention
+            wait + BASE_LATENCY
+        } + extra;
+        self.stats.total_latency += lat;
         self.stats.fault_delay_cycles += extra;
         Delivery::delivered(lat)
     }
 
-    /// Traffic/energy statistics accumulated so far.
-    pub fn stats(&self) -> &NocStats {
-        &self.stats
+    fn stats(&self) -> NocStats {
+        self.stats
     }
 
-    /// Reset statistics, keeping arbiter state.
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         self.stats = NocStats::default();
+    }
+
+    fn name(&self) -> &'static str {
+        "nocstar"
     }
 
     /// Serialise the fabric's mutable run-state (arbiter backlogs, stats,
     /// fault cursor); configuration is rebuilt on restore, not written.
-    pub fn save_state(&self, w: &mut crate::snap::StateWriter) {
+    fn save_state(&self, w: &mut crate::snap::StateWriter) {
         use crate::snap::Persist;
         self.arbiters.save(w);
         self.stats.save(w);
         crate::faults::save_fault_cursor(&self.faults, w);
     }
 
-    /// Restore state saved by [`Nocstar::save_state`] into an
-    /// identically-configured fabric.
-    pub fn load_state(&mut self, r: &mut crate::snap::StateReader<'_>) -> Result<(), SnapError> {
+    fn load_state(&mut self, r: &mut crate::snap::StateReader<'_>) -> Result<(), SnapError> {
         use crate::snap::Persist;
         self.arbiters.load(r)?;
         self.stats.load(r)?;
@@ -244,23 +197,27 @@ impl Nocstar {
 mod tests {
     use super::*;
 
+    fn healthy(nodes: usize) -> Nocstar {
+        Nocstar::new(nodes, &FaultConfig::none())
+    }
+
     #[test]
     fn base_latency_is_three_cycles() {
-        let mut n = Nocstar::with_defaults(32);
-        assert_eq!(n.access(0, 31, NocstarPath::Request, 100), 3);
+        let mut n = healthy(32);
+        assert_eq!(n.send(0, 31, NocstarPath::Request, 100).latency, 3);
     }
 
     #[test]
     fn local_access_is_cheaper() {
-        let mut n = Nocstar::with_defaults(32);
-        assert_eq!(n.access(7, 7, NocstarPath::Request, 0), 1);
+        let mut n = healthy(32);
+        assert_eq!(n.send(7, 7, NocstarPath::Request, 0).latency, 1);
     }
 
     #[test]
     fn same_destination_serializes() {
-        let mut n = Nocstar::with_defaults(32);
-        let a = n.access(0, 5, NocstarPath::Request, 10);
-        let b = n.access(1, 5, NocstarPath::Request, 10);
+        let mut n = healthy(32);
+        let a = n.send(0, 5, NocstarPath::Request, 10).latency;
+        let b = n.send(1, 5, NocstarPath::Request, 10).latency;
         assert_eq!(a, 3);
         assert_eq!(b, 4, "second message waits one arbitration slot");
         assert_eq!(n.stats().contention_cycles, 1);
@@ -268,32 +225,32 @@ mod tests {
 
     #[test]
     fn different_destinations_do_not_contend() {
-        let mut n = Nocstar::with_defaults(32);
-        assert_eq!(n.access(0, 5, NocstarPath::Request, 10), 3);
-        assert_eq!(n.access(1, 6, NocstarPath::Request, 10), 3);
+        let mut n = healthy(32);
+        assert_eq!(n.send(0, 5, NocstarPath::Request, 10).latency, 3);
+        assert_eq!(n.send(1, 6, NocstarPath::Request, 10).latency, 3);
     }
 
     #[test]
     fn request_and_response_paths_are_independent() {
-        let mut n = Nocstar::with_defaults(32);
-        assert_eq!(n.access(0, 5, NocstarPath::Request, 10), 3);
-        assert_eq!(n.access(5, 0, NocstarPath::Response, 10), 3);
-        assert_eq!(n.access(9, 5, NocstarPath::Response, 10), 3);
+        let mut n = healthy(32);
+        assert_eq!(n.send(0, 5, NocstarPath::Request, 10).latency, 3);
+        assert_eq!(n.send(5, 0, NocstarPath::Response, 10).latency, 3);
+        assert_eq!(n.send(9, 5, NocstarPath::Response, 10).latency, 3);
     }
 
     #[test]
     fn energy_is_fifty_pj_per_message() {
-        let mut n = Nocstar::with_defaults(4);
-        n.access(0, 1, NocstarPath::Request, 0);
-        n.access(2, 3, NocstarPath::Response, 0);
+        let mut n = healthy(4);
+        n.send(0, 1, NocstarPath::Request, 0);
+        n.send(2, 3, NocstarPath::Response, 0);
         assert_eq!(n.stats().energy_pj, 100);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_destination_panics() {
-        let mut n = Nocstar::with_defaults(4);
-        n.access(0, 9, NocstarPath::Request, 0);
+        let mut n = healthy(4);
+        n.send(0, 9, NocstarPath::Request, 0);
     }
 
     #[test]
@@ -360,21 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn send_without_faults_matches_access() {
-        let mut plain = Nocstar::with_defaults(16);
-        let mut faulty = Nocstar::with_faults(16, NocstarConfig::default(), &FaultConfig::none());
-        for i in 0..100usize {
-            let d = faulty.send(i % 16, (i * 7) % 16, NocstarPath::Request, i as u64);
-            assert!(!d.dropped);
-            assert_eq!(
-                d.latency,
-                plain.access(i % 16, (i * 7) % 16, NocstarPath::Request, i as u64)
-            );
-        }
-        assert_eq!(plain.stats(), faulty.stats());
-    }
-
-    #[test]
     fn send_drops_and_jitters_deterministically() {
         let cfg = FaultConfig {
             seed: 3,
@@ -383,7 +325,7 @@ mod tests {
             ..FaultConfig::none()
         };
         let run = |cfg: &FaultConfig| {
-            let mut n = Nocstar::with_faults(8, NocstarConfig::default(), cfg);
+            let mut n = Nocstar::new(8, cfg);
             let out: Vec<Delivery> = (0..400u64)
                 .map(|t| {
                     n.send(
@@ -394,7 +336,7 @@ mod tests {
                     )
                 })
                 .collect();
-            (out, *n.stats())
+            (out, n.stats())
         };
         let (a, sa) = run(&cfg);
         let (b, sb) = run(&cfg);

@@ -101,64 +101,6 @@ impl SliceHasher for XorFoldHash {
     }
 }
 
-/// Global slice numbering for a multi-chip system: `chips` chips, each
-/// holding `slices_per_chip` LLC slices, numbered chip-major (global slice
-/// `g` lives on chip `g / slices_per_chip` as local slice
-/// `g % slices_per_chip`).
-///
-/// Address-to-(chip, slice) steering composes with any [`SliceHasher`]:
-/// the hash is evaluated at the *total* slice count, then split. With one
-/// chip this degenerates to the flat numbering (chip 0, local = global).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GlobalSliceMap {
-    /// Number of chips.
-    pub chips: usize,
-    /// LLC slices per chip.
-    pub slices_per_chip: usize,
-}
-
-impl GlobalSliceMap {
-    /// A map for `total` slices spread over `chips` chips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips` is zero or does not divide `total`.
-    pub fn new(chips: usize, total: usize) -> Self {
-        assert!(chips > 0, "need at least one chip");
-        assert!(
-            total > 0 && total.is_multiple_of(chips),
-            "chips ({chips}) must divide the total slice count ({total})"
-        );
-        GlobalSliceMap {
-            chips,
-            slices_per_chip: total / chips,
-        }
-    }
-
-    /// Total slices across all chips.
-    pub fn total(&self) -> usize {
-        self.chips * self.slices_per_chip
-    }
-
-    /// `(chip, local slice)` of a global slice index.
-    pub fn split(&self, global: usize) -> (usize, usize) {
-        debug_assert!(global < self.total());
-        (global / self.slices_per_chip, global % self.slices_per_chip)
-    }
-
-    /// Global slice index of `(chip, local slice)`.
-    pub fn join(&self, chip: usize, local: usize) -> usize {
-        debug_assert!(chip < self.chips && local < self.slices_per_chip);
-        chip * self.slices_per_chip + local
-    }
-
-    /// `(chip, local slice)` serving `line_addr` under hasher `h` — the
-    /// hash at the total slice count, split chip-major.
-    pub fn locate<H: SliceHasher + ?Sized>(&self, h: &H, line_addr: u64) -> (usize, usize) {
-        self.split(h.slice_of(line_addr, self.total()))
-    }
-}
-
 /// Trivial low-order-bits slice selection (`line_addr % n_slices`).
 ///
 /// Used as a test contrast: it keeps strided streams on one slice, which is
@@ -407,59 +349,5 @@ mod tests {
             touched.insert(h.slice_of(i * 1024, n));
         }
         assert!(touched.len() >= n / 2, "stride collapsed to {touched:?}");
-    }
-
-    #[test]
-    fn global_slice_map_round_trips_and_composes() {
-        let h = XorFoldHash::new();
-        for (chips, total) in [(1usize, 8usize), (2, 16), (4, 24), (3, 48)] {
-            let map = GlobalSliceMap::new(chips, total);
-            assert_eq!(map.total(), total);
-            for g in 0..total {
-                let (chip, local) = map.split(g);
-                assert!(chip < chips && local < map.slices_per_chip);
-                assert_eq!(map.join(chip, local), g);
-            }
-            for a in 0..4096u64 {
-                let (chip, local) = map.locate(&h, a * 97 + 13);
-                assert_eq!(
-                    map.join(chip, local),
-                    h.slice_of(a * 97 + 13, total),
-                    "locate must be the hash at the total count, split chip-major"
-                );
-            }
-        }
-        // One chip degenerates to the flat numbering.
-        let flat = GlobalSliceMap::new(1, 16);
-        for g in 0..16 {
-            assert_eq!(flat.split(g), (0, g));
-        }
-    }
-
-    #[test]
-    fn global_slice_map_is_per_chip_uniform() {
-        // Steering at the total count then splitting chip-major must keep
-        // every chip (and every slice within a chip) within ±1 of uniform
-        // over an exhaustive window — the property the scaling study rests
-        // on (no chip is hot merely because of the hash).
-        let h = XorFoldHash::new();
-        let map = GlobalSliceMap::new(4, 24);
-        let mut per_chip = [0i64; 4];
-        for a in 0..(1u64 << 16) {
-            per_chip[map.locate(&h, a).0] += 1;
-        }
-        let share = (1i64 << 16) / 4;
-        for (c, &got) in per_chip.iter().enumerate() {
-            assert!(
-                (got - share).abs() <= 6,
-                "chip {c} got {got} of 2^16 addresses (share {share})"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn global_slice_map_rejects_indivisible_totals() {
-        let _ = GlobalSliceMap::new(3, 16);
     }
 }

@@ -15,8 +15,9 @@
 //! mesh to the chip's I/O gateway (local tile 0), crosses the chip grid in
 //! XY order over the inter-chip links, and rides the destination mesh from
 //! that chip's gateway to the target tile. Global tile numbering is
-//! chip-major (`global = chip * nodes_per_chip + local`), matching
-//! [`crate::slicehash::GlobalSliceMap`].
+//! chip-major (`global = chip * nodes_per_chip + local`); `ChipGrid` is
+//! that geometry, shared with the predictor fabric's
+//! [`crate::link::HierarchicalLink`].
 //!
 //! **Degenerate contract.** With `chips == 1` every method delegates to the
 //! single inner [`Mesh`] — traversal latencies, statistics, per-link flit
@@ -52,6 +53,16 @@ impl Default for ChipLinkConfig {
             serialization: 4,
             energy_per_flit_pj: 200,
         }
+    }
+}
+
+impl ChipLinkConfig {
+    /// Zero-contention latency of an inter-chip segment of `chip_hops`
+    /// hops: per-hop head latency plus the serialization tail of the whole
+    /// `flits`-flit packet.
+    pub fn zero_load(&self, chip_hops: u32, flits: u32) -> u64 {
+        self.latency * u64::from(chip_hops)
+            + (u64::from(flits) * self.serialization).saturating_sub(1)
     }
 }
 
@@ -118,21 +129,78 @@ impl Default for TopologyConfig {
 /// enters and leaves the on-chip mesh).
 pub const GATEWAY_TILE: NodeId = 0;
 
-/// Retransmission bound for dropped inter-chip packets (demand traffic
-/// carries cache lines and is force-delivered after this many timeouts).
-const MAX_RETRANSMITS: u64 = 8;
-
 /// Turnaround between an inter-chip retransmission timeout and the resend.
 const RETRANSMIT_GAP: u64 = 8;
+
+/// Chip-major geometry of a multi-chip system: global tile `g` is local
+/// tile `g % nodes_per_chip` of chip `g / nodes_per_chip`, and the chips
+/// sit on a 2-D grid of the same squarest factorization as the on-chip
+/// mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ChipGrid {
+    nodes_per_chip: usize,
+    width: usize,
+    height: usize,
+}
+
+impl ChipGrid {
+    /// `total_nodes` tiles split over `chips` chips.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chips` is zero or does not divide `total_nodes`.
+    pub fn new(chips: usize, total_nodes: usize) -> Self {
+        assert!(
+            chips > 0 && total_nodes.is_multiple_of(chips),
+            "chips ({chips}) must divide the tile count ({total_nodes})"
+        );
+        let grid = MeshConfig::for_nodes(chips);
+        ChipGrid {
+            nodes_per_chip: total_nodes / chips,
+            width: grid.width,
+            height: grid.height,
+        }
+    }
+
+    /// Number of chips.
+    pub fn chips(&self) -> usize {
+        self.width * self.height
+    }
+
+    /// Tiles per chip.
+    pub fn nodes_per_chip(&self) -> usize {
+        self.nodes_per_chip
+    }
+
+    /// The chip a global tile lives on.
+    pub fn chip_of(&self, node: NodeId) -> usize {
+        node / self.nodes_per_chip
+    }
+
+    /// Global tile id of `chip`'s I/O gateway ([`GATEWAY_TILE`]).
+    pub fn gateway(&self, chip: usize) -> NodeId {
+        chip * self.nodes_per_chip + GATEWAY_TILE
+    }
+
+    /// `(x, y)` of `chip` on the chip grid.
+    fn coords(&self, chip: usize) -> (usize, usize) {
+        debug_assert!(chip < self.chips());
+        (chip % self.width, chip / self.width)
+    }
+
+    /// Manhattan hop count between two chips on the chip grid.
+    pub fn chip_hops(&self, a: usize, b: usize) -> u32 {
+        let (ax, ay) = self.coords(a);
+        let (bx, by) = self.coords(b);
+        (ax.abs_diff(bx) + ay.abs_diff(by)) as u32
+    }
+}
 
 /// N per-chip meshes joined by serializing inter-chip links.
 #[derive(Debug, Clone)]
 pub struct ChipTopology {
     cfg: TopologyConfig,
-    /// Chip grid shape (squarest factorization, like the on-chip mesh).
-    grid_w: usize,
-    grid_h: usize,
-    nodes_per_chip: usize,
+    grid: ChipGrid,
     meshes: Vec<Mesh>,
     /// Outgoing inter-chip link backlog per chip and direction (E, W, N,
     /// S), flattened as `chip * 4 + direction`; each flit holds a link for
@@ -166,14 +234,11 @@ impl ChipTopology {
         if let Err(msg) = cfg.validate(total_nodes) {
             panic!("invalid topology: {msg}");
         }
-        let nodes_per_chip = total_nodes / cfg.chips;
-        let grid = MeshConfig::for_nodes(cfg.chips);
+        let grid = ChipGrid::new(cfg.chips, total_nodes);
         ChipTopology {
-            grid_w: grid.width,
-            grid_h: grid.height,
-            nodes_per_chip,
+            grid,
             meshes: (0..cfg.chips)
-                .map(|_| Mesh::with_faults(MeshConfig::for_nodes(nodes_per_chip), faults))
+                .map(|_| Mesh::with_faults(MeshConfig::for_nodes(grid.nodes_per_chip()), faults))
                 .collect(),
             links: vec![[LinkLoad::default(); 4]; cfg.chips],
             stats: NocStats::default(),
@@ -191,51 +256,6 @@ impl ChipTopology {
         &self.cfg
     }
 
-    /// Number of chips.
-    pub fn chips(&self) -> usize {
-        self.cfg.chips
-    }
-
-    /// Tiles per chip.
-    pub fn nodes_per_chip(&self) -> usize {
-        self.nodes_per_chip
-    }
-
-    /// Total tiles across all chips.
-    pub fn nodes(&self) -> usize {
-        self.nodes_per_chip * self.cfg.chips
-    }
-
-    /// `(width, height)` of the chip grid.
-    pub fn chip_grid(&self) -> (usize, usize) {
-        (self.grid_w, self.grid_h)
-    }
-
-    /// The chip a global tile lives on.
-    pub fn chip_of(&self, node: NodeId) -> usize {
-        node / self.nodes_per_chip
-    }
-
-    /// `(x, y)` of `chip` on the chip grid.
-    fn chip_coords(&self, chip: usize) -> (usize, usize) {
-        debug_assert!(chip < self.cfg.chips);
-        (chip % self.grid_w, chip / self.grid_w)
-    }
-
-    /// Manhattan hop count between two chips on the chip grid.
-    pub fn chip_hops(&self, a: usize, b: usize) -> u32 {
-        let (ax, ay) = self.chip_coords(a);
-        let (bx, by) = self.chip_coords(b);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u32
-    }
-
-    /// Zero-contention latency of the inter-chip segment alone: per-hop
-    /// head latency plus the serialization tail of the whole packet.
-    pub fn zero_load_cross(&self, chip_hops: u32, flits: u32) -> u64 {
-        self.cfg.link.latency * u64::from(chip_hops)
-            + (u64::from(flits) * self.cfg.link.serialization).saturating_sub(1)
-    }
-
     /// Route one `flits`-flit packet between global tiles, starting at
     /// `cycle`; returns the end-to-end latency. Same-chip traffic is the
     /// inner mesh's [`Mesh::traverse`], unchanged. Cross-chip traffic pays
@@ -243,8 +263,9 @@ impl ChipTopology {
     /// serializing links (with contention, energy, faults), destination
     /// mesh from the gateway.
     pub fn traverse(&mut self, from: NodeId, to: NodeId, cycle: u64, flits: u32) -> u64 {
-        let (ca, la) = (from / self.nodes_per_chip, from % self.nodes_per_chip);
-        let (cb, lb) = (to / self.nodes_per_chip, to % self.nodes_per_chip);
+        let npc = self.grid.nodes_per_chip;
+        let (ca, la) = (from / npc, from % npc);
+        let (cb, lb) = (to / npc, to % npc);
         if ca == cb {
             return self.meshes[ca].traverse(la, lb, cycle, flits);
         }
@@ -260,38 +281,21 @@ impl ChipTopology {
     /// bounded retransmission — mirroring the mesh's demand-traffic
     /// contract: cache lines cannot be lost, so drops cost time).
     fn cross(&mut self, from_chip: usize, to_chip: usize, cycle: u64, flits: u32) -> u64 {
-        if self.faults.is_none() {
-            return self.cross_once(from_chip, to_chip, cycle, flits);
-        }
-        let timeout =
-            self.zero_load_cross(self.chip_hops(from_chip, to_chip), flits) + RETRANSMIT_GAP;
-        let (extra, drops) = {
-            let sched = self.faults.as_mut().expect("checked above");
-            let mut extra = sched.link_outage_wait(from_chip, cycle).unwrap_or(0);
-            let mut drops = 0u64;
-            loop {
-                let d = sched.decide(from_chip, to_chip, cycle + extra);
-                if !d.dropped || drops >= MAX_RETRANSMITS {
-                    extra += d.jitter;
-                    break;
-                }
-                drops += 1;
-                extra += timeout;
+        let extra = match self.faults.as_mut() {
+            None => 0,
+            Some(sched) => {
+                let hops = self.grid.chip_hops(from_chip, to_chip);
+                let timeout = self.cfg.link.zero_load(hops, flits) + RETRANSMIT_GAP;
+                sched.retransmit(from_chip, to_chip, cycle, timeout, &mut self.stats)
             }
-            (extra, drops)
         };
-        let lat = self.cross_once(from_chip, to_chip, cycle + extra, flits) + extra;
-        self.stats.dropped += drops;
-        self.stats.retries += drops;
-        self.stats.fault_delay_cycles += extra;
-        self.stats.total_latency += extra;
-        lat
+        self.cross_once(from_chip, to_chip, cycle + extra, flits) + extra
     }
 
-    /// One healthy inter-chip crossing: XY walk over the chip grid,
-    /// occupying each directed link in order.
+    /// One inter-chip crossing: XY walk over the chip grid, occupying each
+    /// directed link in order.
     fn cross_once(&mut self, from_chip: usize, to_chip: usize, cycle: u64, flits: u32) -> u64 {
-        let hops = self.chip_hops(from_chip, to_chip);
+        let hops = self.grid.chip_hops(from_chip, to_chip);
         self.stats.messages += 1;
         self.stats.flits += u64::from(flits);
         self.stats.hop_traversals += u64::from(hops);
@@ -301,8 +305,8 @@ impl ChipTopology {
         let ser = self.cfg.link.serialization;
         let mut head = cycle;
         let mut contention = 0u64;
-        let (mut x, mut y) = self.chip_coords(from_chip);
-        let (tx, ty) = self.chip_coords(to_chip);
+        let (mut x, mut y) = self.grid.coords(from_chip);
+        let (tx, ty) = self.grid.coords(to_chip);
         while (x, y) != (tx, ty) {
             // Same direction encoding as the mesh: E=0, W=1, N=2, S=3.
             let (dir, nx, ny) = if x < tx {
@@ -314,7 +318,7 @@ impl ChipTopology {
             } else {
                 (2, x, y - 1)
             };
-            let chip = y * self.grid_w + x;
+            let chip = y * self.grid.width + x;
             let wait = self.links[chip][dir].carry(head, u64::from(flits), ser);
             contention += wait;
             head += wait + self.cfg.link.latency;
@@ -402,6 +406,8 @@ impl ChipTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::MAX_RETRANSMITS;
+    use crate::slicehash::{SliceHasher, XorFoldHash};
     use crate::snap::{StateReader, StateWriter};
 
     #[test]
@@ -436,14 +442,14 @@ mod tests {
     fn cross_chip_costs_mesh_legs_plus_interchip_hops() {
         let cfg = TopologyConfig::multi(2);
         let mut topo = ChipTopology::new(cfg, 8); // 2 chips × 4 tiles
-        let npc = topo.nodes_per_chip();
+        let npc = topo.grid.nodes_per_chip();
         assert_eq!(npc, 4);
         // Within a chip: exactly the 4-tile mesh's latency.
         let mut small = Mesh::new(MeshConfig::for_nodes(4));
         assert_eq!(topo.traverse(1, 2, 0, 8), small.traverse(1, 2, 0, 8));
         // Across chips: both mesh legs plus at least the zero-load cross.
         let lat = topo.traverse(1, npc + 2, 10_000, 8);
-        let cross_floor = topo.zero_load_cross(1, 8);
+        let cross_floor = cfg.link.zero_load(1, 8);
         assert!(
             lat > cross_floor,
             "cross-chip latency {lat} must exceed the inter-chip segment {cross_floor}"
@@ -571,10 +577,49 @@ mod tests {
 
     #[test]
     fn chip_grid_uses_squarest_factorization() {
-        let t4 = ChipTopology::new(TopologyConfig::multi(4), 32);
-        assert_eq!(t4.chip_grid(), (2, 2));
-        assert_eq!(t4.chip_hops(0, 3), 2);
-        let t2 = ChipTopology::new(TopologyConfig::multi(2), 16);
-        assert_eq!(t2.chip_hops(0, 1), 1);
+        let g4 = ChipGrid::new(4, 32);
+        assert_eq!((g4.width, g4.height), (2, 2));
+        assert_eq!(g4.chip_hops(0, 3), 2);
+        let g2 = ChipGrid::new(2, 16);
+        assert_eq!(g2.chip_hops(0, 1), 1);
+    }
+
+    #[test]
+    fn chip_grid_numbers_tiles_chip_major() {
+        for (chips, total) in [(1usize, 8usize), (2, 16), (4, 24), (3, 48)] {
+            let grid = ChipGrid::new(chips, total);
+            assert_eq!(grid.chips(), chips);
+            let npc = grid.nodes_per_chip();
+            for node in 0..total {
+                let chip = grid.chip_of(node);
+                assert!(chip < chips);
+                assert_eq!(chip * npc + node % npc, node);
+            }
+            for chip in 0..chips {
+                assert_eq!(grid.chip_of(grid.gateway(chip)), chip);
+                assert_eq!(grid.gateway(chip) % npc, GATEWAY_TILE);
+            }
+        }
+    }
+
+    #[test]
+    fn hashed_lines_spread_evenly_over_chips() {
+        // Steering at the total slice count, then splitting chip-major,
+        // keeps every chip within ±1 line per slice of uniform over an
+        // exhaustive window: no chip is hot merely because of the hash,
+        // the property the scaling study rests on.
+        let h = XorFoldHash::new();
+        let grid = ChipGrid::new(4, 24);
+        let mut per_chip = [0i64; 4];
+        for a in 0..(1u64 << 16) {
+            per_chip[grid.chip_of(h.slice_of(a, 24))] += 1;
+        }
+        let share = (1i64 << 16) / 4;
+        for (c, &got) in per_chip.iter().enumerate() {
+            assert!(
+                (got - share).abs() <= 6,
+                "chip {c} got {got} of 2^16 addresses (share {share})"
+            );
+        }
     }
 }

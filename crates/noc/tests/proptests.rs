@@ -1,8 +1,9 @@
 //! Property-based tests of the interconnect models.
 
-use drishti_noc::link::{FixedLatencyLink, MeshLink, NocstarLink, PredictorLink};
+use drishti_noc::faults::FaultConfig;
+use drishti_noc::link::{FixedLatencyLink, MeshLink, PredictorLink};
 use drishti_noc::mesh::{Mesh, MeshConfig};
-use drishti_noc::nocstar::{Nocstar, NocstarPath};
+use drishti_noc::nocstar::{Nocstar, NocstarPath, BASE_LATENCY, LOCAL_LATENCY};
 use drishti_noc::slicehash::{SliceHasher, XorFoldHash};
 use proptest::prelude::*;
 
@@ -40,16 +41,16 @@ proptest! {
     fn nocstar_latency_bounds(
         msgs in prop::collection::vec((0usize..32, 0usize..32, 0u64..5_000, any::<bool>()), 1..200)
     ) {
-        let mut star = Nocstar::with_defaults(32);
+        let mut star = Nocstar::new(32, &FaultConfig::none());
         let mut sorted = msgs.clone();
         sorted.sort_by_key(|&(_, _, t, _)| t);
         for (from, to, cycle, resp) in sorted {
             let path = if resp { NocstarPath::Response } else { NocstarPath::Request };
-            let lat = star.access(from, to, path, cycle);
+            let lat = star.send(from, to, path, cycle).latency;
             if from == to {
-                prop_assert_eq!(lat, star.config().local_latency);
+                prop_assert_eq!(lat, LOCAL_LATENCY);
             } else {
-                prop_assert!(lat >= star.config().base_latency);
+                prop_assert!(lat >= BASE_LATENCY);
             }
         }
         prop_assert_eq!(star.stats().energy_pj, 50 * msgs.len() as u64);
@@ -61,14 +62,15 @@ proptest! {
     fn links_are_well_behaved(
         msgs in prop::collection::vec((0usize..8, 0usize..8, 0u64..10_000), 1..100)
     ) {
+        let healthy = FaultConfig::none();
         let mut links: Vec<Box<dyn PredictorLink>> = vec![
-            Box::new(MeshLink::new(8)),
-            Box::new(NocstarLink::new(8)),
-            Box::new(FixedLatencyLink::new(7)),
+            Box::new(MeshLink::new(8, &healthy)),
+            Box::new(Nocstar::new(8, &healthy)),
+            Box::new(FixedLatencyLink::new(7, &healthy)),
         ];
         for link in &mut links {
             for &(from, to, cycle) in &msgs {
-                let lat = link.access(from, to, cycle);
+                let lat = link.send(from, to, NocstarPath::Request, cycle).latency;
                 prop_assert!(lat < 1_000_000, "{} runaway latency {lat}", link.name());
             }
             prop_assert_eq!(link.stats().messages, msgs.len() as u64);

@@ -299,6 +299,21 @@ impl LlcPolicy for Mockingjay {
         self.pred.load(r)?;
         self.set_clock.load(r)?;
         self.sampler.load(r)?;
+        // Entries are stamped with their set's clock, so a stamp ahead of
+        // it would underflow the next reuse distance (`now - e.stamp`).
+        let ahead = self.sampler.sets().find_map(|set| {
+            let e = set
+                .entries
+                .iter()
+                .find(|e| e.valid && e.stamp > set.clock)?;
+            Some((e.stamp, set.clock))
+        });
+        if let Some((stamp, clock)) = ahead {
+            return Err(drishti_noc::snap::SnapError::Invalid {
+                what: "sampler entry",
+                detail: format!("stamp {stamp} is ahead of its set's clock {clock}"),
+            });
+        }
         self.predictors.load(r)?;
         self.fabric.load_state(r)?;
         self.pending.load(r)?;
@@ -418,6 +433,39 @@ mod tests {
             Box::new(Mockingjay::new(&geom, cfg)),
             Box::new(ModuloHash::new()),
         )
+    }
+
+    #[test]
+    fn restored_stamps_ahead_of_their_set_clock_are_refused() {
+        use drishti_noc::snap::{SnapError, StateReader, StateWriter};
+        let g = geom();
+        let mut live = Mockingjay::new(&g, &cfg());
+        for i in 0..200u64 {
+            let loc = LlcLoc {
+                slice: 0,
+                set: (i % 16) as usize,
+            };
+            live.on_miss(loc, &Access::load(0, 0x40 + i % 3, i % 40), i);
+        }
+        let set0 = LlcLoc { slice: 0, set: 0 };
+        let set = live.sampler.observe(set0, &Access::load(0, 1, 0), true);
+        let mut stamped = 0;
+        for e in set
+            .expect("every set is sampled")
+            .entries
+            .iter_mut()
+            .filter(|e| e.valid)
+        {
+            e.stamp = u64::MAX;
+            stamped += 1;
+        }
+        assert!(stamped > 0, "set 0's sampled set is trained");
+        let mut w = StateWriter::new();
+        live.save_state(&mut w);
+        match Mockingjay::new(&g, &cfg()).load_state(&mut StateReader::new(w.bytes())) {
+            Err(SnapError::Invalid { what, .. }) => assert_eq!(what, "sampler entry"),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -152,9 +152,14 @@ impl<X: Copy + Default, C: Clone> Sampler<X, C> {
         Some(&mut self.sets[loc.slice][slot])
     }
 
+    /// Every sampled set.
+    pub fn sets(&self) -> impl Iterator<Item = &SampledSet<X, C>> {
+        self.sets.iter().flatten()
+    }
+
     /// Every entry of every sampled set.
     pub fn entries(&self) -> impl Iterator<Item = &Entry<X>> {
-        self.sets.iter().flatten().flat_map(|set| &set.entries)
+        self.sets().flat_map(|set| &set.entries)
     }
 }
 

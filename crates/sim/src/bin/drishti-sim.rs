@@ -417,13 +417,20 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     cli.topology()
         .validate(cli.cores)
         .map_err(|e| format!("--chips: {e}"))?;
-    if let Some(ch) = cli.channels {
-        if let Some(w) = cli.faults.dram_outages.iter().find(|w| w.channel >= ch) {
-            return Err(format!(
-                "--dram-outage names channel {} but only {ch} channel(s) exist",
-                w.channel
-            ));
-        }
+    // Without --channels the machine keeps the baseline's channel count.
+    let channels = cli
+        .channels
+        .unwrap_or_else(|| drishti_mem::dram::DramConfig::for_cores(cli.cores).channels);
+    if let Some(w) = cli
+        .faults
+        .dram_outages
+        .iter()
+        .find(|w| w.channel >= channels)
+    {
+        return Err(format!(
+            "--dram-outage names channel {} but only {channels} channel(s) exist",
+            w.channel
+        ));
     }
     Ok(cli)
 }
@@ -1019,6 +1026,23 @@ mod tests {
             let err = parse(&args).err().expect("overflowing size accepted");
             assert!(err.contains(args[0]) && err.contains(args[1]), "{err}");
         }
+    }
+
+    #[test]
+    fn dram_outages_must_name_a_channel_on_the_machine() {
+        let run = ["--cores", "4", "--mix", "homo:mcf", "--policy", "lru"];
+        let with = |extra: &[&'static str]| parse(&[&run[..], extra].concat());
+        // Four cores get one channel by default, so channel 3 is not there.
+        let err = with(&["--dram-outage", "3:0:1000000"])
+            .err()
+            .expect("outage on a missing default channel accepted");
+        assert!(
+            err.contains("channel 3") && err.contains("1 channel"),
+            "{err}"
+        );
+        assert!(with(&["--dram-outage", "0:0:1000000"]).is_ok());
+        assert!(with(&["--channels", "4", "--dram-outage", "3:0:1000000"]).is_ok());
+        assert!(with(&["--channels", "1", "--dram-outage", "3:0:1000000"]).is_err());
     }
 
     /// A zero-record external trace (an ingested empty ChampSim file) is
