@@ -24,6 +24,14 @@
 //! traffic counters, the DRAM fault counters and the policy diagnostics,
 //! so a change that reorders fault draws shows here.
 //!
+//! `tests/golden/run_paths.txt` pins every way a run can be measured:
+//! full runs with and without warm-up, with the LLC stream captured and
+//! with telemetry epochs that straddle the warm-up boundary, three
+//! interval-sampling schedules, alone-IPC baselines, a trace file shorter
+//! than the run (so it wraps) and runs split by a checkpoint. Each row
+//! holds the per-core results and the FNV-1a 64 hash of the whole
+//! `RunResult` `Debug` text, timeline and captured stream included.
+//!
 //! # Blessing a new snapshot
 //!
 //! When a change intentionally moves the numbers (new policy tuning,
@@ -47,15 +55,21 @@ use drishti::noc::snap::StateWriter;
 use drishti::noc::topology::TopologyConfig;
 use drishti::noc::NocStats;
 use drishti::policies::factory::PolicyKind;
+use drishti::sim::ckpt::{restore_engine_bytes, save_engine_bytes};
 use drishti::sim::config::SystemConfig;
-use drishti::sim::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig};
+use drishti::sim::engine::{CoreResult, Engine};
+use drishti::sim::runner::{
+    alone_ipcs, mix_metrics, run_mix, run_mix_cached, RunConfig, RunResult,
+};
 use drishti::sim::sampling::SamplingSpec;
 use drishti::sim::sweep::report::{scenario_coverage_rows, SweepReport};
 use drishti::sim::sweep::{JobKind, SweepJob};
 use drishti::sim::telemetry::TelemetrySpec;
 use drishti::trace::mix::{paper_mixes, Mix};
 use drishti::trace::presets::Benchmark;
+use drishti::trace::replay::TraceCache;
 use drishti::trace::scenario::datacenter_mix;
+use drishti::trace::store::write_trace;
 use drishti::trace::WorkloadGen;
 use std::path::Path;
 
@@ -64,6 +78,7 @@ const COVERAGE_SNAPSHOT: &str = "tests/golden/scenario_coverage.txt";
 const DECISIONS_SNAPSHOT: &str = "tests/golden/llc_decisions.txt";
 const STATE_SNAPSHOT: &str = "tests/golden/policy_state.txt";
 const UNCORE_SNAPSHOT: &str = "tests/golden/uncore_faults.txt";
+const RUN_PATHS_SNAPSHOT: &str = "tests/golden/run_paths.txt";
 
 fn rc() -> RunConfig {
     RunConfig {
@@ -490,4 +505,182 @@ fn compute_uncore_faults() -> String {
 #[test]
 fn golden_uncore_faults_match_snapshot() {
     check_snapshot(&compute_uncore_faults(), UNCORE_SNAPSHOT);
+}
+
+/// Records each core pulls in every run-paths row: warm-up plus measured.
+const RUN_PATHS_SPAN: u64 = 6_000;
+
+/// Every measurement shape of the run-paths table, on 4 cores.
+fn run_path_shapes() -> Vec<(&'static str, RunConfig)> {
+    let shape = |warmup: u64, stream: bool, sampling: SamplingSpec, epoch: u64| RunConfig {
+        system: SystemConfig::paper_baseline(4),
+        accesses_per_core: RUN_PATHS_SPAN - warmup,
+        warmup_accesses: warmup,
+        record_llc_stream: stream,
+        sampling,
+        telemetry: if epoch == 0 {
+            TelemetrySpec::off()
+        } else {
+            TelemetrySpec::sampling(epoch)
+        },
+    };
+    let off = SamplingSpec::off();
+    vec![
+        ("warm1500", shape(1_500, false, off, 0)),
+        ("warm0-stream", shape(0, true, off, 0)),
+        ("warm1500-epoch977", shape(1_500, false, off, 977)),
+        (
+            "every500/440",
+            shape(1_500, false, SamplingSpec::every(500, 440), 0),
+        ),
+        (
+            "every300/100-epoch977",
+            shape(1_500, false, SamplingSpec::every(300, 100), 977),
+        ),
+        (
+            "every1000/300-warm0",
+            shape(0, false, SamplingSpec::every(1_000, 300), 0),
+        ),
+    ]
+}
+
+/// The run-paths table's policies: LRU, Hawkeye and D-Mockingjay.
+fn run_path_policies() -> [(&'static str, PolicyKind, DrishtiConfig); 3] {
+    [
+        ("lru", PolicyKind::Lru, DrishtiConfig::baseline(4)),
+        ("hawkeye", PolicyKind::Hawkeye, DrishtiConfig::baseline(4)),
+        (
+            "d-mockingjay",
+            PolicyKind::Mockingjay,
+            DrishtiConfig::drishti(4),
+        ),
+    ]
+}
+
+/// One run-paths row: `label`, each core's `instructions:cycles:
+/// accesses:llc_misses`, then the FNV-1a 64 hash of the whole result's
+/// `Debug` text.
+fn run_path_row(label: &str, r: &RunResult) -> String {
+    let mut row = label.to_string();
+    for c in &r.per_core {
+        let CoreResult {
+            instructions,
+            cycles,
+            accesses,
+            llc_misses,
+        } = c;
+        row.push_str(&format!(" {instructions}:{cycles}:{accesses}:{llc_misses}"));
+    }
+    row.push_str(&format!(" {:016x}\n", fnv1a64(format!("{r:?}").as_bytes())));
+    row
+}
+
+/// Runs `mix` under `rc` on an engine that is saved after `at` steps and
+/// finished by a fresh engine restored from those bytes.
+fn split_run(
+    mix: &Mix,
+    policy: PolicyKind,
+    org: &DrishtiConfig,
+    rc: &RunConfig,
+    at: u64,
+) -> RunResult {
+    let build = || {
+        let workloads = mix
+            .build()
+            .into_iter()
+            .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
+            .collect();
+        let mut engine = Engine::new(
+            rc.system.clone(),
+            workloads,
+            policy.build(&rc.system.llc, org.clone()),
+            rc.accesses_per_core,
+            rc.warmup_accesses,
+            rc.record_llc_stream,
+        );
+        engine.set_sampling(rc.sampling);
+        engine.set_telemetry(rc.telemetry);
+        engine
+    };
+    let mut first = build();
+    assert!(!first.run_steps(at), "split point past the end of the run");
+    let bytes = save_engine_bytes(&first);
+    let mut second = build();
+    restore_engine_bytes(&mut second, &bytes).expect("restore the split run");
+    second.run();
+    RunResult::from_engine(&mut second)
+}
+
+/// The run-paths table, freshly computed.
+fn compute_run_paths() -> String {
+    let mixes = [
+        Mix::homogeneous(Benchmark::Mcf, 4, 1),
+        Mix::heterogeneous(&Benchmark::spec_and_gap(), 4, 3),
+    ];
+    let shapes = run_path_shapes();
+    let mut out = format!(
+        "# cores=4 span={RUN_PATHS_SPAN}\n\
+         # mix/policy/shape core:instructions:cycles:accesses:llc_misses... fnv1a64(RunResult Debug)\n"
+    );
+    for mix in &mixes {
+        for (shape, rc) in &shapes {
+            for (label, policy, org) in run_path_policies() {
+                let r = run_mix(mix, policy, org, rc);
+                out.push_str(&run_path_row(&format!("{}/{label}/{shape}", mix.name), &r));
+            }
+        }
+    }
+    let (base_shape, base_rc) = &shapes[0];
+    for mix in &mixes {
+        out.push_str(&format!("{}/alone/{base_shape}", mix.name));
+        for ipc in alone_ipcs(mix, base_rc) {
+            out.push_str(&format!(" {ipc:?}"));
+        }
+        out.push('\n');
+    }
+
+    // An external trace of 1 000 records on core 0: the run wraps it.
+    let mix = &mixes[1];
+    let path = std::env::temp_dir().join(format!(
+        "drishti-golden-run-paths-{}.drtr",
+        std::process::id()
+    ));
+    let records = Benchmark::Xalan.build(4).collect(1_000);
+    write_trace(&path, "champsim-external", 0, &records).expect("write the external trace");
+    let mut cache = TraceCache::new();
+    cache.add_file(mix.benchmarks[0], mix.seeds[0], &path);
+    for (label, policy, org) in run_path_policies() {
+        let r = run_mix_cached(mix, policy, org, base_rc, &cache);
+        out.push_str(&run_path_row(
+            &format!("{}/{label}/{base_shape}-file1000", mix.name),
+            &r,
+        ));
+    }
+    std::fs::remove_file(&path).expect("remove the external trace");
+
+    // Checkpoint seams inside the warm-up, inside a captured stream and
+    // inside a sampled schedule.
+    let (label, policy, org) = &run_path_policies()[2];
+    for (shape, at) in [
+        ("warm1500-epoch977", 3_001),
+        ("warm0-stream", 9_001),
+        ("every300/100-epoch977", 13_001),
+    ] {
+        let (_, rc) = shapes
+            .iter()
+            .find(|(s, _)| *s == shape)
+            .expect("known shape");
+        let r = split_run(mix, *policy, org, rc, at);
+        out.push_str(&run_path_row(
+            &format!("{}/{label}/{shape}-split{at}", mix.name),
+            &r,
+        ));
+    }
+    out
+}
+
+/// Pins full, sampled, alone, file-backed and checkpoint-split runs.
+#[test]
+fn golden_run_paths_match_snapshot() {
+    check_snapshot(&compute_run_paths(), RUN_PATHS_SNAPSHOT);
 }
