@@ -30,7 +30,7 @@ use drishti_noc::faults::{FaultConfig, OutageWindow};
 use drishti_noc::topology::{ChipLinkConfig, TopologyConfig};
 use drishti_policies::factory::PolicyKind;
 use drishti_sim::config::SystemConfig;
-use drishti_sim::runner::{run_with_workloads_checkpointed, RunCkpt, RunConfig};
+use drishti_sim::runner::{mix_workloads, run, RunCkpt, RunConfig};
 use drishti_sim::sampling::SamplingSpec;
 use drishti_sim::sweep::report::{SweepReport, SweepTiming};
 use drishti_sim::sweep::{journal, run_sweep, run_sweep_resumable, JobKind, SweepJob};
@@ -587,48 +587,41 @@ fn check_trace_meta(
     Ok(false)
 }
 
-/// Opens core `c`'s `--trace-file`, which validates it (refusing a
-/// zero-record file), and checks its header against the mix slot it will
-/// drive. Returns the file, its stream and whether the trace is external.
+/// Opens core `c`'s file under the `--trace-file` `prefix`, which
+/// validates it (refusing a zero-record file), and checks its header
+/// against the mix slot it will drive. Returns the file and whether the
+/// trace is external.
 fn open_trace_file(
     cli: &CliArgs,
+    prefix: &Path,
     mix: &Mix,
     c: usize,
-) -> Result<(PathBuf, StreamingTrace, bool), String> {
-    let path = core_trace_path(cli.trace_file.as_ref().expect("caller checked"), c);
+) -> Result<(PathBuf, bool), String> {
+    let path = core_trace_path(prefix, c);
     let stream = StreamingTrace::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let (bench, seed) = (mix.benchmarks[c], mix.seeds[c]);
     let external = check_trace_meta(&path, stream.meta(), bench, seed, cli.span())?;
-    Ok((path, stream, external))
+    Ok((path, external))
 }
 
-/// `--trace-file`, single-run mode: one bounded-memory [`StreamingTrace`]
-/// per core.
-fn open_streaming_workloads(
-    cli: &CliArgs,
-    mix: &Mix,
-) -> Result<Vec<Option<Box<dyn WorkloadGen>>>, String> {
-    (0..mix.cores())
-        .map(|c| {
-            let (_, stream, _) = open_trace_file(cli, mix, c)?;
-            Ok(Some(Box::new(stream) as Box<dyn WorkloadGen>))
-        })
-        .collect()
-}
-
-/// `--trace-file`, sweep mode: validate every core's file once, up front,
-/// and register it with the sweep's trace source, whose replays stream it
-/// as a single run does (an external trace shorter than the span wraps).
-/// Returns the source and whether any trace is external (the report's
-/// coverage table is then relabelled `ingested`).
+/// The trace source of a run or sweep. With `--trace-file`, every core's
+/// file is validated once, up front, and registered, so its replays
+/// stream it (an external trace shorter than the span wraps); the other
+/// cores' traces are generated. Returns the source and whether any trace
+/// is external (a sweep report's coverage table is then relabelled
+/// `ingested`).
 fn trace_file_source(cli: &CliArgs, mix: &Mix) -> Result<(TraceCache, bool), String> {
     let mut cache = TraceCache::new();
+    let Some(prefix) = &cli.trace_file else {
+        return Ok((cache, false));
+    };
     let mut any_external = false;
     for c in 0..mix.cores() {
-        let (path, _, external) = open_trace_file(cli, mix, c)?;
+        let (path, external) = open_trace_file(cli, prefix, mix, c)?;
         any_external |= external;
         cache.add_file(mix.benchmarks[c], mix.seeds[c], path);
     }
+    println!("replaying {} on-disk traces (streaming)", mix.cores());
     Ok((cache, any_external))
 }
 
@@ -727,17 +720,9 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
     if let Some(path) = ckpt.restore {
         println!("restoring checkpoint: {}", path.display());
     }
-    let workloads = if cli.trace_file.is_some() {
-        let workloads = open_streaming_workloads(cli, &mix)?;
-        println!("replaying {} on-disk traces (streaming)", mix.cores());
-        workloads
-    } else {
-        mix.build()
-            .into_iter()
-            .map(|w| Some(Box::new(w) as Box<dyn drishti_trace::WorkloadGen>))
-            .collect()
-    };
-    let r = run_with_workloads_checkpointed(workloads, policy, drishti, &rc, &ckpt)
+    let (cache, _) = trace_file_source(cli, &mix)?;
+    let workloads = mix_workloads(&mix, &rc, &cache);
+    let r = run(workloads, policy.build(&rc.system.llc, drishti), &rc, &ckpt)
         .map_err(|e| e.to_string())?;
     if let Some(path) = ckpt.save {
         println!("checkpoint written: {}", path.display());
@@ -865,13 +850,7 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
     if cli.record.is_some() {
         record_traces(cli, &mix)?;
     }
-    let (cache, external_traces) = if cli.trace_file.is_some() {
-        let source = trace_file_source(cli, &mix)?;
-        println!("replaying {} on-disk traces (streaming)", mix.cores());
-        source
-    } else {
-        (TraceCache::new(), false)
-    };
+    let (cache, external_traces) = trace_file_source(cli, &mix)?;
     let cache = Arc::new(cache);
     // Sweeps with a report destination are journaled beside it so a
     // killed run can continue with --resume; report-less sweeps have no

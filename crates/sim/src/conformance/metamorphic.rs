@@ -26,7 +26,7 @@
 
 use crate::conformance::refcache::{RefCache, Violation};
 use crate::engine::{CoreResult, Engine};
-use crate::runner::{alone_ipcs, mix_metrics, run_mix, RunConfig};
+use crate::runner::{alone_ipcs, mix_metrics, run_mix, RunCkpt, RunConfig};
 use drishti_core::config::DrishtiConfig;
 use drishti_mem::access::Access;
 use drishti_mem::llc::{LlcGeometry, LlcStats, SliceCounters, SlicedLlc};
@@ -284,7 +284,9 @@ pub fn check_core_permutation(
         workloads[perm[c]] = Some(Box::new(mix.build_core(c)) as Box<dyn WorkloadGen>);
         alone_perm[perm[c]] = alone[c];
     }
-    let permuted = crate::runner::run_with_workloads(workloads, policy, drishti, rc);
+    let pol = policy.build(&rc.system.llc, drishti);
+    let permuted = crate::runner::run(workloads, pol, rc, &RunCkpt::default())
+        .expect("a run without checkpoints does no I/O");
     let ws_perm = mix_metrics(&permuted, &alone_perm).weighted_speedup();
 
     let rel = (ws_base - ws_perm).abs() / ws_base.max(f64::MIN_POSITIVE);

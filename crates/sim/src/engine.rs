@@ -88,9 +88,9 @@ struct CoreState {
     meas_start_retired: u64,
     meas_start_accesses: u64,
     meas_llc_misses: u64,
-    /// Sampled-mode accumulators: sums over *closed* detailed windows
-    /// (`meas_start_*` track the currently open window; `meas_llc_misses`
-    /// already accumulates incrementally across windows).
+    /// Sums over *closed* measurement windows, which only sampled runs
+    /// close (`meas_start_*` track the open window; `meas_llc_misses`
+    /// already accumulates across windows).
     samp_instructions: u64,
     samp_cycles: u64,
     samp_accesses: u64,
@@ -216,41 +216,25 @@ pub struct Engine {
     pf_scratch_l2: Vec<PrefetchRequest>,
 }
 
-/// The measured-so-far result of one core.
-///
-/// Full-simulation mode (`sampled == false`): zero until the measurement
-/// window opens, deltas from the window start after. The end-of-run value
-/// is bit-identical to the historical unconditional computation (a core
-/// that never started measuring has all-zero counters anyway).
-///
-/// Sampled mode: the sums over closed detailed windows plus the deltas of
-/// the currently open window, if any. These are *sampled* counts — scale
-/// by [`SamplingSpec::scale`] for full-run magnitudes; ratios (IPC, MPKI)
-/// need no scaling.
-fn core_result(core: &CoreState, sampled: bool) -> CoreResult {
-    if sampled {
-        let mut r = CoreResult {
-            instructions: core.samp_instructions,
-            cycles: core.samp_cycles,
-            accesses: core.samp_accesses,
-            llc_misses: core.meas_llc_misses,
-        };
-        if core.measuring {
-            r.instructions += core.retired - core.meas_start_retired;
-            r.cycles += core.cycle.saturating_sub(core.meas_start_cycle);
-            r.accesses += core.accesses - core.meas_start_accesses;
-        }
-        return r;
-    }
-    if !core.measuring {
-        return CoreResult::default();
-    }
-    CoreResult {
-        instructions: core.retired - core.meas_start_retired,
-        cycles: core.cycle.saturating_sub(core.meas_start_cycle),
-        accesses: core.accesses - core.meas_start_accesses,
+/// The measured-so-far result of one core: the sums over its closed
+/// measurement windows plus the deltas of the open one, if any. A full run
+/// has one window, opened at the warm-up and never closed, so this is zero
+/// until the warm-up ends. Under sampling these are *sampled* counts —
+/// scale by [`SamplingSpec::scale`] for full-run magnitudes; ratios (IPC,
+/// MPKI) need no scaling.
+fn core_result(core: &CoreState) -> CoreResult {
+    let mut r = CoreResult {
+        instructions: core.samp_instructions,
+        cycles: core.samp_cycles,
+        accesses: core.samp_accesses,
         llc_misses: core.meas_llc_misses,
+    };
+    if core.measuring {
+        r.instructions += core.retired - core.meas_start_retired;
+        r.cycles += core.cycle.saturating_sub(core.meas_start_cycle);
+        r.accesses += core.accesses - core.meas_start_accesses;
     }
+    r
 }
 
 impl std::fmt::Debug for Engine {
@@ -292,7 +276,7 @@ impl Engine {
                 retired: 0,
                 accesses: 0,
                 outstanding: VecDeque::with_capacity(cfg.core.mlp_window),
-                measuring: warmup_accesses == 0,
+                measuring: false,
                 meas_start_cycle: 0,
                 meas_start_retired: 0,
                 meas_start_accesses: 0,
@@ -357,8 +341,8 @@ impl Engine {
     }
 
     /// Install an interval-sampling schedule before [`Engine::run`]. The
-    /// default is [`SamplingSpec::off`] (full simulation, bit-identical to
-    /// builds that predate sampling). `spec` must pass
+    /// default is [`SamplingSpec::off`]: full simulation, one measurement
+    /// window that opens at the run-level warm-up. `spec` must pass
     /// [`SamplingSpec::validate`].
     ///
     /// Under sampling the whole span (warmup + measured accesses) is
@@ -369,14 +353,6 @@ impl Engine {
     pub fn set_sampling(&mut self, spec: SamplingSpec) {
         debug_assert!(spec.validate().is_ok(), "invalid sampling spec");
         self.sampling = spec;
-        if spec.enabled() {
-            // Measurement windows are opened by the schedule, not by the
-            // run-level warmup (`Engine::new` pre-arms `measuring` when
-            // warmup is zero).
-            for core in &mut self.cores {
-                core.measuring = false;
-            }
-        }
     }
 
     /// Take the collected timeline (if telemetry was enabled), leaving the
@@ -402,9 +378,7 @@ impl Engine {
     /// Close the current epoch: snapshot every core's measured-so-far
     /// result and hand the subsystems to the sampler (read-only).
     fn sample_epoch(&mut self) {
-        let sampled = self.sampling.enabled();
-        let per_core: Vec<CoreResult> =
-            self.cores.iter().map(|c| core_result(c, sampled)).collect();
+        let per_core: Vec<CoreResult> = self.cores.iter().map(core_result).collect();
         if let Telemetry::Epoch(sampler) = &mut self.telemetry {
             sampler.sample(self.steps, &per_core, &self.llc, &self.mesh, &self.dram);
         }
@@ -504,8 +478,7 @@ impl Engine {
     /// Per-core measured-so-far results (complete results after
     /// [`Engine::run`] or once [`Engine::run_steps`] returns `true`).
     pub fn results(&self) -> Vec<CoreResult> {
-        let sampled = self.sampling.enabled();
-        self.cores.iter().map(|c| core_result(c, sampled)).collect()
+        self.cores.iter().map(core_result).collect()
     }
 
     /// The LLC (for stats and per-set counters).
@@ -652,38 +625,15 @@ impl Engine {
         self.telemetry.load_state(r)
     }
 
+    /// One record of core `c`. The schedule names the record's phase
+    /// ([`SamplingSpec::phase_of`]); a measurement window opens before the
+    /// first detailed record and closes before the next non-detailed one,
+    /// so it covers exactly the detailed positions. A full run warms up,
+    /// then opens its one window before record `warmup_accesses`.
     fn step(&mut self, c: usize) {
-        if self.sampling.enabled() {
-            self.step_sampled(c);
-        } else {
-            self.step_full(c);
-        }
-    }
-
-    /// Full simulation: every record walks the memory hierarchy; the
-    /// run-level warmup opens the single measurement window. Bit-identical
-    /// to the pre-sampling engine (golden tests pin it).
-    fn step_full(&mut self, c: usize) {
-        self.process_access(c);
-        let core = &mut self.cores[c];
-        if !core.measuring && core.accesses >= self.warmup_accesses {
-            core.measuring = true;
-            core.meas_start_cycle = core.cycle;
-            core.meas_start_retired = core.retired;
-            core.meas_start_accesses = core.accesses;
-        }
-        if core.accesses >= self.warmup_accesses + self.accesses_per_core {
-            core.finished = true;
-        }
-    }
-
-    /// Interval-sampled simulation: the schedule decides per record
-    /// whether to fast-forward (clock only), warm (full hierarchy,
-    /// uncounted) or measure (full hierarchy, counted). Window open/close
-    /// happens *before* the record is processed, so a window covers
-    /// exactly the detailed positions of its period.
-    fn step_sampled(&mut self, c: usize) {
-        let phase = self.sampling.phase_of(self.cores[c].accesses);
+        let phase = self
+            .sampling
+            .phase_of(self.cores[c].accesses, self.warmup_accesses);
         let core = &mut self.cores[c];
         if phase == Phase::Detailed {
             if !core.measuring {
@@ -693,72 +643,57 @@ impl Engine {
                 core.meas_start_accesses = core.accesses;
             }
         } else if core.measuring {
-            // Fold the closing window into the sampled accumulators
-            // (`meas_llc_misses` accumulates incrementally on its own).
+            // Fold the closing window into the closed-window sums
+            // (`meas_llc_misses` accumulates across windows on its own).
             core.samp_instructions += core.retired - core.meas_start_retired;
             core.samp_cycles += core.cycle.saturating_sub(core.meas_start_cycle);
             core.samp_accesses += core.accesses - core.meas_start_accesses;
             core.measuring = false;
         }
         if phase == Phase::FastForward {
-            // Clock-only: retire the gap and drain completed loads, but
-            // skip the memory hierarchy entirely — that is the speedup.
-            let issue_width = self.cfg.core.issue_width;
-            let core = &mut self.cores[c];
-            let rec = core
-                .workload
-                .as_mut()
-                .expect("active core has a workload")
-                .next_record();
-            core.instr_carry += rec.instr_gap + 1;
-            core.cycle += u64::from(core.instr_carry / issue_width);
-            core.instr_carry %= issue_width;
-            core.retired += u64::from(rec.instr_gap) + 1;
-            while core
-                .outstanding
-                .front()
-                .is_some_and(|&done| done <= core.cycle)
-            {
-                core.outstanding.pop_front();
-            }
-            core.accesses += 1;
+            // Clock only: skipping the memory hierarchy is the speedup.
+            self.retire_next(c);
         } else {
             self.process_access(c);
         }
         let core = &mut self.cores[c];
+        core.accesses += 1;
         if core.accesses >= self.warmup_accesses + self.accesses_per_core {
             core.finished = true;
         }
     }
 
-    /// Process one record through the full memory hierarchy (shared by
-    /// both stepping modes; metric gating rides on `core.measuring`).
+    /// Pull core `c`'s next record and retire it: its instruction gap
+    /// retires at `issue_width` per cycle, then loads that have completed
+    /// by the new cycle leave the outstanding window.
+    #[inline]
+    fn retire_next(&mut self, c: usize) -> TraceRecord {
+        let issue_width = self.cfg.core.issue_width;
+        let core = &mut self.cores[c];
+        let rec = core
+            .workload
+            .as_mut()
+            .expect("active core has a workload")
+            .next_record();
+        core.instr_carry += rec.instr_gap + 1;
+        core.cycle += u64::from(core.instr_carry / issue_width);
+        core.instr_carry %= issue_width;
+        core.retired += u64::from(rec.instr_gap) + 1;
+        while core
+            .outstanding
+            .front()
+            .is_some_and(|&done| done <= core.cycle)
+        {
+            core.outstanding.pop_front();
+        }
+        rec
+    }
+
+    /// Walk core `c`'s next record through the full memory hierarchy
+    /// (metric gating rides on `core.measuring`).
     fn process_access(&mut self, c: usize) {
-        let rec = {
-            let core = &mut self.cores[c];
-            let rec = core
-                .workload
-                .as_mut()
-                .expect("active core has a workload")
-                .next_record();
-            // Retire the gap at issue_width instructions per cycle.
-            core.instr_carry += rec.instr_gap + 1;
-            core.cycle += u64::from(core.instr_carry / self.cfg.core.issue_width);
-            core.instr_carry %= self.cfg.core.issue_width;
-            core.retired += u64::from(rec.instr_gap) + 1;
-            // Drain loads that have completed by now.
-            while core
-                .outstanding
-                .front()
-                .is_some_and(|&done| done <= core.cycle)
-            {
-                core.outstanding.pop_front();
-            }
-            rec
-        };
-
+        let rec = self.retire_next(c);
         let latency = self.memory_access(c, &rec);
-
         let core = &mut self.cores[c];
         if !rec.is_store && latency > self.cfg.l1d.latency {
             // The load occupies an MLP window slot; a full window forces
@@ -770,8 +705,6 @@ impl Engine {
             let issue = core.cycle;
             core.outstanding.push_back(issue + latency);
         }
-
-        core.accesses += 1;
     }
 
     /// Walk the hierarchy for one demand access; returns the load-to-use

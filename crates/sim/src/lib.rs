@@ -22,8 +22,11 @@
 //!   slowdown, unfairness, MPKI/WPKI/APKI;
 //! * [`energy`] — uncore (LLC + NoC + DRAM (+ NOCSTAR)) dynamic energy;
 //! * [`pcstats`] — the PC-to-slice concentration analysis of paper Fig 2;
-//! * [`runner`] — one-call experiment helpers (`run_mix`, alone-IPC
-//!   baselines, normalised speedups);
+//! * [`runner`] — the one run path ([`runner::run`] builds the engine a
+//!   `RunConfig` describes, checkpoints it on request and folds it into a
+//!   `RunResult`, every core's trace taken from a `TraceCache`) and the
+//!   one-call helpers on it (`run_mix`, alone-IPC baselines, normalised
+//!   speedups);
 //! * [`sampling`] — warmup/detailed interval sampling: fast-forward most
 //!   of the trace, warm the hierarchy before each measured window, and
 //!   extrapolate counts to full-run estimates;

@@ -1,11 +1,16 @@
 //! One-call experiment runners.
 //!
 //! Every bench target boils down to: build a mix, run it under several
-//! policies, normalise to LRU. [`run_mix`] does one (mix, policy,
-//! organisation) run; [`alone_ipcs`] produces the `IPC_alone` baselines the
-//! multi-programmed metrics need (measured under LRU, the paper's baseline
-//! policy, and reusable across policies for a given mix).
+//! policies, normalise to LRU. Every run takes one path: [`run`] builds
+//! the engine a [`RunConfig`] describes, restores or saves checkpoints on
+//! request, and folds the finished engine into a [`RunResult`]; each
+//! core's trace comes from a [`TraceCache`] ([`mix_workloads`]).
+//! [`run_mix`] does one (mix, policy, organisation) run; [`alone_ipcs`]
+//! produces the `IPC_alone` baselines the multi-programmed metrics need
+//! (measured under LRU, the paper's baseline policy, and reusable across
+//! policies for a given mix).
 
+use crate::ckpt::CkptError;
 use crate::config::SystemConfig;
 use crate::energy::EnergyBreakdown;
 use crate::engine::{CoreResult, Engine};
@@ -217,26 +222,7 @@ impl RunResult {
     }
 }
 
-fn run_engine(
-    mix_workloads: Vec<Option<Box<dyn WorkloadGen>>>,
-    policy: Box<dyn LlcPolicy>,
-    rc: &RunConfig,
-) -> RunResult {
-    let mut engine = Engine::new(
-        rc.system.clone(),
-        mix_workloads,
-        policy,
-        rc.accesses_per_core,
-        rc.warmup_accesses,
-        rc.record_llc_stream,
-    );
-    engine.set_sampling(rc.sampling);
-    engine.set_telemetry(rc.telemetry);
-    engine.run();
-    RunResult::from_engine(&mut engine)
-}
-
-/// Checkpoint behaviour of one [`run_with_workloads_checkpointed`] run.
+/// Checkpoint behaviour of one [`run`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunCkpt<'a> {
     /// Restore the engine from this `drishti-ckpt/v5` file before running
@@ -249,33 +235,28 @@ pub struct RunCkpt<'a> {
     pub every: u64,
 }
 
-/// Like [`run_with_workloads`], with crash-recovery checkpointing: the
-/// engine can start from a `drishti-ckpt/v5` file and/or write one
+/// Run `workloads` (`None` = idle core) under `policy` on the engine `rc`
+/// describes: the one run path every runner below takes. With `ckpt`, the
+/// engine starts from a `drishti-ckpt/v5` file and/or writes one
 /// periodically and at completion. A restored run is bit-identical to an
-/// uninterrupted one (the workloads must be built from the same mix or
-/// trace files — the checkpoint stores the stream *position*, not the
-/// records, and refuses configurations it was not saved under).
+/// uninterrupted one (the workloads must come from the same mix or trace
+/// files — the checkpoint stores each stream's *position*, not its
+/// records, and refuses configurations it was not saved under). Without
+/// checkpoint files a run cannot fail.
 ///
 /// # Panics
 ///
 /// Panics if `workloads.len()` differs from the system's core count.
-pub fn run_with_workloads_checkpointed(
+pub fn run(
     workloads: Vec<Option<Box<dyn WorkloadGen>>>,
-    policy: PolicyKind,
-    drishti: DrishtiConfig,
+    policy: Box<dyn LlcPolicy>,
     rc: &RunConfig,
     ckpt: &RunCkpt<'_>,
-) -> Result<RunResult, crate::ckpt::CkptError> {
-    assert_eq!(
-        workloads.len(),
-        rc.system.cores,
-        "one workload slot per core"
-    );
-    let pol = policy.build(&rc.system.llc, drishti);
+) -> Result<RunResult, CkptError> {
     let mut engine = Engine::new(
         rc.system.clone(),
         workloads,
-        pol,
+        policy,
         rc.accesses_per_core,
         rc.warmup_accesses,
         rc.record_llc_stream,
@@ -285,67 +266,66 @@ pub fn run_with_workloads_checkpointed(
     if let Some(path) = ckpt.restore {
         crate::ckpt::restore_engine(&mut engine, path)?;
     }
-    match ckpt.save {
-        Some(path) if ckpt.every > 0 => {
-            while !engine.run_steps(ckpt.every) {
-                crate::ckpt::save_engine(&engine, path)?;
-            }
+    let every = match ckpt.every {
+        0 => u64::MAX,
+        n => n,
+    };
+    loop {
+        let done = engine.run_steps(every);
+        if let Some(path) = ckpt.save {
             crate::ckpt::save_engine(&engine, path)?;
         }
-        Some(path) => {
-            engine.run_steps(u64::MAX);
-            crate::ckpt::save_engine(&engine, path)?;
-        }
-        None => {
-            engine.run_steps(u64::MAX);
+        if done {
+            return Ok(RunResult::from_engine(&mut engine));
         }
     }
-    Ok(RunResult::from_engine(&mut engine))
 }
 
-/// Run explicitly supplied workloads (`None` = idle core) under `policy`
-/// with organisation `drishti` — the entry point for externally sourced
-/// traces (e.g. [`drishti_trace::store::StreamingTrace`] boxes replaying
-/// on-disk files without materialising them in RAM).
+/// [`run`] without checkpoint files.
+fn run_once(
+    workloads: Vec<Option<Box<dyn WorkloadGen>>>,
+    policy: Box<dyn LlcPolicy>,
+    rc: &RunConfig,
+) -> RunResult {
+    run(workloads, policy, rc, &RunCkpt::default()).expect("a run without checkpoints does no I/O")
+}
+
+/// Core `c`'s trace of `mix` for a run of `rc`: its `warmup + accesses`
+/// records from `cache`.
+fn core_workload(mix: &Mix, c: usize, rc: &RunConfig, cache: &TraceCache) -> Box<dyn WorkloadGen> {
+    let span = rc.warmup_accesses + rc.accesses_per_core;
+    Box::new(cache.replay(mix.benchmarks[c], mix.seeds[c], span))
+}
+
+/// Every core's trace of `mix` for a run of `rc`, from `cache`, which
+/// streams the trace files registered with it and generates the rest.
 ///
 /// # Panics
 ///
-/// Panics if `workloads.len()` differs from the system's core count.
-pub fn run_with_workloads(
-    workloads: Vec<Option<Box<dyn WorkloadGen>>>,
-    policy: PolicyKind,
-    drishti: DrishtiConfig,
+/// Panics if the mix's core count differs from the system's.
+pub fn mix_workloads(
+    mix: &Mix,
     rc: &RunConfig,
-) -> RunResult {
-    assert_eq!(
-        workloads.len(),
-        rc.system.cores,
-        "one workload slot per core"
-    );
-    let pol = policy.build(&rc.system.llc, drishti);
-    run_engine(workloads, pol, rc)
+    cache: &TraceCache,
+) -> Vec<Option<Box<dyn WorkloadGen>>> {
+    assert_eq!(mix.cores(), rc.system.cores, "mix/system core mismatch");
+    (0..mix.cores())
+        .map(|c| Some(core_workload(mix, c, rc, cache)))
+        .collect()
 }
 
-/// Run `mix` under `policy` with organisation `drishti`.
+/// Run `mix` under `policy` with organisation `drishti`, generating every
+/// core's trace.
 ///
 /// # Panics
 ///
 /// Panics if the mix's core count differs from the system's.
 pub fn run_mix(mix: &Mix, policy: PolicyKind, drishti: DrishtiConfig, rc: &RunConfig) -> RunResult {
-    assert_eq!(mix.cores(), rc.system.cores, "mix/system core mismatch");
-    let workloads = mix
-        .build()
-        .into_iter()
-        .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
-        .collect();
-    let pol = policy.build(&rc.system.llc, drishti);
-    run_engine(workloads, pol, rc)
+    run_mix_cached(mix, policy, drishti, rc, &TraceCache::new())
 }
 
-/// Like [`run_mix`], but taking each core's trace from `cache`, which
-/// streams the trace files registered with it and generates the rest —
-/// the sweep harness's per-cell entry point. Without files the result
-/// equals [`run_mix`]'s.
+/// Like [`run_mix`], but taking each core's trace from `cache` (see
+/// [`mix_workloads`]) — the sweep harness's per-cell entry point.
 ///
 /// # Panics
 ///
@@ -357,59 +337,38 @@ pub fn run_mix_cached(
     rc: &RunConfig,
     cache: &TraceCache,
 ) -> RunResult {
-    assert_eq!(mix.cores(), rc.system.cores, "mix/system core mismatch");
-    let len = rc.warmup_accesses + rc.accesses_per_core;
-    let workloads = mix
-        .benchmarks
-        .iter()
-        .zip(&mix.seeds)
-        .map(|(&b, &s)| Some(Box::new(cache.replay(b, s, len)) as Box<dyn WorkloadGen>))
-        .collect();
-    let pol = policy.build(&rc.system.llc, drishti);
-    run_engine(workloads, pol, rc)
-}
-
-/// Like [`alone_ipcs`], but taking each core's trace from `cache` (see
-/// [`run_mix_cached`]).
-pub fn alone_ipcs_cached(mix: &Mix, rc: &RunConfig, cache: &TraceCache) -> Vec<f64> {
-    let len = rc.warmup_accesses + rc.accesses_per_core;
-    (0..mix.cores())
-        .map(|c| {
-            let mut workloads: Vec<Option<Box<dyn WorkloadGen>>> =
-                (0..mix.cores()).map(|_| None).collect();
-            workloads[c] = Some(Box::new(cache.replay(mix.benchmarks[c], mix.seeds[c], len)));
-            let pol = PolicyKind::Lru.build(&rc.system.llc, DrishtiConfig::baseline(mix.cores()));
-            let r = run_engine(workloads, pol, rc);
-            r.per_core[c].ipc()
-        })
-        .collect()
+    let workloads = mix_workloads(mix, rc, cache);
+    run_once(workloads, policy.build(&rc.system.llc, drishti), rc)
 }
 
 /// Run `mix` under an explicitly constructed policy object (used by the
 /// instrumented case studies, e.g. Mockingjay with ETR logging).
+///
+/// # Panics
+///
+/// Panics if the mix's core count differs from the system's.
 pub fn run_mix_with_policy(mix: &Mix, policy: Box<dyn LlcPolicy>, rc: &RunConfig) -> RunResult {
-    assert_eq!(mix.cores(), rc.system.cores, "mix/system core mismatch");
-    let workloads = mix
-        .build()
-        .into_iter()
-        .map(|w| Some(Box::new(w) as Box<dyn WorkloadGen>))
-        .collect();
-    run_engine(workloads, policy, rc)
+    run_once(mix_workloads(mix, rc, &TraceCache::new()), policy, rc)
+}
+
+/// Like [`alone_ipcs`], but taking each core's trace from `cache` (see
+/// [`mix_workloads`]).
+pub fn alone_ipcs_cached(mix: &Mix, rc: &RunConfig, cache: &TraceCache) -> Vec<f64> {
+    (0..mix.cores())
+        .map(|c| {
+            let mut workloads: Vec<Option<Box<dyn WorkloadGen>>> =
+                (0..mix.cores()).map(|_| None).collect();
+            workloads[c] = Some(core_workload(mix, c, rc, cache));
+            let pol = PolicyKind::Lru.build(&rc.system.llc, DrishtiConfig::baseline(mix.cores()));
+            run_once(workloads, pol, rc).per_core[c].ipc()
+        })
+        .collect()
 }
 
 /// `IPC_alone` per core: each core's workload run by itself on the same
 /// hardware (all other cores idle), under the LRU baseline policy.
 pub fn alone_ipcs(mix: &Mix, rc: &RunConfig) -> Vec<f64> {
-    (0..mix.cores())
-        .map(|c| {
-            let mut workloads: Vec<Option<Box<dyn WorkloadGen>>> =
-                (0..mix.cores()).map(|_| None).collect();
-            workloads[c] = Some(Box::new(mix.build_core(c)));
-            let pol = PolicyKind::Lru.build(&rc.system.llc, DrishtiConfig::baseline(mix.cores()));
-            let r = run_engine(workloads, pol, rc);
-            r.per_core[c].ipc()
-        })
-        .collect()
+    alone_ipcs_cached(mix, rc, &TraceCache::new())
 }
 
 /// Mix metrics of a run against alone-IPC baselines.
@@ -508,24 +467,6 @@ mod tests {
         );
         assert!(r.wpki() >= 0.0);
         assert!(r.wpki().is_finite());
-    }
-
-    #[test]
-    fn cached_run_is_bit_identical_to_direct_run() {
-        let mix = Mix::heterogeneous(&drishti_trace::presets::Benchmark::spec_and_gap(), 4, 5);
-        let rc = tiny_rc(4);
-        let cache = TraceCache::new();
-        let direct = run_mix(&mix, PolicyKind::Srrip, DrishtiConfig::baseline(4), &rc);
-        let cached = run_mix_cached(
-            &mix,
-            PolicyKind::Srrip,
-            DrishtiConfig::baseline(4),
-            &rc,
-            &cache,
-        );
-        assert_eq!(direct.per_core, cached.per_core);
-        assert_eq!(format!("{:?}", direct.llc), format!("{:?}", cached.llc));
-        assert_eq!(alone_ipcs(&mix, &rc), alone_ipcs_cached(&mix, &rc, &cache));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub const DETAILED_DIVISOR: u64 = 10;
 /// `tests/sampling.rs`).
 pub const WS_ERROR_BOUND: f64 = 0.15;
 
-/// What the engine does with one trace record under sampling.
+/// What the engine does with one trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Advance the core clock only; skip the memory hierarchy.
@@ -55,8 +55,9 @@ pub enum Phase {
     Detailed,
 }
 
-/// Fixed-stride sampling schedule. `interval == 0` disables sampling
-/// (every record is fully simulated and the run-level warmup applies).
+/// Fixed-stride sampling schedule. `interval == 0` disables sampling:
+/// every record is fully simulated, and the run is one measurement window
+/// that opens at the run-level warmup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingSpec {
     /// Period length in records per core (0 = sampling off).
@@ -111,14 +112,18 @@ impl SamplingSpec {
     }
 
     /// The phase of span position `pos` (records processed so far on the
-    /// core).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug) when sampling is off — callers gate on
-    /// [`enabled`](SamplingSpec::enabled).
-    pub fn phase_of(&self, pos: u64) -> Phase {
-        debug_assert!(self.enabled(), "phase_of on a disabled spec");
+    /// core) in a run that warms up for `run_warmup` records. Without
+    /// sampling that is `Warm` below `run_warmup` and `Detailed` from it
+    /// on; under sampling each period's own warm phase replaces the
+    /// run-level warmup.
+    pub fn phase_of(&self, pos: u64, run_warmup: u64) -> Phase {
+        if !self.enabled() {
+            return if pos < run_warmup {
+                Phase::Warm
+            } else {
+                Phase::Detailed
+            };
+        }
         let in_period = pos % self.interval;
         let d = self.detailed_len();
         if in_period >= self.interval - d {
@@ -184,6 +189,11 @@ mod tests {
         assert!(!s.enabled());
         assert_eq!(s.scale(10_000), 1.0);
         assert_eq!(s.detailed_in(123), 123);
+        // One window, opened at the run-level warmup.
+        assert_eq!(s.phase_of(0, 0), Phase::Detailed);
+        assert_eq!(s.phase_of(499, 500), Phase::Warm);
+        assert_eq!(s.phase_of(500, 500), Phase::Detailed);
+        assert_eq!(s.phase_of(u64::MAX, 500), Phase::Detailed);
     }
 
     #[test]
@@ -201,13 +211,13 @@ mod tests {
     #[test]
     fn phase_layout_puts_detailed_at_period_end() {
         let s = SamplingSpec::every(100, 20); // skip 70 | warm 20 | detail 10
-        assert_eq!(s.phase_of(0), Phase::FastForward);
-        assert_eq!(s.phase_of(69), Phase::FastForward);
-        assert_eq!(s.phase_of(70), Phase::Warm);
-        assert_eq!(s.phase_of(89), Phase::Warm);
-        assert_eq!(s.phase_of(90), Phase::Detailed);
-        assert_eq!(s.phase_of(99), Phase::Detailed);
-        assert_eq!(s.phase_of(100), Phase::FastForward); // next period
+        assert_eq!(s.phase_of(0, 0), Phase::FastForward);
+        assert_eq!(s.phase_of(69, 0), Phase::FastForward);
+        assert_eq!(s.phase_of(70, 0), Phase::Warm);
+        assert_eq!(s.phase_of(89, 0), Phase::Warm);
+        assert_eq!(s.phase_of(90, 0), Phase::Detailed);
+        assert_eq!(s.phase_of(99, 0), Phase::Detailed);
+        assert_eq!(s.phase_of(100, 0), Phase::FastForward); // next period
     }
 
     #[test]
@@ -216,7 +226,7 @@ mod tests {
         // Brute force against phase_of.
         for span in [0u64, 1, 50, 90, 99, 100, 101, 250, 1000, 1234] {
             let brute = (0..span)
-                .filter(|&p| s.phase_of(p) == Phase::Detailed)
+                .filter(|&p| s.phase_of(p, 0) == Phase::Detailed)
                 .count() as u64;
             assert_eq!(s.detailed_in(span), brute, "span {span}");
         }

@@ -6,7 +6,7 @@
 
 use drishti_core::config::DrishtiConfig;
 use drishti_policies::factory::PolicyKind;
-use drishti_sim::runner::{run_with_workloads, RunConfig};
+use drishti_sim::runner::{run, RunCkpt, RunConfig};
 use drishti_sim::sweep::{run_sweep, JobKind, SweepJob};
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
@@ -447,7 +447,9 @@ fn external_trace_shorter_than_the_span_wraps_identically_in_sweeps() {
             let stream = StreamingTrace::open(&file.0).unwrap();
             let workloads: Vec<Option<Box<dyn WorkloadGen>>> =
                 vec![Some(Box::new(stream)), Some(Box::new(mix.build_core(1)))];
-            run_with_workloads(workloads, policy, DrishtiConfig::baseline(2), &rc).per_core
+            let policy = policy.build(&rc.system.llc, DrishtiConfig::baseline(2));
+            let result = run(workloads, policy, &rc, &RunCkpt::default());
+            result.expect("no checkpoint files").per_core
         })
         .collect();
     for workers in [1, 4] {
