@@ -96,9 +96,11 @@ echo "telemetry-on report byte-identical; ${#timelines[@]} timeline file(s)"
 
 # Record/replay gate: a sweep replayed from on-disk drishti-trace/v1
 # files must produce a byte-identical drishti-sweep/v1 report to the same
-# sweep over freshly generated traces, at --jobs 1 and --jobs 8. (Runs in
-# --quick too — bit-identity is the whole point of the trace store.)
-step "record/replay gate (on-disk traces vs generated, --jobs 1/8)"
+# sweep over freshly generated traces, at --jobs 1 and --jobs 8, and a
+# single run (one --policy/--org, no --report) replayed from the same
+# files must print the generated single run's IPC lines. (Runs in --quick
+# too — bit-identity is the whole point of the trace store.)
+step "record/replay gate (on-disk traces vs generated, --jobs 1/8, single run)"
 cargo build -q --offline "${build_flags[@]}" -p drishti-sim --bin drishti-sim
 sim="target/$profile_dir/drishti-sim"
 rr_args=(--cores 4 --mix homo:mcf --policy lru,hawkeye --org baseline,drishti
@@ -115,7 +117,16 @@ for replay in "$out/rr_replay_j1.json" "$out/rr_replay_j8.json"; do
     exit 1
   fi
 done
-echo "replayed reports byte-identical to the generated run at --jobs 1 and 8"
+single_args=(--cores 4 --mix homo:mcf --policy hawkeye --org drishti
+             --accesses 8000 --warmup 2000)
+"$sim" "${single_args[@]}" >"$out/rr_single_generated.txt"
+"$sim" "${single_args[@]}" --trace-file "$out/rr_trace" >"$out/rr_single_replay.txt"
+if ! diff -u <(grep 'IPC' "$out/rr_single_generated.txt") \
+             <(grep 'IPC' "$out/rr_single_replay.txt"); then
+  echo "FAIL: the replayed single run's IPC differs from the generated single run's" >&2
+  exit 1
+fi
+echo "replayed reports byte-identical to the generated run at --jobs 1 and 8; replayed single run matches"
 
 # Scaling-smoke gate: the multi-chip topology must preserve the sweep
 # harness's worker-count determinism with inter-chip link queues in the

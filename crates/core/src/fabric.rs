@@ -422,12 +422,6 @@ impl PredictorFabric {
         self.link.stats()
     }
 
-    /// Reset all counters and transport statistics (used after warm-up).
-    pub fn reset_stats(&mut self) {
-        self.counters = FabricCounters::default();
-        self.link.reset_stats();
-    }
-
     /// Serialize the fabric's mutable state: counters plus the transport's
     /// own state (link occupancy, stats, fault cursor). Organisations and
     /// transport kind are configuration and excluded.
@@ -567,15 +561,6 @@ mod tests {
         assert!(f.global_view());
         f.train(0, 3, 0);
         assert_eq!(f.counters().broadcast_messages, 16);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut f = fabric(PredictorOrg::GlobalPerCore, FabricKind::Nocstar);
-        f.train(0, 1, 0);
-        f.reset_stats();
-        assert_eq!(f.counters().total(), 0);
-        assert_eq!(f.link_stats().messages, 0);
     }
 
     #[test]

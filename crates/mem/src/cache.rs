@@ -339,11 +339,6 @@ impl PrivateCache {
         &self.stats
     }
 
-    /// Reset statistics (contents retained) — used after warm-up.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of valid lines currently resident (for tests).
     pub fn resident_lines(&self) -> usize {
         self.valid.iter().map(|w| w.count_ones() as usize).sum()

@@ -358,13 +358,6 @@ impl Dram {
             .collect()
     }
 
-    /// Reset statistics (bank state retained).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-        self.chan_reads.fill(0);
-        self.chan_writes.fill(0);
-    }
-
     /// Serialize the controller's mutable state: banks, bus occupancy,
     /// posted-write queues, per-channel counters, stats, and the fault
     /// cursor. Configuration is excluded — the loader rebuilds it first.

@@ -372,11 +372,6 @@ impl SlicedLlc {
         self.policy.as_ref()
     }
 
-    /// The governing policy (mutable, for instrumentation toggles).
-    pub fn policy_mut(&mut self) -> &mut dyn LlcPolicy {
-        self.policy.as_mut()
-    }
-
     /// Slice index for a line address.
     pub fn slice_of(&self, line: LineAddr) -> usize {
         self.hasher.slice_of(line, self.geom.slices)
@@ -620,16 +615,6 @@ impl SlicedLlc {
             .count()
     }
 
-    /// Reset aggregate and per-set statistics (contents retained) — used at
-    /// the end of warm-up.
-    pub fn reset_stats(&mut self) {
-        self.stats = LlcStats::default();
-        for slice in &mut self.set_counters {
-            slice.fill(SetCounters::default());
-        }
-        self.slice_counters.fill(SliceCounters::default());
-    }
-
     /// Number of valid lines resident across all slices (tests).
     pub fn resident_lines(&self) -> usize {
         self.valid.iter().map(|w| w.count_ones() as usize).sum()
@@ -805,21 +790,6 @@ mod tests {
         llc.fill(&acc, 0);
         llc.fill(&acc, 1);
         assert_eq!(llc.resident_lines(), 1);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters_but_keeps_contents() {
-        let mut llc = SlicedLlc::new(small_geom(), Box::new(EvictZero::default()));
-        let acc = Access::load(0, 0x1, 7);
-        llc.lookup(&acc, 0);
-        llc.fill(&acc, 0);
-        llc.reset_stats();
-        assert_eq!(llc.stats().demand_accesses, 0);
-        assert_eq!(
-            llc.slice_counters().iter().map(|c| c.misses).sum::<u64>(),
-            0
-        );
-        assert!(llc.peek(7));
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub trait PredictorLink: std::fmt::Debug {
     /// Traffic/energy accumulated by this link.
     fn stats(&self) -> NocStats;
 
-    /// Clear accumulated statistics.
-    fn reset_stats(&mut self);
-
     /// Human-readable fabric name (for experiment output).
     fn name(&self) -> &'static str;
 
@@ -73,8 +70,6 @@ impl PredictorLink for LocalLink {
     fn stats(&self) -> NocStats {
         NocStats::default()
     }
-
-    fn reset_stats(&mut self) {}
 
     fn name(&self) -> &'static str {
         "local"
@@ -143,11 +138,6 @@ impl PredictorLink for MeshLink {
         let mut s = *self.mesh.stats();
         s.merge(&self.fault_stats);
         s
-    }
-
-    fn reset_stats(&mut self) {
-        self.mesh.reset_stats();
-        self.fault_stats = NocStats::default();
     }
 
     fn name(&self) -> &'static str {
@@ -249,11 +239,6 @@ impl PredictorLink for HierarchicalLink {
         s
     }
 
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-        self.cross_stats = NocStats::default();
-    }
-
     fn name(&self) -> &'static str {
         "hierarchical"
     }
@@ -323,10 +308,6 @@ impl PredictorLink for FixedLatencyLink {
         self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = NocStats::default();
-    }
-
     fn name(&self) -> &'static str {
         "fixed"
     }
@@ -389,14 +370,6 @@ mod tests {
             assert_eq!(l.send(0, 9, Request, 0).latency, lat);
             assert_eq!(l.send(4, 4, Request, 0).latency, 0);
         }
-    }
-
-    #[test]
-    fn reset_stats_clears_counts() {
-        let mut l = Nocstar::new(8, &FaultConfig::none());
-        l.send(0, 5, Request, 0);
-        l.reset_stats();
-        assert_eq!(l.stats().messages, 0);
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl Mesh {
             .collect()
     }
 
-    /// Reset statistics (link occupancy is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = NocStats::default();
-    }
-
     /// Serialise the mesh's mutable run-state (link backlogs, stats, fault
     /// cursor). The configuration is not written; restore rebuilds the
     /// mesh from config first, then loads these bytes into it.

@@ -168,10 +168,6 @@ impl PredictorLink for Nocstar {
         self.stats
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = NocStats::default();
-    }
-
     fn name(&self) -> &'static str {
         "nocstar"
     }

@@ -99,16 +99,6 @@ impl StateWriter {
         self.buf.push(v);
     }
 
-    /// Append a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -150,16 +140,6 @@ impl<'a> StateReader<'a> {
     /// Read one byte.
     pub fn take_u8(&mut self, what: &'static str) -> Result<u8, SnapError> {
         Ok(self.take(1, what)?[0])
-    }
-
-    /// Read a little-endian `u16`.
-    pub fn take_u16(&mut self, what: &'static str) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn take_u32(&mut self, what: &'static str) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
@@ -204,7 +184,7 @@ pub trait Persist {
 }
 
 macro_rules! persist_int {
-    ($ty:ty, $take:ident, $name:literal) => {
+    ($ty:ty, $name:literal) => {
         impl Persist for $ty {
             fn save(&self, w: &mut StateWriter) {
                 w.put_bytes(&self.to_le_bytes());
@@ -221,14 +201,14 @@ macro_rules! persist_int {
     };
 }
 
-persist_int!(u8, take_u8, "u8");
-persist_int!(u16, take_u16, "u16");
-persist_int!(u32, take_u32, "u32");
-persist_int!(u64, take_u64, "u64");
-persist_int!(i8, take_u8, "i8");
-persist_int!(i16, take_u16, "i16");
-persist_int!(i32, take_u32, "i32");
-persist_int!(i64, take_u64, "i64");
+persist_int!(u8, "u8");
+persist_int!(u16, "u16");
+persist_int!(u32, "u32");
+persist_int!(u64, "u64");
+persist_int!(i8, "i8");
+persist_int!(i16, "i16");
+persist_int!(i32, "i32");
+persist_int!(i64, "i64");
 
 impl Persist for usize {
     fn save(&self, w: &mut StateWriter) {

@@ -368,15 +368,6 @@ impl ChipTopology {
         flits
     }
 
-    /// Reset statistics on every mesh and the inter-chip block (link
-    /// occupancy is kept, like [`Mesh::reset_stats`]).
-    pub fn reset_stats(&mut self) {
-        for m in &mut self.meshes {
-            m.reset_stats();
-        }
-        self.stats = NocStats::default();
-    }
-
     /// Serialise mutable run-state: every chip's mesh state, then the
     /// inter-chip link backlogs, stats and fault cursor (idle and empty
     /// with one chip).

@@ -23,7 +23,8 @@
 //!
 //! Argument handling never panics: every malformed or inconsistent input
 //! exits with status 2 and an actionable message. A sweep cell that fails
-//! internally exits with status 1 after reporting every failed cell.
+//! internally exits with status 1 after reporting every failed cell, and
+//! so does a failed write to stdout or stderr.
 
 use drishti_core::config::DrishtiConfig;
 use drishti_noc::faults::{FaultConfig, OutageWindow};
@@ -41,6 +42,7 @@ use drishti_trace::presets::Benchmark;
 use drishti_trace::replay::TraceCache;
 use drishti_trace::store::{StreamingTrace, TraceWriter};
 use drishti_trace::WorkloadGen;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -108,6 +110,28 @@ const USAGE: &str = "usage: drishti-sim [--cores N] [--policy P[,P...]] [--org O
 /// Most LLC-slice plus L2 lines a simulated machine may hold: 32× the
 /// 256-core scaling study's LLC.
 const MAX_CACHE_LINES: usize = 1 << 28;
+
+/// Why an invocation stops before it completes.
+#[derive(Debug)]
+enum Failure {
+    /// Bad arguments or inputs: exit 2 after printing the message and
+    /// the usage.
+    Usage(String),
+    /// Stdout or stderr could not be written: exit 1.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
 
 /// Everything the CLI accepts, fully validated.
 struct CliArgs {
@@ -404,15 +428,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     if cli.channels == Some(0) {
         return Err("--channels must be at least 1".to_string());
     }
-    if cli.telemetry && cli.epoch == 0 && cli.accesses < DEFAULT_EPOCH_STEPS {
-        // Not an error — the final partial epoch is always flushed — but a
-        // custom epoch usually gives a more useful timeline.
-        eprintln!(
-            "note: default epoch ({DEFAULT_EPOCH_STEPS} steps) is coarse for --accesses {}; \
-             consider --epoch",
-            cli.accesses
-        );
-    }
     cli.faults.validate()?;
     cli.topology()
         .validate(cli.cores)
@@ -502,7 +517,7 @@ fn core_trace_path(prefix: &Path, core: usize) -> PathBuf {
 /// `--record`: write each core's stream (warmup + accesses records) to
 /// `PREFIX.coreNN.drtr`, streaming records from the generator into the
 /// writer.
-fn record_traces(cli: &CliArgs, mix: &Mix) -> Result<(), String> {
+fn record_traces(cli: &CliArgs, mix: &Mix) -> Result<(), Failure> {
     let prefix = cli.record.as_ref().expect("caller checked --record");
     if let Some(dir) = prefix.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -519,7 +534,11 @@ fn record_traces(cli: &CliArgs, mix: &Mix) -> Result<(), String> {
                 w.finish()
             })
             .map_err(|e| format!("recording {}: {e}", path.display()))?;
-        eprintln!("recorded: {} ({written} records)", path.display());
+        writeln!(
+            io::stderr(),
+            "recorded: {} ({written} records)",
+            path.display()
+        )?;
     }
     Ok(())
 }
@@ -539,50 +558,52 @@ fn check_trace_meta(
     bench: Benchmark,
     seed: u64,
     span: u64,
-) -> Result<bool, String> {
+) -> Result<bool, Failure> {
     if Benchmark::from_label(&meta.name).is_none() {
-        eprintln!(
+        writeln!(
+            io::stderr(),
             "note: {} is an external trace (`{}`, {} records); replacing \
              this core's `{}` workload",
             path.display(),
             meta.name,
             meta.records,
             bench.label()
-        );
+        )?;
         if meta.records < span {
-            eprintln!(
+            writeln!(
+                io::stderr(),
                 "note: {} holds {} records, run needs {span}; the trace \
                  wraps around (bit-identical to streaming replay)",
                 path.display(),
                 meta.records
-            );
+            )?;
         }
         return Ok(true);
     }
     if meta.name != bench.label() {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "{}: trace is `{}` but the mix wants `{}` on this core; \
              point --trace-file at the matching recording or change --mix",
             path.display(),
             meta.name,
             bench.label()
-        ));
+        )));
     }
     if meta.seed != seed {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "{}: trace seed {} does not match the mix seed {seed}; \
              re-record with this mix or adjust the mix spec",
             path.display(),
             meta.seed
-        ));
+        )));
     }
     if meta.records < span {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "{}: trace holds {} records but the run needs {span} \
              (warmup + accesses); re-record with matching lengths",
             path.display(),
             meta.records
-        ));
+        )));
     }
     Ok(false)
 }
@@ -596,7 +617,7 @@ fn open_trace_file(
     prefix: &Path,
     mix: &Mix,
     c: usize,
-) -> Result<(PathBuf, bool), String> {
+) -> Result<(PathBuf, bool), Failure> {
     let path = core_trace_path(prefix, c);
     let stream = StreamingTrace::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let (bench, seed) = (mix.benchmarks[c], mix.seeds[c]);
@@ -610,7 +631,7 @@ fn open_trace_file(
 /// cores' traces are generated. Returns the source and whether any trace
 /// is external (a sweep report's coverage table is then relabelled
 /// `ingested`).
-fn trace_file_source(cli: &CliArgs, mix: &Mix) -> Result<(TraceCache, bool), String> {
+fn trace_file_source(cli: &CliArgs, mix: &Mix) -> Result<(TraceCache, bool), Failure> {
     let mut cache = TraceCache::new();
     let Some(prefix) = &cli.trace_file else {
         return Ok((cache, false));
@@ -621,7 +642,11 @@ fn trace_file_source(cli: &CliArgs, mix: &Mix) -> Result<(TraceCache, bool), Str
         any_external |= external;
         cache.add_file(mix.benchmarks[c], mix.seeds[c], path);
     }
-    println!("replaying {} on-disk traces (streaming)", mix.cores());
+    writeln!(
+        io::stdout(),
+        "replaying {} on-disk traces (streaming)",
+        mix.cores()
+    )?;
     Ok((cache, any_external))
 }
 
@@ -632,18 +657,20 @@ const INGEST_DEMO_INSTRUCTIONS: usize = 4_096;
 
 /// `--ingest` / `--ingest-demo`: standalone trace-conversion modes; the
 /// process exits after them without simulating.
-fn run_ingest(cli: &CliArgs) -> Result<(), String> {
+fn run_ingest(cli: &CliArgs) -> Result<(), Failure> {
+    let mut stdout = io::stdout().lock();
     if let Some(out) = &cli.ingest_demo {
         let bytes = ingest::synthesize_demo(INGEST_DEMO_INSTRUCTIONS, 0xD311);
         if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         }
         std::fs::write(out, &bytes).map_err(|e| format!("writing {}: {e}", out.display()))?;
-        println!(
+        writeln!(
+            stdout,
             "demo ChampSim trace: {} ({INGEST_DEMO_INSTRUCTIONS} instructions, {} bytes)",
             out.display(),
             bytes.len()
-        );
+        )?;
     }
     if let Some(input) = &cli.ingest {
         let out = cli
@@ -652,7 +679,8 @@ fn run_ingest(cli: &CliArgs) -> Result<(), String> {
             .unwrap_or_else(|| input.with_extension("drtr"));
         let stats = ingest::ingest_champsim(input, &out)
             .map_err(|e| format!("ingesting {}: {e}", input.display()))?;
-        println!(
+        writeln!(
+            stdout,
             "ingested: {} -> {} ({} instructions, {} records: {} loads + {} stores)",
             input.display(),
             out.display(),
@@ -660,13 +688,14 @@ fn run_ingest(cli: &CliArgs) -> Result<(), String> {
             stats.records,
             stats.loads,
             stats.stores
-        );
+        )?;
     }
     Ok(())
 }
 
 /// Detailed single-cell output (the classic `drishti-sim` report).
-fn run_single(cli: &CliArgs) -> Result<(), String> {
+fn run_single(cli: &CliArgs) -> Result<(), Failure> {
+    let mut stdout = io::stdout().lock();
     let mix = build_mix(cli)?;
     let drishti = build_org(cli, &cli.orgs[0])?;
     let rc = run_config(cli);
@@ -677,7 +706,8 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
     } else {
         String::new()
     };
-    println!(
+    writeln!(
+        stdout,
         "mix={} policy={} org={} cores={}{chips} llc={}MB/core l2={}KB",
         mix.name,
         policy.label(),
@@ -685,9 +715,10 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
         cli.cores,
         cli.llc_mib,
         cli.l2_kib
-    );
+    )?;
     if !cli.faults.is_noop() {
-        println!(
+        writeln!(
+            stdout,
             "faults: seed={} drop={}% jitter={} link-outage={}/{} dram-outages={}",
             cli.faults.seed,
             cli.faults.drop_pct,
@@ -695,10 +726,11 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
             cli.faults.link_outage_len,
             cli.faults.link_outage_period,
             cli.faults.dram_outages.len()
-        );
+        )?;
     }
     if rc.sampling.enabled() {
-        println!(
+        writeln!(
+            stdout,
             "sampling: interval={} warmup={} detailed={} — measuring {}/{} records (scale ×{:.1})",
             rc.sampling.interval,
             rc.sampling.warmup,
@@ -706,7 +738,7 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
             rc.sampling.detailed_in(cli.span()),
             cli.span(),
             rc.sampling.scale(cli.span())
-        );
+        )?;
     }
     if cli.record.is_some() {
         record_traces(cli, &mix)?;
@@ -718,71 +750,78 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
         every: cli.checkpoint_every,
     };
     if let Some(path) = ckpt.restore {
-        println!("restoring checkpoint: {}", path.display());
+        writeln!(stdout, "restoring checkpoint: {}", path.display())?;
     }
     let (cache, _) = trace_file_source(cli, &mix)?;
     let workloads = mix_workloads(&mix, &rc, &cache);
     let r = run(workloads, policy.build(&rc.system.llc, drishti), &rc, &ckpt)
         .map_err(|e| e.to_string())?;
     if let Some(path) = ckpt.save {
-        println!("checkpoint written: {}", path.display());
+        writeln!(stdout, "checkpoint written: {}", path.display())?;
     }
-    println!("\nsimulated in {:.1?}\n", t.elapsed());
+    writeln!(stdout, "\nsimulated in {:.1?}\n", t.elapsed())?;
 
-    println!("policy reported: {}", r.policy);
-    println!("total IPC      : {:.3}", r.total_ipc());
+    writeln!(stdout, "policy reported: {}", r.policy)?;
+    writeln!(stdout, "total IPC      : {:.3}", r.total_ipc())?;
     for (c, cr) in r.per_core.iter().enumerate() {
-        println!(
+        writeln!(
+            stdout,
             "  core {c:>2} ({:<10}) IPC {:.3}  MPKI {:.1}",
             mix.benchmarks[c].label(),
             cr.ipc(),
             cr.llc_mpki()
-        );
+        )?;
     }
-    println!("\nLLC    : {:?}", r.llc);
-    println!(
+    writeln!(stdout, "\nLLC    : {:?}", r.llc)?;
+    writeln!(
+        stdout,
         "DRAM   : reads {} writes {} mean-read-lat {:.0}",
         r.dram.reads,
         r.dram.writes,
         r.dram.mean_read_latency()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "mesh   : msgs {} mean-lat {:.1}",
         r.mesh.messages,
         r.mesh.mean_latency()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "fabric : msgs {} mean-lat {:.1} energy {} pJ",
         r.fabric.messages,
         r.fabric.mean_latency(),
         r.fabric.energy_pj
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "energy : LLC {} + NoC {} + DRAM {} + fabric {} = {} µJ",
         r.energy.llc_pj / 1_000_000,
         r.energy.noc_pj / 1_000_000,
         r.energy.dram_pj / 1_000_000,
         r.energy.fabric_pj / 1_000_000,
         r.energy.total_pj() / 1_000_000
-    );
+    )?;
     let faults = r.fault_summary();
     if !cli.faults.is_noop() || !faults.is_clean() {
-        println!("\nresilience:");
+        writeln!(stdout, "\nresilience:")?;
         for (name, value) in faults.entries() {
-            println!("  {name:<22} {value}");
+            writeln!(stdout, "  {name:<22} {value}")?;
         }
     }
-    println!("diag   : {:?}", r.diagnostics);
+    writeln!(stdout, "diag   : {:?}", r.diagnostics)?;
     if let Some(tl) = &r.telemetry {
-        println!(
+        writeln!(
+            stdout,
             "\ntelemetry ({} epochs of {} steps):",
             tl.epochs.len(),
             tl.epoch_steps
-        );
-        println!(
+        )?;
+        writeln!(
+            stdout,
             "{:>6} {:>10} {:>7} {:>7} {:>9} {:>9} {:>8} {:>9}",
             "epoch", "end-step", "IPC", "MPKI", "llc-hits", "llc-miss", "noc-msg", "dram-r/w"
-        );
+        )?;
         for e in &tl.epochs {
             let instructions: u64 = e.per_core.iter().map(|c| c.instructions).sum();
             let cycles = e.per_core.iter().map(|c| c.cycles).max().unwrap_or(0);
@@ -803,10 +842,11 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
                 .dram
                 .iter()
                 .fold((0u64, 0u64), |(r, w), c| (r + c.reads, w + c.writes));
-            println!(
+            writeln!(
+                stdout,
                 "{:>6} {:>10} {:>7.3} {:>7.1} {:>9} {:>9} {:>8} {:>5}/{}",
                 e.index, e.end_step, ipc, mpki, hits, slice_misses, e.noc.messages, dr, dw
-            );
+            )?;
         }
     }
     Ok(())
@@ -816,7 +856,8 @@ fn run_single(cli: &CliArgs) -> Result<(), String> {
 ///
 /// Returns the process exit code: cell failures are runtime errors (1),
 /// not usage errors (2).
-fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
+fn run_sweep_cli(cli: &CliArgs) -> Result<i32, Failure> {
+    let mut stdout = io::stdout().lock();
     let mix = build_mix(cli)?;
     let rc = run_config(cli);
     let mut jobs = Vec::new();
@@ -839,14 +880,15 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
         }
     }
 
-    println!(
+    writeln!(
+        stdout,
         "mix={} cores={} cells={} ({} policies × {} orgs)",
         mix.name,
         cli.cores,
         jobs.len(),
         cli.policies.len(),
         cli.orgs.len()
-    );
+    )?;
     if cli.record.is_some() {
         record_traces(cli, &mix)?;
     }
@@ -865,15 +907,17 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
     };
     let mut timing = SweepTiming::from_outcome("drishti-sim", &outcome);
 
-    println!(
+    writeln!(
+        stdout,
         "\n{:<28} {:>8} {:>8} {:>10}",
         "policy/org", "IPC", "MPKI", "energy µJ"
-    );
+    )?;
     for (job, out) in jobs.iter().zip(&outcome.outputs) {
         match out {
             Ok(o) => {
                 let r = o.unwrap_run();
-                println!(
+                writeln!(
+                    stdout,
                     "{:<28} {:>8.3} {:>8.1} {:>10}",
                     format!(
                         "{}/{}",
@@ -883,12 +927,12 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
                     r.total_ipc(),
                     r.llc_mpki(),
                     r.energy.total_pj() / 1_000_000
-                );
+                )?;
             }
-            Err(f) => println!("{:<28} FAILED: {}", job.label, f.message),
+            Err(f) => writeln!(stdout, "{:<28} FAILED: {}", job.label, f.message)?,
         }
     }
-    eprintln!("{}", timing.line());
+    writeln!(io::stderr(), "{}", timing.line())?;
 
     if let Some(path) = &cli.report {
         let mut report = SweepReport::from_outcome("drishti-sim", &jobs, &outcome);
@@ -911,13 +955,14 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
         let tpath = timing
             .write_beside(path)
             .map_err(|e| format!("writing timing sidecar: {e}"))?;
-        eprintln!("report: {}", path.display());
-        eprintln!("timing: {}", tpath.display());
+        writeln!(io::stderr(), "report: {}", path.display())?;
+        writeln!(io::stderr(), "timing: {}", tpath.display())?;
         for (id, _) in &report.timelines {
-            eprintln!(
+            writeln!(
+                io::stderr(),
                 "timeline: {}",
                 drishti_sim::sweep::report::timeline_path(path, *id).display()
-            );
+            )?;
         }
     }
 
@@ -925,7 +970,11 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
     if !failures.is_empty() {
         // The journal (if any) is deliberately kept: completed cells can
         // be reused with --resume after the failure is fixed.
-        eprintln!("error: {} sweep cell(s) failed", failures.len());
+        writeln!(
+            io::stderr(),
+            "error: {} sweep cell(s) failed",
+            failures.len()
+        )?;
         return Ok(1);
     }
     if let Some(path) = &cli.report {
@@ -938,39 +987,52 @@ fn run_sweep_cli(cli: &CliArgs) -> Result<i32, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(msg) => {
-            if msg.is_empty() {
-                // --help: requested output, so stdout (errors go to stderr)
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            std::process::exit(2);
+    let code = match run_cli(&args) {
+        Ok(code) => code,
+        Err(Failure::Usage(msg)) => {
+            // Exit 2 whether or not the message reaches stderr.
+            let _ = writeln!(io::stderr(), "error: {msg}\n\n{USAGE}");
+            2
+        }
+        Err(Failure::Output(e)) => {
+            let _ = writeln!(io::stderr(), "error: cannot write output: {e}");
+            1
         }
     };
-    if cli.ingest.is_some() || cli.ingest_demo.is_some() {
-        if let Err(msg) = run_ingest(&cli) {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            std::process::exit(2);
+    std::process::exit(code);
+}
+
+/// Runs the invocation `args` describes; returns its exit status.
+fn run_cli(args: &[String]) -> Result<i32, Failure> {
+    let cli = match parse_args(args) {
+        Ok(cli) => cli,
+        Err(msg) if msg.is_empty() => {
+            // --help: requested output, so stdout (errors go to stderr)
+            writeln!(io::stdout(), "{USAGE}")?;
+            return Ok(0);
         }
-        return;
+        Err(msg) => return Err(Failure::Usage(msg)),
+    };
+    if cli.telemetry && cli.epoch == 0 && cli.accesses < DEFAULT_EPOCH_STEPS {
+        // Not an error — the final partial epoch is always flushed — but a
+        // custom epoch usually gives a more useful timeline.
+        writeln!(
+            io::stderr(),
+            "note: default epoch ({DEFAULT_EPOCH_STEPS} steps) is coarse for --accesses {}; \
+             consider --epoch",
+            cli.accesses
+        )?;
+    }
+    if cli.ingest.is_some() || cli.ingest_demo.is_some() {
+        run_ingest(&cli)?;
+        return Ok(0);
     }
     let single_cell = cli.policies.len() == 1 && cli.orgs.len() == 1;
     if single_cell && cli.report.is_none() {
-        if let Err(msg) = run_single(&cli) {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            std::process::exit(2);
-        }
+        run_single(&cli)?;
+        Ok(0)
     } else {
-        match run_sweep_cli(&cli) {
-            Ok(code) => std::process::exit(code),
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
+        run_sweep_cli(&cli)
     }
 }
 
@@ -1054,6 +1116,9 @@ mod tests {
         let outcome = trace_file_source(&cli, &mix);
         let _ = std::fs::remove_file(&path);
         let err = outcome.expect_err("an empty trace was registered");
-        assert!(err.contains("trace holds zero records"), "{err}");
+        assert!(
+            matches!(&err, Failure::Usage(msg) if msg.contains("trace holds zero records")),
+            "{err:?}"
+        );
     }
 }

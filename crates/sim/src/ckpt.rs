@@ -36,6 +36,7 @@
 //! state inventory and the resume protocol.
 
 use crate::engine::Engine;
+use drishti_trace::fnv1a64;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -56,17 +57,6 @@ pub const EXTENSION: &str = "drck";
 /// Section names in the order they are written and restored. Restore
 /// looks sections up by name, so a section it does not know is skipped.
 pub const SECTIONS: [&str; 5] = ["cores", "llc", "dram", "mesh", "sim"];
-
-/// FNV-1a 64-bit hash — the same flavour that guards trace frames, good
-/// enough to catch corruption (not an integrity MAC).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Everything that can go wrong reading or writing a checkpoint.
 #[derive(Debug)]

@@ -398,38 +398,6 @@ pub fn check_warmup_split(
     Ok(())
 }
 
-/// Run all four relations for one policy × org cell on `mix`.
-///
-/// `seed` keys the relabeling and derives the permutations; `rc` sizes
-/// the engine-level runs. Returns the first failing relation's report.
-pub fn check_all_relations(
-    mix: &Mix,
-    policy: PolicyKind,
-    drishti: DrishtiConfig,
-    rc: &RunConfig,
-    seed: u64,
-) -> Result<(), String> {
-    let cores = mix.cores();
-    // A seed-derived rotation is always a valid permutation.
-    let rot = 1 + (seed as usize) % cores.max(1);
-    let perm: Vec<usize> = (0..cores).map(|c| (c + rot) % cores).collect();
-
-    check_pc_relabel(mix, policy, drishti.clone(), rc, seed | 1)?;
-    check_slice_permutation(
-        mix,
-        policy,
-        drishti.clone(),
-        &rc.system.llc,
-        perm.clone(),
-        (rc.accesses_per_core / 4).max(256) as usize,
-    )?;
-    if mix.is_homogeneous() {
-        check_core_permutation(mix, policy, drishti.clone(), rc, &perm, 0.10)?;
-    }
-    check_warmup_split(mix, policy, drishti, rc, 997)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,8 +22,8 @@
 //! but a bad header is a hard, typed [`JournalError`].
 
 use super::{JobOutput, SweepJob};
-use crate::ckpt::fnv1a64;
 use crate::runner::RunResult;
+use drishti_trace::fnv1a64;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};

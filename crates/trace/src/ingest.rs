@@ -230,14 +230,12 @@ pub fn decode_champsim(bytes: &[u8]) -> Result<Vec<TraceRecord>, IngestError> {
     Ok(records)
 }
 
-/// Seed stamped into ingested `.drtr` headers: an FNV-1a hash of the trace
-/// *name*. External traces have no generator seed, but the header field is
-/// mandatory; a name hash keeps it deterministic and collision-resistant
-/// enough to distinguish traces in diagnostics.
+/// Seed stamped into ingested `.drtr` headers: a hash of the trace *name*
+/// (the generators' salt fold). External traces have no generator seed,
+/// but the header field is mandatory; a name hash keeps it deterministic
+/// and collision-resistant enough to distinguish traces in diagnostics.
 pub fn ingested_seed(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, c| {
-        (h ^ u64::from(c)).wrapping_mul(0x1000_0000_01b3)
-    })
+    crate::name_salt(name)
 }
 
 /// Convert the ChampSim-format file at `input` into a `.drtr` trace at

@@ -93,6 +93,26 @@ pub trait WorkloadGen: std::fmt::Debug + Send {
     }
 }
 
+/// FNV-1a 64-bit hash: the checksum of trace frames, checkpoint sections
+/// and journal entries, and the checkpoint's configuration fingerprint.
+/// Dependency-free and byte-order independent; it catches corruption but
+/// is no integrity MAC.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fold behind preset salts, stream salts and ingested-trace seeds.
+/// It is FNV-1a's offset basis and xor-then-multiply step, but with the
+/// multiplier `0x1000_0000_01b3` where FNV-1a has `0x100_0000_01b3`, so it
+/// is not [`fnv1a64`]; every generated trace depends on its values.
+pub(crate) fn name_salt(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, c| {
+        (h ^ u64::from(c)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
 /// A small, fast, seedable PRNG (xorshift64*), used by every generator so
 /// traces are reproducible without external dependencies in the hot path.
 #[derive(Debug, Clone)]
@@ -154,6 +174,13 @@ mod tests {
             let u = r.unit();
             assert!((0.0..1.0).contains(&u));
         }
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_values() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -1067,9 +1067,7 @@ fn with_gap(gap: u32, specs: Vec<StreamSpec>) -> Vec<StreamSpec> {
 
 /// Distinct salt per preset so "mcf seed 3" and "gcc seed 3" are unrelated.
 fn preset_salt(b: Benchmark) -> u64 {
-    (b.label().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, c| {
-        (h ^ u64::from(c)).wrapping_mul(0x1000_0000_01b3)
-    })) & 0xffff_ffff
+    crate::name_salt(b.label()) & 0xffff_ffff
 }
 
 impl std::fmt::Display for Benchmark {

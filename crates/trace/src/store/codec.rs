@@ -16,17 +16,6 @@
 
 use crate::TraceRecord;
 
-/// FNV-1a 64-bit hash — the same flavour used by the sweep seed derivation,
-/// chosen for being dependency-free and byte-order independent.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// LEB128-style unsigned varint (7 bits per byte, high bit = continue).
 pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {

@@ -4,8 +4,9 @@ use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use super::codec::{decode_frame, fnv1a64};
+use super::codec::decode_frame;
 use super::{StoreError, TraceMeta, MAGIC, VERSION};
+use crate::fnv1a64;
 use crate::{TraceRecord, WorkloadGen};
 
 /// Frame header: payload_len u32 | records u32 | checksum u64.

@@ -4,8 +4,9 @@ use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use super::codec::{fnv1a64, DeltaChain};
+use super::codec::DeltaChain;
 use super::{StoreError, COUNT_OFFSET, DEFAULT_FRAME_LEN, MAGIC, VERSION};
+use crate::fnv1a64;
 use crate::TraceRecord;
 
 /// Streams [`TraceRecord`]s into a `drishti-trace/v1` file, buffering at

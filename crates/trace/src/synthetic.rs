@@ -141,9 +141,8 @@ impl SyntheticWorkload {
                 // index — stable across seeds/cores of the same benchmark —
                 // so structural alignment (set-column bands, phase band
                 // sequences) is shared the way a common binary shares it.
-                let salt = name_ref.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, c| {
-                    (h ^ u64::from(c)).wrapping_mul(0x1000_0000_01b3)
-                }) ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let salt =
+                    crate::name_salt(name_ref) ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 streams.push(StreamState {
                     pattern: PatternState::with_salt(spec.pattern, base, salt, &mut rng),
                     pc_base: 0x40_0000 + seed.rotate_left(17) % 0xffff + (i as u64) * 0x1000,

@@ -23,7 +23,7 @@ use drishti_sim::telemetry::TelemetrySpec;
 use drishti_trace::mix::Mix;
 use drishti_trace::presets::Benchmark;
 use drishti_trace::replay::TraceCache;
-use drishti_trace::WorkloadGen;
+use drishti_trace::{fnv1a64, WorkloadGen};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -191,13 +191,6 @@ fn refcache_contracts_hold_across_a_save_restore_seam() {
     if let Some(v) = rc.violation() {
         panic!("conformance contract broken across the seam: {v}");
     }
-}
-
-/// FNV-1a 64, the container's section checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Rebuild a checkpoint with the payload of section `name` rewritten by

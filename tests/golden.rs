@@ -70,7 +70,7 @@ use drishti::trace::presets::Benchmark;
 use drishti::trace::replay::TraceCache;
 use drishti::trace::scenario::datacenter_mix;
 use drishti::trace::store::write_trace;
-use drishti::trace::WorkloadGen;
+use drishti::trace::{fnv1a64, WorkloadGen};
 use std::path::Path;
 
 const SNAPSHOT: &str = "tests/golden/metrics_4core.txt";
@@ -352,13 +352,6 @@ fn golden_llc_decisions_match_snapshot() {
         "the stream must put SHiP++'s training in play"
     );
     check_snapshot(&table, DECISIONS_SNAPSHOT);
-}
-
-/// FNV-1a 64, the checkpoint container's section checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Pins every policy's saved state under both organisations after the
